@@ -20,7 +20,6 @@ from .augmentation import (
     check_property_b,
     derivative_inequality_defect,
     intersection_form,
-    intersection_form_by_product,
     rank_drop_family,
     twist_family,
     verify_augmentation1,

@@ -7,10 +7,10 @@ truncate above degree d.  For a partition lam and strictly positive data
 
     Q_i(b, b') = integral of  b * s_lam(omega_hat) * zeta^i * h^(d-i) * b'
 
-are assembled two independent ways: from the derived Schur coefficients of
-s_lam (intersection_form), and by multiplying everything out in the truncated
-polynomial ring over the exterior algebra (intersection_form_by_product).
-Their exact equality is a test target, not an assumption.
+are assembled from the derived Schur coefficients of s_lam
+(intersection_form).  The tests build them a second way, by multiplying
+everything out in the truncated polynomial ring over the exterior algebra,
+and require exact equality.
 
 The one-parameter families
 
@@ -51,7 +51,7 @@ from .exterior import (
 )
 from .gaussian import as_fraction, fraction_to_str
 from .positivity import is_positive_definite_11
-from .symfunc import Partition, UniPoly, derived_schur_all, schur_elements
+from .symfunc import Partition, derived_schur_all
 
 DEFAULT_T_SAMPLES = (
     Fraction(0),
@@ -112,9 +112,7 @@ class AugmentedSpace:
         )
         self._hpow: dict[int, Form] = {}
         self._derived: dict[tuple[int, ...], list[Form]] = {}
-        self._schur_hat: dict[tuple[int, ...], UniPoly] = {}
         self._qi: dict[tuple[tuple[int, ...], int], SymBilinearForm] = {}
-        self._qi_product: dict[tuple[tuple[int, ...], int], SymBilinearForm] = {}
 
     def w_indices(self) -> range:
         return range(self.dim_w)
@@ -137,17 +135,6 @@ class AugmentedSpace:
         if cached is None:
             cached = derived_schur_all(lam, self.omegas)
             self._derived[key] = cached
-        return cached
-
-    def schur_shifted(self, lam: Partition) -> UniPoly:
-        """s_lam evaluated at omega_j + zeta in the polynomial ring over forms."""
-        key = lam.parts
-        cached = self._schur_hat.get(key)
-        if cached is None:
-            one = Form.scalar(self.d, 1)
-            hats = [UniPoly((w, one)) for w in self.omegas]
-            cached = schur_elements(lam, hats, UniPoly((one,)))
-            self._schur_hat[key] = cached
         return cached
 
 
@@ -218,37 +205,6 @@ def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
             wedge(sd(d - i - 2), hp),
         )
     space._qi[key] = out
-    return out
-
-
-def intersection_form_by_product(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
-    """Q_i by direct multiplication in the truncated ring over the algebra.
-
-    Computes s_lam(omega_hat) * zeta^i * h^(d-i) as a polynomial in zeta with
-    form coefficients and integrates against the basis: integration reads the
-    zeta^d slice, so any zeta power above d contributes nothing.  Must agree
-    with intersection_form exactly.
-    """
-    lam = Partition(lam)
-    _check_weight(space, lam)
-    key = (lam.parts, i)
-    cached = space._qi_product.get(key)
-    if cached is not None:
-        return cached
-    d = space.d
-    if i < 0 or i > d:
-        out = SymBilinearForm.zero(space.dim_v, space.basis_tag)
-    else:
-        s_hat = space.schur_shifted(lam)
-        hp = space.h_power(d - i)
-
-        def slice_at(m: int) -> Form:
-            # coefficient of zeta^m in s_hat * zeta^i * h^(d-i)
-            c = s_hat.coeff(m - i) if m - i >= 0 else Form.zero(d)
-            return wedge(c, hp)
-
-        out = _assemble(space, slice_at(d), slice_at(d - 1), slice_at(d - 2))
-    space._qi_product[key] = out
     return out
 
 

@@ -1,10 +1,10 @@
 """Exact symmetric bilinear forms, signatures, and the Hodge-Riemann predicates.
 
-Signatures come from symmetric congruence reduction over the rationals:
-diagonal pivots where available, and when the remaining diagonal vanishes a
-symmetric row/column addition exposes a nonzero diagonal entry from any
-nonzero off-diagonal pair.  Sylvester's law makes the count basis independent,
-so the result is exact.
+Every inertia in the package comes from one congruence kernel, over Fraction
+or GaussianRational entries: diagonal pivots where available, and when the
+remaining diagonal vanishes the basis change b_j += conj(a) b_k exposes the
+diagonal entry 2|a|^2 from a nonzero off-diagonal a.  Sylvester's law makes
+the count basis independent, so the result is exact.
 
 A form Q with Q(h) > 0 for some h has the Hodge-Riemann property when its
 signature is (1, n-1, 0); the weak variant with respect to h asks only for a
@@ -150,53 +150,72 @@ class SymBilinearForm:
         )
 
 
-def _inertia(rows: list[list[Fraction]]) -> Signature:
-    n = len(rows)
-    active = list(range(n))
-    plus = minus = 0
+def _congruence(rows: list[list]) -> list[tuple]:
+    """Congruence-diagonalise a symmetric or Hermitian matrix in place.
+
+    Returns (index, value, pair) per pivot, in pivot order; pair is (k, m) when
+    a zero-diagonal pair step b_index += m * b_k came just before, else None.
+    Eliminated entries keep their multiplier (LDL^H-style): rows[r][q] is the
+    multiple of b_q taken off b_r when q was eliminated, for each r then active.
+    """
+    active = list(range(len(rows)))
+    pivots = []
     while active:
-        pivot = next((k for k in active if rows[k][k] != 0), None)
+        pair = None
+        pivot = next((k for k in active if rows[k][k]), None)
         if pivot is None:
-            pair = next(
-                (
-                    (j, k)
-                    for j in active
-                    for k in active
-                    if j != k and rows[j][k] != 0
-                ),
-                None,
-            )
-            if pair is None:
-                return Signature(plus, minus, len(active))
-            j, k = pair
-            # b_j += b_k turns the zero diagonal entry into 2*rows[j][k].
+            found = next(((j, k) for j in active for k in active if j != k and rows[j][k]), None)
+            if found is None:
+                break
+            pivot, k = found
+            a = rows[pivot][k]
+            m = a.conjugate()
+            # b_pivot += conj(a) * b_k turns its zero diagonal entry into 2|a|^2.
             for c in active:
-                rows[j][c] += rows[k][c]
+                rows[pivot][c] += a * rows[k][c]
             for r in active:
-                rows[r][j] += rows[r][k]
-            pivot = j
+                rows[r][pivot] += m * rows[r][k]
+            pair = (k, m)
         p = rows[pivot][pivot]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
+        pivots.append((pivot, p, pair))
         active.remove(pivot)
         for r in active:
             f = rows[r][pivot]
-            if f == 0:
-                continue
-            f = f / p
-            for c in active:
-                rows[r][c] -= f * rows[pivot][c]
-            rows[r][pivot] = Fraction(0)
-        for c in active:
-            rows[pivot][c] = Fraction(0)
-    return Signature(plus, minus, 0)
+            if f:
+                f = f / p
+                for c in active:
+                    rows[r][c] -= f * rows[pivot][c]
+                rows[r][pivot] = f
+    return pivots
+
+
+def _congruence_vector(rows, pivots, step: int) -> list:
+    """The basis vector whose value is pivot number `step`, replayed from the
+    multipliers and pair steps _congruence left behind."""
+    n = len(rows)
+    basis = [[type(rows[0][0])(int(i == j)) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    for s, (q, _value, pair) in enumerate(pivots):
+        if pair is not None:
+            k, m = pair
+            basis[q] = [x + m * y for x, y in zip(basis[q], basis[k])]
+        if s == step:
+            return basis[q]
+        active.remove(q)
+        for r in active:
+            if rows[r][q]:
+                c = rows[r][q].conjugate()
+                basis[r] = [x - c * y for x, y in zip(basis[r], basis[q])]
+
+
+def _count_signs(pivots, n: int) -> Signature:
+    plus = sum(1 for _, value, _ in pivots if value > 0)
+    return Signature(plus, len(pivots) - plus, n - len(pivots))
 
 
 def signature(Q: SymBilinearForm) -> Signature:
     """Exact inertia (n_plus, n_minus, n_zero) via rational congruence."""
-    return _inertia([list(row) for row in Q.matrix])
+    return _count_signs(_congruence([list(row) for row in Q.matrix]), Q.n)
 
 
 def is_psd(Q: SymBilinearForm) -> bool:
@@ -273,32 +292,13 @@ def solve_in_span(vectors: Sequence[Vector], target: Vector):
     if not vectors:
         return None
     n = len(vectors[0])
-    cols = [_as_vector(v, n) for v in vectors]
-    t = list(_as_vector(target, n))
-    m = [[cols[j][i] for j in range(len(cols))] + [t[i]] for i in range(n)]
-    ncols = len(cols)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        hit = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if hit is None:
-            continue
-        m[r], m[hit] = m[hit], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if m[i][ncols] != 0:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        coeffs[pc] = m[i][ncols]
-    return tuple(coeffs)
+    cols = [_as_vector(v, n) for v in vectors] + [_as_vector(target, n)]
+    null = kernel_basis([[col[i] for col in cols] for i in range(n)])
+    # t is in the span iff its column is free in the RREF of [v_1..v_k | t]; its
+    # kernel vector then comes last with a 1 there, where a pivot leaves 0.
+    if not null or null[-1][-1] == 0:
+        return None
+    return tuple(-x for x in null[-1][:-1])
 
 
 def primitive_restriction(Q: SymBilinearForm, h: Vector) -> SymBilinearForm:
@@ -370,68 +370,18 @@ def gram(omega: Form) -> SymBilinearForm:
     return SymBilinearForm(rows, f"w11(d={d})")
 
 
+def _hermitian_congruence(entries):
+    """_congruence of a Hermitian matrix: (rows, pivots), pivot values real."""
+    rows = [[GaussianRational.of(x) for x in row] for row in entries]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    pivots = _congruence(rows)
+    if any(p.im for _, p, _ in pivots):
+        raise RuntimeError("Hermitian reduction produced a complex pivot")
+    return rows, [(q, p.re, pair) for q, p, pair in pivots]
+
+
 def hermitian_inertia(entries) -> Signature:
     """Exact inertia of a Hermitian Gaussian-rational matrix."""
-    sig, _diag, _vecs = hermitian_inertia_with_basis(entries)
-    return sig
-
-
-def hermitian_inertia_with_basis(entries):
-    """Inertia plus a diagonalizing basis: vectors b with value(b) = diag entry."""
-    rows = [list(GaussianRational.of(x) for x in row) for row in entries]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    basis = [
-        [GaussianRational(1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    active = list(range(n))
-    diag: list[tuple[Fraction, list[GaussianRational]]] = []
-    plus = minus = 0
-    while active:
-        pivot = next((k for k in active if rows[k][k]), None)
-        if pivot is None:
-            pair = next(
-                (
-                    (j, k)
-                    for j in active
-                    for k in active
-                    if j != k and rows[j][k]
-                ),
-                None,
-            )
-            if pair is None:
-                break
-            j, k = pair
-            c = rows[j][k].conjugate()
-            # b_j += conj(a) * b_k gives the real diagonal value 2|a|^2.
-            for col in active:
-                rows[j][col] = rows[j][col] + c.conjugate() * rows[k][col]
-            for r in active:
-                rows[r][j] = rows[r][j] + c * rows[r][k]
-            for t in range(n):
-                basis[j][t] = basis[j][t] + c * basis[k][t]
-            pivot = j
-        p = rows[pivot][pivot]
-        if p.im != 0:
-            raise RuntimeError("Hermitian reduction produced a complex pivot")
-        if p.re > 0:
-            plus += 1
-        else:
-            minus += 1
-        diag.append((p.re, list(basis[pivot])))
-        active.remove(pivot)
-        for r in active:
-            f = rows[r][pivot]
-            if not f:
-                continue
-            t = f / p
-            for c in active:
-                rows[r][c] = rows[r][c] - t * rows[pivot][c]
-            for s in range(n):
-                basis[r][s] = basis[r][s] - (rows[pivot][r] / p) * basis[pivot][s]
-            rows[r][pivot] = GaussianRational(0)
-        for c in active:
-            rows[pivot][c] = GaussianRational(0)
-    zero = n - plus - minus
-    return Signature(plus, minus, zero), diag, basis
+    rows, pivots = _hermitian_congruence(entries)
+    return _count_signs(pivots, len(rows))

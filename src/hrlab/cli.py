@@ -103,28 +103,6 @@ def parse_index_list(text: str, d: int) -> list[int]:
     return out
 
 
-def load_forms_file(path: str) -> list[Form]:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read forms file {path}: {exc}") from None
-    if isinstance(obj, dict):
-        obj = obj.get("omegas", obj.get("forms"))
-    if not isinstance(obj, list) or not obj:
-        raise UsageError("forms file must hold a non-empty list under 'omegas'")
-    try:
-        forms = [Form.from_json(f) for f in obj]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"malformed form in file: {exc}") from None
-    d = forms[0].d
-    for f in forms:
-        if f.d != d:
-            raise UsageError("forms file mixes dimensions")
-        if not is_positive_definite_11(form_to_hermitian(f)):
-            raise UsageError("forms file contains a non strictly positive form")
-    return forms
-
-
 def admissible_partitions(d: int, e: int) -> tuple[Partition, ...]:
     return partitions(d - 2, e)
 
@@ -132,15 +110,18 @@ def admissible_partitions(d: int, e: int) -> tuple[Partition, ...]:
 # -- task workers (module level so process pools can pickle them) -----------
 
 
+def _task_forms(args: dict, label: str, *key) -> tuple[list[Form], int | None]:
+    """The task's forms: the --forms ones, or e draws seeded by (seed, label, *key)."""
+    if args.get("forms") is not None:
+        return [Form.from_json(f) for f in args["forms"]], None
+    task_seed = derive_seed(args["seed"], label, *key)
+    rng = random.Random(task_seed)
+    return [random_positive_form(rng, args["d"]) for _ in range(args["e"])], task_seed
+
+
 def _hr_task(args: dict) -> dict:
     d, e, parts, trial = args["d"], args["e"], tuple(args["lambda"]), args["trial"]
-    if args.get("forms") is not None:
-        omegas = [Form.from_json(f) for f in args["forms"]]
-        task_seed = None
-    else:
-        task_seed = derive_seed(args["seed"], "verify-hr", d, e, parts, trial)
-        rng = random.Random(task_seed)
-        omegas = [random_positive_form(rng, d) for _ in range(e)]
+    omegas, task_seed = _task_forms(args, "verify-hr", d, e, parts, trial)
     import warnings
 
     with warnings.catch_warnings(record=True) as caught:
@@ -187,21 +168,11 @@ def _status_from_expectations(actual: dict, expected: dict) -> tuple[str, list[s
     return "PASS", []
 
 
-def _build_space(args: dict) -> tuple[AugmentedSpace, int | None]:
-    d, e, parts, trial = args["d"], args["e"], tuple(args["lambda"]), args["trial"]
-    if args.get("forms") is not None:
-        omegas = [Form.from_json(f) for f in args["forms"]]
-        return AugmentedSpace(omegas), None
-    task_seed = derive_seed(args["seed"], "family", d, e, parts, trial)
-    rng = random.Random(task_seed)
-    omegas = [random_positive_form(rng, d) for _ in range(e)]
-    return AugmentedSpace(omegas), task_seed
-
-
 def _family_task(args: dict) -> dict:
     d, parts, check = args["d"], tuple(args["lambda"]), args["check"]
     t_samples = tuple(Fraction(s) for s in args["t_samples"]) if args["t_samples"] else None
-    space, task_seed = _build_space(args)
+    omegas, task_seed = _task_forms(args, "family", d, args["e"], parts, args["trial"])
+    space = AugmentedSpace(omegas)
     lam = Partition(parts)
     base = {
         "d": d,
@@ -254,13 +225,7 @@ def _verdict_status(status: str) -> str:
 def _gamma_trial_task(args: dict) -> dict:
     d, e, trial = args["d"], args["e"], args["trial"]
     lams = admissible_partitions(d, e)
-    if args.get("forms") is not None:
-        omegas = [Form.from_json(f) for f in args["forms"]]
-        task_seed = None
-    else:
-        task_seed = derive_seed(args["seed"], "gamma-scan", d, e, trial)
-        rng = random.Random(task_seed)
-        omegas = [random_positive_form(rng, d) for _ in range(e)]
+    omegas, task_seed = _task_forms(args, "gamma-scan", d, e, trial)
     # The intersection form is linear in the class, so one gram matrix per
     # partition turns every grid point into a cheap rational combination.
     grams = [gram(schur(lam, omegas)) for lam in lams]
@@ -287,26 +252,34 @@ def _compositions(total: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _run_tasks(worker, tasks: list[dict], jobs: int) -> tuple[list[dict], list[float]]:
-    results = []
-    durations = []
+def _timed_call(call: tuple) -> tuple[dict, float]:
+    worker, task = call
+    t0 = time.perf_counter()
+    result = worker(task)
+    return result, time.perf_counter() - t0
+
+
+def _run_tasks(worker, tasks: list[dict], jobs: int) -> tuple[list[dict], list[float], float]:
+    """Results, the seconds each task took, and the run's wall time."""
+    t0 = time.perf_counter()
+    calls = [(worker, task) for task in tasks]
     if jobs > 1 and len(tasks) > 1:
-        t0 = time.perf_counter()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks))
-        durations = [time.perf_counter() - t0]
+            timed = list(pool.map(_timed_call, calls))
     else:
-        for task in tasks:
-            t0 = time.perf_counter()
-            results.append(worker(task))
-            durations.append(time.perf_counter() - t0)
-    return results, durations
+        timed = list(map(_timed_call, calls))
+    return [r for r, _ in timed], [s for _, s in timed], time.perf_counter() - t0
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
+def _campaign(ns: argparse.Namespace):
+    """Ranges, forms file, seed check and task grid shared by verify-hr and family.
+
+    Returns (d list, e list, explicit partition or None, tasks): one task per
+    (d, e, lam, trial), lam the explicit partition or each admissible one.
+    """
     dlist = parse_range(ns.d, "--d")
     elist = parse_range(ns.e, "--e")
     _validate_supported(dlist)
@@ -316,38 +289,36 @@ def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
         elist = [len(forms_json)]
     explicit_lam = parse_partition(ns.lam) if ns.lam is not None else None
     _require_seed(ns, randomized=forms_json is None)
-
     tasks = []
-    warnings_out = []
     for d in dlist:
         for e in elist:
-            if explicit_lam is not None:
-                if explicit_lam.weight != d - 2:
-                    raise UsageError(
-                        f"--lambda {explicit_lam.parts} has weight {explicit_lam.weight}, "
-                        f"need {d - 2} for d={d}"
-                    )
-                lams = [explicit_lam]
-                if explicit_lam.largest > e:
-                    warnings_out.append(
-                        f"lambda {explicit_lam.parts} has a part above e={e}; "
-                        "the signature assertion is outside the guaranteed range"
-                    )
+            if explicit_lam is None:
+                lams = admissible_partitions(d, e)
+            elif explicit_lam.weight != d - 2:
+                raise UsageError(
+                    f"--lambda {explicit_lam.parts} has weight {explicit_lam.weight}, "
+                    f"need {d - 2} for d={d}"
+                )
             else:
-                lams = list(admissible_partitions(d, e))
-            for lam in lams:
-                for trial in range(ns.trials if forms_json is None else 1):
-                    tasks.append(
-                        {
-                            "d": d,
-                            "e": e,
-                            "lambda": list(lam.parts),
-                            "trial": trial,
-                            "seed": ns.seed,
-                            "forms": forms_json,
-                        }
-                    )
-    results, durations = _run_tasks(_hr_task, tasks, ns.jobs)
+                lams = [explicit_lam]
+            tasks += [
+                {"d": d, "e": e, "lambda": list(lam.parts), "trial": trial, "seed": ns.seed, "forms": forms_json}
+                for lam in lams
+                for trial in range(ns.trials if forms_json is None else 1)
+            ]
+    return dlist, elist, explicit_lam, tasks
+
+
+def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
+    dlist, elist, explicit_lam, tasks = _campaign(ns)
+    warnings_out = [
+        f"lambda {explicit_lam.parts} has a part above e={e}; "
+        "the signature assertion is outside the guaranteed range"
+        for d in dlist
+        for e in elist
+        if explicit_lam is not None and explicit_lam.largest > e
+    ]
+    results, durations, elapsed = _run_tasks(_hr_task, tasks, ns.jobs)
     failed = [r for r in results if not r["pass"]]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -362,7 +333,7 @@ def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
     }
     if warnings_out:
         report["warnings"] = warnings_out
-    return _with_timing(report, durations), (1 if failed else 0)
+    return _with_timing(report, durations, elapsed), (1 if failed else 0)
 
 
 def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -370,47 +341,15 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
         return _cmd_family_builtin(ns)
     if not ns.check:
         raise UsageError("family needs --check or --builtin")
-    dlist = parse_range(ns.d, "--d")
-    elist = parse_range(ns.e, "--e")
-    _validate_supported(dlist)
-    forms_json, forms_d = _load_forms(ns)
-    if forms_json is not None:
-        dlist = [forms_d]
-        elist = [len(forms_json)]
-    explicit_lam = parse_partition(ns.lam) if ns.lam is not None else None
-    _require_seed(ns, randomized=forms_json is None)
+    dlist, elist, _lam, grid = _campaign(ns)
     t_samples = [str(t) for t in parse_t_samples(ns.t_samples)] if ns.t_samples else None
-
-    tasks = []
-    for d in dlist:
-        ilist = _index_list_for(ns, d)
-        for e in elist:
-            if explicit_lam is not None:
-                if explicit_lam.weight != d - 2:
-                    raise UsageError(
-                        f"--lambda {explicit_lam.parts} has weight {explicit_lam.weight}, "
-                        f"need {d - 2} for d={d}"
-                    )
-                lams = [explicit_lam]
-            else:
-                lams = list(admissible_partitions(d, e))
-            for lam in lams:
-                for trial in range(ns.trials if forms_json is None else 1):
-                    for i in ilist:
-                        tasks.append(
-                            {
-                                "d": d,
-                                "e": e,
-                                "lambda": list(lam.parts),
-                                "trial": trial,
-                                "seed": ns.seed,
-                                "forms": forms_json,
-                                "check": ns.check,
-                                "i": i,
-                                "t_samples": t_samples,
-                            }
-                        )
-    results, durations = _run_tasks(_family_task, tasks, ns.jobs)
+    ilists = {d: _index_list_for(ns, d) for d in dlist}
+    tasks = [
+        dict(task, check=ns.check, i=i, t_samples=t_samples)
+        for task in grid
+        for i in ilists[task["d"]]
+    ]
+    results, durations, elapsed = _run_tasks(_family_task, tasks, ns.jobs)
     failed = [r for r in results if r["status"] == "FAIL"]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -425,7 +364,7 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
             "failed": len(failed),
         },
     }
-    return _with_timing(report, durations), (1 if failed else 0)
+    return _with_timing(report, durations, elapsed), (1 if failed else 0)
 
 
 def _index_list_for(ns: argparse.Namespace, d: int) -> list[int | None]:
@@ -474,7 +413,8 @@ def _cmd_family_builtin(ns: argparse.Namespace) -> tuple[dict, int]:
         "results": [result],
         "summary": {"total": 1, "passed": int(result["status"] == "PASS"), "failed": int(result["status"] == "FAIL")},
     }
-    return _with_timing(report, [time.perf_counter() - t0]), (0 if result["status"] == "PASS" else 1)
+    elapsed = time.perf_counter() - t0
+    return _with_timing(report, [elapsed], elapsed), (0 if result["status"] == "PASS" else 1)
 
 
 def _builtin_rank_drop(ns: argparse.Namespace) -> dict:
@@ -559,7 +499,7 @@ def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
         }
         for trial in range(trials)
     ]
-    trial_results, durations = _run_tasks(_gamma_trial_task, tasks, ns.jobs)
+    trial_results, durations, elapsed = _run_tasks(_gamma_trial_task, tasks, ns.jobs)
 
     points = []
     vertex_failures = []
@@ -597,7 +537,7 @@ def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
             "note": "interior points are exploratory; only simplex vertices are asserted",
         },
     }
-    return _with_timing(report, durations), (1 if vertex_failures else 0)
+    return _with_timing(report, durations, elapsed), (1 if vertex_failures else 0)
 
 
 # -- shared plumbing --------------------------------------------------------
@@ -615,10 +555,33 @@ def _require_seed(ns: argparse.Namespace, randomized: bool) -> None:
 
 
 def _load_forms(ns: argparse.Namespace):
+    """The --forms file as (form JSON list, d), or (None, None) without one."""
     if not getattr(ns, "forms", None):
         return None, None
-    forms = load_forms_file(ns.forms)
-    return [f.to_json() for f in forms], forms[0].d
+    try:
+        obj = json.loads(Path(ns.forms).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read forms file {ns.forms}: {exc}") from None
+    if isinstance(obj, dict):
+        obj = obj.get("omegas", obj.get("forms"))
+    if not isinstance(obj, list) or not obj:
+        raise UsageError("forms file must hold a non-empty list under 'omegas'")
+    try:
+        forms = [Form.from_json(f) for f in obj]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"malformed form in file: {exc}") from None
+    d = forms[0].d
+    _validate_supported([d])
+    for f in forms:
+        if f.d != d:
+            raise UsageError("forms file mixes dimensions")
+        try:
+            matrix = form_to_hermitian(f)
+        except ValueError as exc:
+            raise UsageError(f"forms file: {exc}") from None
+        if not is_positive_definite_11(matrix):
+            raise UsageError("forms file contains a non strictly positive form")
+    return [f.to_json() for f in forms], d
 
 
 def _config_json(ns: argparse.Namespace, **resolved) -> dict:
@@ -636,12 +599,12 @@ def _config_json(ns: argparse.Namespace, **resolved) -> dict:
     return cfg
 
 
-def _with_timing(report: dict, durations: list[float]) -> dict:
+def _with_timing(report: dict, durations: list[float], elapsed: float) -> dict:
     # All wall-clock data lives here and only here, so reports stay
     # byte-identical across reruns once this field is dropped.
     report["timing"] = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "elapsed_seconds": round(sum(durations), 6),
+        "elapsed_seconds": round(elapsed, 6),
         "per_task_seconds": [round(x, 6) for x in durations],
     }
     return report

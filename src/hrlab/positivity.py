@@ -1,11 +1,12 @@
 """Positivity tests for forms, at the levels where they are exactly decidable.
 
 Strict positivity of a (1,1)-form reduces to positive definiteness of its
-Hermitian matrix, decided by leading principal minors.  Positivity of a real
+Hermitian matrix, decided by its exact inertia.  Positivity of a real
 (p,p)-form is decided by assembling the induced Hermitian pairing on the
 complementary space of holomorphic top fragments and computing its exact
-inertia.  Weak positivity is dual to the simple-form cone and only gets a
-sampling falsifier: a refutation carries a witness, absence of one proves
+inertia; a refutation rebuilds the basis vector of the first negative pivot
+as its witness.  Weak positivity is dual to the simple-form cone and only gets
+a sampling falsifier: a refutation carries a witness, absence of one proves
 nothing, and the verdict name says so.
 """
 
@@ -13,13 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .bilinear import hermitian_inertia_with_basis
+from .bilinear import _congruence_vector, _hermitian_congruence, hermitian_inertia
 from .exterior import Form, HermitianMatrix, top_coefficient, top_ratio, wedge
-from .gaussian import GaussianRational, I
+from .gaussian import I
 from .sampling import derive_seed, random_one_form
 
 POSITIVE = "POSITIVE"
@@ -45,43 +45,9 @@ class ConeVerdict:
         }
 
 
-def hermitian_det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
-    """Exact determinant by fraction elimination with row-swap sign tracking."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign = 1
-    det = GaussianRational(1)
-    for c in range(n):
-        hit = next((r for r in range(c, n) if m[r][c]), None)
-        if hit is None:
-            return GaussianRational(0)
-        if hit != c:
-            m[c], m[hit] = m[hit], m[c]
-            sign = -sign
-        p = m[c][c]
-        det = det * p
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / p
-                for k in range(c, n):
-                    m[r][k] = m[r][k] - f * m[c][k]
-    return det if sign > 0 else -det
-
-
-def leading_principal_minors(H: HermitianMatrix) -> list[Fraction]:
-    """Determinants of the leading k x k blocks; real for Hermitian input."""
-    out = []
-    for k in range(1, H.d + 1):
-        det = hermitian_det([row[:k] for row in H.entries[:k]])
-        if det.im != 0:
-            raise RuntimeError("Hermitian minor came out complex")
-        out.append(det.re)
-    return out
-
-
 def is_positive_definite_11(H: HermitianMatrix) -> bool:
-    """Exact positive definiteness through the leading principal minor test."""
-    return all(m > 0 for m in leading_principal_minors(H))
+    """Exact positive definiteness: inertia (d, 0, 0)."""
+    return hermitian_inertia(H.entries) == (H.d, 0, 0)
 
 
 def is_positive_pp(eta: Form) -> ConeVerdict:
@@ -116,15 +82,16 @@ def is_positive_pp(eta: Form) -> ConeVerdict:
         for b in range(len(subsets)):
             if mat[a][b] != mat[b][a].conjugate():
                 raise RuntimeError("induced pairing is not Hermitian")
-    sig, diag, _basis = hermitian_inertia_with_basis(mat)
-    if sig.n_minus > 0:
-        vec = next(v for value, v in diag if value < 0)
+    rows, pivots = _hermitian_congruence(mat)
+    negative = next((s for s, (_, value, _) in enumerate(pivots) if value < 0), None)
+    if negative is not None:
+        vec = _congruence_vector(rows, pivots, negative)
         witness = Form(d, {})
         for coeff, S in zip(vec, subsets):
             if coeff:
                 witness = witness + Form.term(d, S, [], coeff.conjugate())
         return ConeVerdict(NOT_POSITIVE, witness)
-    if sig.n_zero == 0:
+    if len(pivots) == len(rows):
         return ConeVerdict(STRICTLY_POSITIVE)
     return ConeVerdict(POSITIVE)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
 from .exterior import Form, HermitianMatrix, hermitian_to_form
 from .gaussian import GaussianRational
@@ -63,15 +62,3 @@ def random_positive_hermitian(rng: random.Random, d: int, box: int = 2) -> Hermi
 def random_positive_form(rng: random.Random, d: int, box: int = 2) -> Form:
     """A strictly positive real (1,1)-form, reproducible from the generator."""
     return hermitian_to_form(random_positive_hermitian(rng, d, box))
-
-
-def random_rational(rng: random.Random, box: int = 5, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-box, box), rng.randint(1, den))
-
-
-def random_symmetric_rows(rng: random.Random, n: int, box: int = 5) -> list[list[Fraction]]:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = Fraction(rng.randint(-box, box))
-    return rows

@@ -1,17 +1,23 @@
 """Independent brute-force implementations used only as test oracles.
 
-Nothing here shares code with the package: the exterior algebra is replayed
-over generator tuples with insertion-sort sign counting, determinants are
-expanded by cofactors, elementary symmetric functions by explicit subsets,
-and the mixed discriminant by the double permutation sum.
+Nothing here shares code with the package, except the last section, whose
+comment says what it reuses: the exterior algebra is replayed over generator
+tuples with insertion-sort sign counting, determinants are expanded by
+cofactors or by plain elimination, inertia is read off the characteristic
+polynomial, elementary symmetric functions come from explicit subsets, and the
+mixed discriminant from the double permutation sum.
 """
 
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from hrlab.exterior import Form, indices_of
+from hrlab.augmentation import _assemble, _check_weight
+from hrlab.bilinear import Signature, SymBilinearForm
+from hrlab.exterior import Form, indices_of, wedge
 from hrlab.gaussian import GaussianRational
+from hrlab.symfunc import Partition, UniPoly, schur_elements
 
 # -- naive exterior algebra over generator tuples ---------------------------
 # Generators are coded 1..d for the holomorphic ones and d+1..2d for the
@@ -214,6 +220,82 @@ def oracle_schur(parts: tuple, nvars: int) -> object:
     return oracle_cofactor_det(rows)
 
 
+def descartes_inertia(rows) -> Signature:
+    """Inertia of a real symmetric matrix by Descartes' rule of signs.
+
+    The characteristic polynomial det(xI - M) comes from cofactor expansion.
+    All its roots are real, so the sign changes of its coefficients count the
+    positive eigenvalues exactly, and those of p(-x) the negative ones.
+    """
+    n = len(rows)
+    x = Poly.var(0, 1)
+    char = oracle_cofactor_det(
+        [[(x if i == j else Poly(1)) - Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
+    )
+    coeffs = [char.terms.get((k,), Fraction(0)) for k in range(n + 1)]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    plus = sign_changes(coeffs)
+    minus = sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    return Signature(plus, minus, n - plus - minus)
+
+
+def realified(rows) -> list:
+    """The real symmetric 2n x 2n form [[A, -B], [B, A]] of H = A + iB.
+
+    Its inertia is twice that of the Hermitian matrix H.
+    """
+    n = len(rows)
+    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            a, b = rows[i][j].re, rows[i][j].im
+            out[i][j] = out[n + i][n + j] = a
+            out[i][n + j] = -b
+            out[n + i][j] = b
+    return out
+
+
+# -- Sylvester's criterion -----------------------------------------------------
+
+
+def hermitian_det(rows) -> GaussianRational:
+    """Exact determinant by fraction elimination with row-swap sign tracking."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign = 1
+    det = GaussianRational(1)
+    for c in range(n):
+        hit = next((r for r in range(c, n) if m[r][c]), None)
+        if hit is None:
+            return GaussianRational(0)
+        if hit != c:
+            m[c], m[hit] = m[hit], m[c]
+            sign = -sign
+        p = m[c][c]
+        det = det * p
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] / p
+                for k in range(c, n):
+                    m[r][k] = m[r][k] - f * m[c][k]
+    return det if sign > 0 else -det
+
+
+def leading_principal_minors(H) -> list:
+    """Determinants of the leading k x k blocks; real for Hermitian input."""
+    out = []
+    for k in range(1, H.d + 1):
+        det = hermitian_det([row[:k] for row in H.entries[:k]])
+        if det.im != 0:
+            raise RuntimeError("Hermitian minor came out complex")
+        out.append(det.re)
+    return out
+
+
 # -- mixed discriminant ------------------------------------------------------
 
 
@@ -257,3 +339,59 @@ def brute_partitions(b: int, e: int) -> set:
 
     rec(b, [])
     return out
+
+
+# -- seeded test data ------------------------------------------------------------
+
+
+def random_symmetric_rows(rng, n: int, box: int = 5) -> list:
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-box, box))
+    return rows
+
+
+# -- second route to the augmented intersection forms -----------------------------
+# Unlike the rest of this module, this route reuses package primitives: the
+# Schur expansion over UniPoly, the wedge, and augmentation's assembly of a
+# matrix from its three slices.  It differs from intersection_form in how it
+# reaches Q_i: by multiplying s_lam(omega_j + zeta) out in the truncated
+# polynomial ring over forms, not through derived Schur coefficients.
+
+_schur_hat = weakref.WeakKeyDictionary()
+
+
+def schur_shifted(space, lam):
+    """s_lam evaluated at omega_j + zeta in the polynomial ring over forms."""
+    cache = _schur_hat.setdefault(space, {})
+    key = lam.parts
+    if key not in cache:
+        one = Form.scalar(space.d, 1)
+        hats = [UniPoly((w, one)) for w in space.omegas]
+        cache[key] = schur_elements(lam, hats, UniPoly((one,)))
+    return cache[key]
+
+
+def intersection_form_by_product(space, lam, i: int) -> SymBilinearForm:
+    """Q_i by direct multiplication in the truncated ring over the algebra.
+
+    Computes s_lam(omega_hat) * zeta^i * h^(d-i) as a polynomial in zeta with
+    form coefficients and integrates against the basis: integration reads the
+    zeta^d slice, so any zeta power above d contributes nothing.  Must agree
+    with intersection_form exactly.
+    """
+    lam = Partition(lam)
+    _check_weight(space, lam)
+    d = space.d
+    if i < 0 or i > d:
+        return SymBilinearForm.zero(space.dim_v, space.basis_tag)
+    s_hat = schur_shifted(space, lam)
+    hp = space.h_power(d - i)
+
+    def slice_at(m: int) -> Form:
+        # coefficient of zeta^m in s_hat * zeta^i * h^(d-i)
+        c = s_hat.coeff(m - i) if m - i >= 0 else Form.zero(d)
+        return wedge(c, hp)
+
+    return _assemble(space, slice_at(d), slice_at(d - 1), slice_at(d - 2))

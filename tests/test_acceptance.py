@@ -14,7 +14,6 @@ from hrlab.augmentation import (
     check_property_a,
     check_property_b,
     intersection_form,
-    intersection_form_by_product,
     rank_drop_family,
     twist_family,
     verify_augmentation2,
@@ -44,7 +43,6 @@ from hrlab.sampling import (
     derive_seed,
     random_hermitian,
     random_positive_form,
-    random_symmetric_rows,
 )
 from hrlab.symfunc import (
     Partition,
@@ -57,11 +55,13 @@ from hrlab.symfunc import (
 
 from oracles import (
     Poly,
+    intersection_form_by_product,
     mixed_discriminant,
     naive_product_of_forms,
     naive_top_coefficient,
     oracle_elementary,
     oracle_schur,
+    random_symmetric_rows,
 )
 
 

@@ -12,7 +12,6 @@ from hrlab.augmentation import (
     check_property_b,
     derivative_inequality_defect,
     intersection_form,
-    intersection_form_by_product,
     rank_drop_family,
     twist_family,
     verify_augmentation1,
@@ -23,6 +22,8 @@ from hrlab.bilinear import Signature, SymBilinearForm, gram, is_hr_wrt, signatur
 from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_form
 from hrlab.sampling import random_positive_form
 from hrlab.symfunc import Partition, derived_schur, schur
+
+from oracles import intersection_form_by_product, schur_shifted
 
 
 def make_space(d, e, seed, random_h=False):
@@ -105,7 +106,7 @@ def test_zeta_degree_overflow_integrates_to_zero():
     # exactly zero matrices outside 0..d
     sp = make_space(3, 1, 6)
     lam = Partition((1,))
-    shat = sp.schur_shifted(lam)
+    shat = schur_shifted(sp, lam)
     assert shat.degree() <= lam.weight
     assert intersection_form_by_product(sp, lam, 3 + 1).is_zero()
 
@@ -387,7 +388,7 @@ def test_verdict_status_mapping():
 def test_derivative_inequality_defect_matches_pointwise():
     rng = random.Random(24)
     n = 4
-    from hrlab.sampling import random_symmetric_rows
+    from oracles import random_symmetric_rows
 
     q = SymBilinearForm(random_symmetric_rows(rng, n))
     qp = SymBilinearForm(random_symmetric_rows(rng, n))

@@ -6,6 +6,8 @@ import pytest
 from hrlab.bilinear import (
     Signature,
     SymBilinearForm,
+    _congruence,
+    _congruence_vector,
     gram,
     hermitian_inertia,
     hodge_index_defect,
@@ -26,10 +28,16 @@ from hrlab.exterior import (
     identity_form,
 )
 from hrlab.gaussian import GaussianRational
-from hrlab.sampling import random_hermitian, random_positive_form, random_symmetric_rows
+from hrlab.sampling import random_hermitian, random_positive_form
 from hrlab.symfunc import schur
 
-from oracles import naive_product_of_forms, naive_top_coefficient
+from oracles import (
+    descartes_inertia,
+    naive_product_of_forms,
+    naive_top_coefficient,
+    random_symmetric_rows,
+    realified,
+)
 from hrlab.exterior import basis_11_real
 
 
@@ -353,3 +361,82 @@ def test_hermitian_inertia_matches_real_signature():
                 [[GaussianRational(x) for x in row] for row in rows]
             )
             assert sig_real == sig_herm
+
+
+# -- the congruence kernel's zero-diagonal pair step -------------------------------
+
+
+def hyperbolic_plus_diagonal(rng, n, hermitian):
+    """[[0, a], [conj(a), 0]] + D with a outside {0, 1, -1}, D nonzero diagonal.
+
+    Returns the rows and the inertia Sylvester's law gives them.
+    """
+    if hermitian:
+        a = GaussianRational(rng.randint(-3, 3), rng.choice([-3, -2, -1, 1, 2, 3]))
+    else:
+        a = Fraction(rng.choice([-3, -2, 2, 3]), rng.choice([1, 2]))
+    ds = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 3])) for _ in range(n - 2)]
+    zero = a * 0
+    rows = [[zero] * n for _ in range(n)]
+    for i, d in enumerate(ds):
+        rows[i][i] = zero + d
+    rows[n - 2][n - 1] = a
+    rows[n - 1][n - 2] = a.conjugate()
+    plus = sum(1 for d in ds if d > 0)
+    return rows, Signature(plus + 1, n - 2 - plus + 1, 0)
+
+
+def permuted_copy(rng, rows):
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return [[rows[p][q] for q in perm] for p in perm]
+
+
+def lower_congruent_copy(rng, rows, hermitian):
+    """L rows L^H, L unit lower triangular with the last 2 x 2 block the identity.
+
+    Eliminating the leading diagonal entries leaves exactly the zero-diagonal
+    block again, so the pair step comes only after Schur complements.
+    """
+    n = len(rows)
+    zero = rows[0][0] * 0
+    L = [[zero + int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(min(i, n - 2)):
+            re = rng.randint(-2, 2)
+            L[i][j] = zero + (GaussianRational(re, rng.randint(-2, 2)) if hermitian else re)
+    return [
+        [
+            sum((L[i][k] * rows[k][m] * L[j][m].conjugate() for k in range(n) for m in range(n)), zero)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_pair_step_inertia_matches_descartes(hermitian):
+    # The Hermitian oracle expands a 2n x 2n cofactor determinant, so n stays small.
+    rng = random.Random(67 + hermitian)
+    for n in (3,) if hermitian else (3, 4, 5, 6):
+        for _ in range(8 if hermitian else 4):
+            rows, expected = hyperbolic_plus_diagonal(rng, n, hermitian)
+            for M in (permuted_copy(rng, rows), lower_congruent_copy(rng, rows, hermitian)):
+                reduced = [list(r) for r in M]
+                pivots = _congruence(reduced)
+                steps = [s for s, (_, _, pair) in enumerate(pivots) if pair is not None]
+                assert steps and 0 < steps[0] < len(pivots) - 1
+                # the replayed basis diagonalises M: b_s^H M b_t is the pivot or 0
+                basis = [_congruence_vector(reduced, pivots, s) for s in range(len(pivots))]
+                for s, (_, value, _) in enumerate(pivots):
+                    for t, v in enumerate(basis):
+                        got = sum(basis[s][i].conjugate() * M[i][j] * v[j] for i in range(n) for j in range(n))
+                        assert got == (value if s == t else 0)
+                if hermitian:
+                    got = hermitian_inertia(M)
+                    oracle = descartes_inertia(realified(M))
+                    assert oracle == tuple(2 * x for x in got)
+                else:
+                    got = signature(SymBilinearForm(M))
+                    assert descartes_inertia(M) == got
+                assert got == expected

@@ -13,7 +13,7 @@ from hrlab.cli import (
     parse_range,
     parse_t_samples,
 )
-from hrlab.exterior import identity_form
+from hrlab.exterior import Form, identity_form
 from hrlab.sampling import random_positive_form
 
 
@@ -101,6 +101,8 @@ def test_verify_hr_jobs_parity(tmp_path):
     assert run_main(base + ["--out", str(a)]) == 0
     assert run_main(base + ["--jobs", "2", "--out", str(b)]) == 0
     assert strip_timing(load(a)) == strip_timing(load(b))
+    for rep in (load(a), load(b)):
+        assert len(rep["timing"]["per_task_seconds"]) == rep["summary"]["total"]
 
 
 def test_verify_hr_empty_partition_is_minkowski(tmp_path):
@@ -140,6 +142,23 @@ def test_forms_file_rejects_non_positive(tmp_path):
     ff = tmp_path / "forms.json"
     ff.write_text(json.dumps({"omegas": [bad.to_json()]}))
     assert run_main(["verify-hr", "--forms", str(ff)]) == 2
+
+
+@pytest.mark.parametrize(
+    "form",
+    [Form.dz(3, 1), Form.term(3, [1], [2]), identity_form(9), identity_form(1)],
+    ids=["not-11", "not-real", "d9", "d1"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["verify-hr"], ["family", "--check", "aug2"], ["gamma-scan", "--d", "3", "--e", "1"]],
+    ids=lambda c: c[0],
+)
+def test_forms_file_rejects_unusable_forms(tmp_path, capsys, form, command):
+    ff = tmp_path / "forms.json"
+    ff.write_text(json.dumps({"omegas": [form.to_json()]}))
+    assert run_main(command + ["--forms", str(ff)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # -- usage errors ----------------------------------------------------------------

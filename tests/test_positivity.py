@@ -21,14 +21,14 @@ from hrlab.positivity import (
     WEAKLY_POSITIVE_UNFALSIFIED,
     ConeVerdict,
     falsify_weak_positivity,
-    hermitian_det,
     is_positive_definite_11,
     is_positive_pp,
-    leading_principal_minors,
     simple_form,
 )
 from hrlab.sampling import random_hermitian, random_one_form, random_positive_hermitian
 from hrlab.symfunc import schur
+
+from oracles import hermitian_det, leading_principal_minors
 
 
 def test_pd_examples():
@@ -104,6 +104,17 @@ def test_not_positive_witness_is_valid():
     q = d - 1
     pairing = wedge(eta, wedge(beta, conjugate(beta)).scale(I ** (q * q)))
     assert top_ratio(pairing) < 0
+
+
+def test_not_positive_witness_after_pair_step():
+    # The induced pairing has a zero diagonal, so the witness is rebuilt
+    # through the kernel's pair step and then one elimination.
+    a = GaussianRational(2, 1)
+    eta = hermitian_to_form(HermitianMatrix([[0, a], [a.conjugate(), 0]]))
+    v = is_positive_pp(eta)
+    assert v.cone == NOT_POSITIVE
+    beta = v.witness
+    assert top_ratio(wedge(eta, wedge(beta, conjugate(beta)).scale(I))) < 0
 
 
 def test_is_positive_pp_errors():
