@@ -76,7 +76,6 @@ from .sampling import (
 )
 from .symfunc import (
     Partition,
-    UniPoly,
     WeightVector,
     derived_schur,
     derived_schur_all,

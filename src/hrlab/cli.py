@@ -9,7 +9,8 @@ Three subcommands:
 Reports are JSON with a stable schema; all wall-clock data lives in the
 separate "timing" field so identical configs and seeds produce byte-identical
 reports otherwise.  Exit codes: 0 all assertions pass, 1 assertion failure
-(including any INCONSISTENT verdict), 2 usage or configuration error.
+(including any INCONSISTENT verdict, and a task that raised, which the report
+records as an error result), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -253,9 +255,21 @@ def _compositions(total: int, k: int) -> list[tuple[int, ...]]:
 
 
 def _timed_call(call: tuple) -> tuple[dict, float]:
+    """The task's result and seconds; an exception becomes an error result.
+
+    An error result names the task by its grid coordinates and holds
+    "error": "<Type>: <message>"; the traceback goes to stderr.  The
+    subcommands count it as failed, so one broken task costs the campaign
+    neither its report nor its other results.
+    """
     worker, task = call
     t0 = time.perf_counter()
-    result = worker(task)
+    try:
+        result = worker(task)
+    except Exception as exc:
+        traceback.print_exc()
+        result = {key: task[key] for key in ("d", "e", "lambda", "trial", "check", "i") if key in task}
+        result["error"] = f"{type(exc).__name__}: {exc}"
     return result, time.perf_counter() - t0
 
 
@@ -319,7 +333,7 @@ def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
         if explicit_lam is not None and explicit_lam.largest > e
     ]
     results, durations, elapsed = _run_tasks(_hr_task, tasks, ns.jobs)
-    failed = [r for r in results if not r["pass"]]
+    failed = [r for r in results if "error" in r or not r["pass"]]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-hr",
@@ -350,7 +364,7 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
         for i in ilists[task["d"]]
     ]
     results, durations, elapsed = _run_tasks(_family_task, tasks, ns.jobs)
-    failed = [r for r in results if r["status"] == "FAIL"]
+    failed = [r for r in results if "error" in r or r["status"] == "FAIL"]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "family",
@@ -358,9 +372,9 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
         "results": results,
         "summary": {
             "total": len(results),
-            "passed": sum(1 for r in results if r["status"] == "PASS"),
-            "expected_fail": sum(1 for r in results if r["status"] == "EXPECTED-FAIL"),
-            "not_applicable": sum(1 for r in results if r["status"] == "NOT-APPLICABLE"),
+            "passed": sum(1 for r in results if r.get("status") == "PASS"),
+            "expected_fail": sum(1 for r in results if r.get("status") == "EXPECTED-FAIL"),
+            "not_applicable": sum(1 for r in results if r.get("status") == "NOT-APPLICABLE"),
             "failed": len(failed),
         },
     }
@@ -499,7 +513,9 @@ def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
         }
         for trial in range(trials)
     ]
-    trial_results, durations, elapsed = _run_tasks(_gamma_trial_task, tasks, ns.jobs)
+    results, durations, elapsed = _run_tasks(_gamma_trial_task, tasks, ns.jobs)
+    errors = [tr for tr in results if "error" in tr]
+    trial_results = [tr for tr in results if "error" not in tr]
 
     points = []
     vertex_failures = []
@@ -537,7 +553,9 @@ def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
             "note": "interior points are exploratory; only simplex vertices are asserted",
         },
     }
-    return _with_timing(report, durations, elapsed), (1 if vertex_failures else 0)
+    if errors:
+        report["summary"]["errors"] = errors
+    return _with_timing(report, durations, elapsed), (1 if vertex_failures or errors else 0)
 
 
 # -- shared plumbing --------------------------------------------------------
@@ -665,6 +683,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        for flag in ("trials", "jobs"):
+            if getattr(ns, flag) < 1:
+                raise UsageError(f"--{flag} must be at least 1, got {getattr(ns, flag)}")
         report, code = ns.func(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Partitions and Schur polynomials evaluated in the algebra of real (p,p)-forms.
 
-Every evaluation routine has two layers: a generic one that works in any
-commutative ring given via duck typing (elements need +, * and multiplication
-by ints), and a thin wrapper specialized to forms.  The generic layer is what
-lets the test suite replay the same determinants over plain commuting scalar
-variables.
+Elementary, Schur and twisted-class evaluation each have two layers: a
+generic one that works in any commutative ring given via duck typing (elements
+need +, * and multiplication by ints), and a thin wrapper specialized to
+forms.  The generic layer is what lets the test suite replay the same
+determinants over plain commuting scalar variables.  Derived Schur
+coefficients live in the form layer only: they are the bidegree slices of one
+Schur evaluation at the arguments shifted by the unit form.
 
 The Schur determinant convention is: for a partition (l_1 >= ... >= l_N) the
 entry in row i, column j (1-based) is c_{l_i - i + j}, with c_0 = 1 and c_k = 0
@@ -18,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb
 from typing import Sequence
 
@@ -149,125 +150,33 @@ def elementary_elements(k: int, xs: Sequence, one):
 
 
 def schur_elements(lam, xs: Sequence, one):
-    """Schur polynomial of xs, via the determinant in elementary functions."""
-    lam = Partition(lam)
-    zero = one * 0
-    n = len(lam.parts)
-    if n == 0:
-        return one
-    need = lam.largest + n - 1
-    cs = [elementary_elements(k, xs, one) for k in range(need + 1)]
+    """Schur polynomial of xs, via the determinant in elementary functions.
 
-    def entry(i: int, j: int):
-        k = lam.parts[i] - i + j
-        if k < 0 or k > need:
-            return zero
-        return cs[k]
-
-    total = zero
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        prod = one
-        dead = False
-        for i in range(n):
-            f = entry(i, perm[i])
-            if not f:
-                dead = True
-                break
-            prod = prod * f
-        if dead:
-            continue
-        total = total + (prod if inversions % 2 == 0 else prod * -1)
-    return total
-
-
-class UniPoly:
-    """Polynomial in one central variable with coefficients in any ring."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, j: int):
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return self.coeffs[0] * 0
-
-    def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return UniPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            out = [self.coeffs[0] * 0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return UniPoly(out)
-        return UniPoly([c * other for c in self.coeffs])
-
-    def __rmul__(self, other):
-        return UniPoly([other * c for c in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        la, lb = len(self.coeffs), len(other.coeffs)
-        pad_a = self.coeffs + tuple(self.coeffs[0] * 0 for _ in range(max(0, lb - la)))
-        pad_b = other.coeffs + tuple(other.coeffs[0] * 0 for _ in range(max(0, la - lb)))
-        return all(a == b for a, b in zip(pad_a, pad_b))
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)!r})"
-
-
-def derived_schur_all_elements(lam, xs: Sequence, one) -> list:
-    """Coefficients [s^(0), s^(1), ...] of the uniform shift expansion.
-
-    Substituting x_i + T for every argument and expanding in the central
-    variable T gives the derived values; index j is the coefficient of T^j.
+    Laplace expansion over column subsets, from the last row up: minors[cols]
+    is the determinant of rows i..n-1 on the columns in the bitmask cols, and
+    each level is built from the one below, which is then dropped.  The work
+    is bounded by the 2^n column subsets, not the n! products of the Leibniz
+    formula.
     """
     lam = Partition(lam)
-    lifted = [UniPoly((x, one)) for x in xs]
-    s = schur_elements(lam, lifted, UniPoly((one,)))
-    zero = one * 0
-    out = [s.coeff(j) for j in range(s.degree() + 1)]
-    while len(out) <= lam.weight:
-        out.append(zero)
-    return out
-
-
-def derived_schur_elements(lam, xs: Sequence, j: int, one):
-    lam = Partition(lam)
-    if j < 0 or j > lam.weight:
-        return one * 0
-    return derived_schur_all_elements(lam, xs, one)[j]
+    n = len(lam.parts)
+    need = lam.largest + n - 1
+    cs = [elementary_elements(k, xs, one) for k in range(need + 1)]
+    minors = {0: one}
+    for i in range(n - 1, -1, -1):
+        level = {}
+        for cols, minor in minors.items():
+            for j in range(n):
+                k = lam.parts[i] - i + j
+                if cols >> j & 1 or k < 0 or k > need or not cs[k]:
+                    continue
+                term = cs[k] * minor
+                if (cols & ((1 << j) - 1)).bit_count() & 1:
+                    term = term * -1
+                key = cols | 1 << j
+                level[key] = level[key] + term if key in level else term
+        minors = level
+    return minors.get((1 << n) - 1, one * 0)
 
 
 def twisted_chern_elements(cs: Sequence, e: int, delta, p: int, one):
@@ -319,30 +228,36 @@ def schur(lam, forms: Sequence[Form]) -> Form:
     return schur_elements(lam, list(forms), Form.scalar(d, 1))
 
 
+def derived_schur_all(lam, forms: Sequence[Form]) -> list[Form]:
+    """Derived Schur forms [s^(0), ..., s^(|lam|)] of (1,1)-forms.
+
+    s^(j) is the coefficient of T^j in s_lam(x_1 + T, ..., x_e + T) and is
+    homogeneous of degree |lam| - j in the x.  Setting T to the unit form
+    keeps the identity exact, so the (p,p) slice of s_lam(omega + 1) is
+    s^(|lam| - p).
+    """
+    lam = Partition(lam)
+    d = _common_dimension(forms)
+    if not all(f.is_homogeneous(1, 1) for f in forms):
+        raise ValueError("derived Schur forms need (1,1)-forms")
+    one = Form.scalar(d, 1)
+    shifted = schur_elements(lam, [f + one for f in forms], one)
+    slices = [{} for _ in range(lam.weight + 1)]
+    for (h, a), c in shifted.terms.items():
+        slices[lam.weight - h.bit_count()][(h, a)] = c
+    return [Form(d, terms) for terms in slices]
+
+
 def derived_schur(lam, forms: Sequence[Form], j: int) -> Form:
     """Coefficient of the j-th power of a uniform (1,1) shift of the arguments."""
-    d = _common_dimension(forms)
-    return derived_schur_elements(lam, list(forms), j, Form.scalar(d, 1))
+    coeffs = derived_schur_all(lam, forms)
+    return coeffs[j] if 0 <= j < len(coeffs) else Form.zero(forms[0].d)
 
 
-def derived_schur_all(lam, forms: Sequence[Form]) -> list[Form]:
-    d = _common_dimension(forms)
-    return derived_schur_all_elements(lam, list(forms), Form.scalar(d, 1))
-
-
-def twisted_chern(cs: Sequence[Form], e: int, delta, p: int):
-    """Twist of a Chern-class list by a (1,1)-form delta.
-
-    Passing a UniPoly for delta computes the twist with a formal central
-    variable instead; the class list is lifted into that polynomial ring.
-    """
+def twisted_chern(cs: Sequence[Form], e: int, delta: Form, p: int) -> Form:
+    """Twist of a Chern-class list by a (1,1)-form delta."""
     d = _common_dimension(cs)
-    one = Form.scalar(d, 1)
-    if isinstance(delta, UniPoly):
-        return twisted_chern_elements(
-            [UniPoly((c,)) for c in cs], e, delta, p, UniPoly((one,))
-        )
-    return twisted_chern_elements(list(cs), e, delta, p, one)
+    return twisted_chern_elements(list(cs), e, delta, p, Form.scalar(d, 1))
 
 
 def schur_combination(weights: WeightVector, b: int, e: int, forms: Sequence[Form]) -> Form:

@@ -4,8 +4,9 @@ Nothing here shares code with the package, except the last section, whose
 comment says what it reuses: the exterior algebra is replayed over generator
 tuples with insertion-sort sign counting, determinants are expanded by
 cofactors or by plain elimination, inertia is read off the characteristic
-polynomial, elementary symmetric functions come from explicit subsets, and the
-mixed discriminant from the double permutation sum.
+polynomial, elementary symmetric functions come from explicit subsets, the
+mixed discriminant from the double permutation sum, and UniPoly is a plain
+polynomial ring in one central variable.
 """
 
 import weakref
@@ -17,7 +18,7 @@ from hrlab.augmentation import _assemble, _check_weight
 from hrlab.bilinear import Signature, SymBilinearForm
 from hrlab.exterior import Form, indices_of, wedge
 from hrlab.gaussian import GaussianRational
-from hrlab.symfunc import Partition, UniPoly, schur_elements
+from hrlab.symfunc import Partition, elementary_elements, schur_elements
 
 # -- naive exterior algebra over generator tuples ---------------------------
 # Generators are coded 1..d for the holomorphic ones and d+1..2d for the
@@ -352,12 +353,121 @@ def random_symmetric_rows(rng, n: int, box: int = 5) -> list:
     return rows
 
 
-# -- second route to the augmented intersection forms -----------------------------
-# Unlike the rest of this module, this route reuses package primitives: the
-# Schur expansion over UniPoly, the wedge, and augmentation's assembly of a
-# matrix from its three slices.  It differs from intersection_form in how it
-# reaches Q_i: by multiplying s_lam(omega_j + zeta) out in the truncated
-# polynomial ring over forms, not through derived Schur coefficients.
+# -- polynomials in one central variable ----------------------------------------
+
+
+class UniPoly:
+    """Polynomial in one central variable with coefficients in any ring."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("need at least one coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UniPoly is immutable")
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, j: int):
+        if 0 <= j < len(self.coeffs):
+            return self.coeffs[j]
+        return self.coeffs[0] * 0
+
+    def __bool__(self):
+        return any(bool(c) for c in self.coeffs)
+
+    def __add__(self, other):
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for j, c in enumerate(b):
+            out[j] = out[j] + c
+        return UniPoly(out)
+
+    def __mul__(self, other):
+        if isinstance(other, UniPoly):
+            out = [self.coeffs[0] * 0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if not a:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    if not b:
+                        continue
+                    out[i + j] = out[i + j] + a * b
+            return UniPoly(out)
+        return UniPoly([c * other for c in self.coeffs])
+
+    def __rmul__(self, other):
+        return UniPoly([other * c for c in self.coeffs])
+
+    def __eq__(self, other):
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        la, lb = len(self.coeffs), len(other.coeffs)
+        pad_a = self.coeffs + tuple(self.coeffs[0] * 0 for _ in range(max(0, lb - la)))
+        pad_b = other.coeffs + tuple(other.coeffs[0] * 0 for _ in range(max(0, la - lb)))
+        return all(a == b for a, b in zip(pad_a, pad_b))
+
+    def __repr__(self):
+        return f"UniPoly({list(self.coeffs)!r})"
+
+
+# -- second routes to Schur and derived Schur values -----------------------------
+# Unlike the rest of this module, these routes reuse package primitives: the
+# elementary functions, the Schur expansion (over UniPoly, in schur_shifted),
+# the wedge, and augmentation's assembly of a matrix from its three slices.
+
+
+def schur_by_permutations(parts, xs, one):
+    """The Jacobi-Trudi determinant summed over all n! permutations.
+
+    Takes explicit parts, so zero parts can be kept to test padding.
+    """
+    zero = one * 0
+    n = len(parts)
+    need = max(parts[0] + n - 1, 0) if n else 0
+    cs = [elementary_elements(k, list(xs), one) for k in range(need + 1)]
+
+    def entry(i, j):
+        k = parts[i] - i + j
+        if k < 0 or k > need:
+            return zero
+        return cs[k]
+
+    total = zero
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        prod = one
+        for i in range(n):
+            prod = prod * entry(i, perm[i])
+        total = total + (prod if inv % 2 == 0 else prod * -1)
+    return total
+
+
+def derived_schur_all_elements(lam, xs, one) -> list:
+    """Coefficients [s^(0), s^(1), ...] of the uniform shift expansion.
+
+    Substituting x_i + T for every argument and expanding in the central
+    variable T gives the derived values; index j is the coefficient of T^j.
+    """
+    lam = Partition(lam)
+    lifted = [UniPoly((x, one)) for x in xs]
+    s = schur_by_permutations(lam.parts, lifted, UniPoly((one,)))
+    return [s.coeff(j) for j in range(lam.weight + 1)]
+
+
+# The second route to the augmented intersection forms differs from
+# intersection_form in how it reaches Q_i: by multiplying s_lam(omega_j + zeta)
+# out in the truncated polynomial ring over forms, not through derived Schur
+# coefficients.
 
 _schur_hat = weakref.WeakKeyDictionary()
 

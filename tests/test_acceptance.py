@@ -46,7 +46,6 @@ from hrlab.sampling import (
 )
 from hrlab.symfunc import (
     Partition,
-    derived_schur_all_elements,
     partitions,
     schur,
     schur_elements,
@@ -55,6 +54,7 @@ from hrlab.symfunc import (
 
 from oracles import (
     Poly,
+    derived_schur_all_elements,
     intersection_form_by_product,
     mixed_discriminant,
     naive_product_of_forms,

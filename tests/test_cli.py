@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hrlab import cli
 from hrlab.cli import (
     _compositions,
     admissible_partitions,
@@ -192,6 +193,60 @@ def test_family_needs_check_or_builtin():
 
 def test_family_b_check_index_restriction():
     assert run_main(["family", "--d", "4", "--e", "1", "--check", "B", "--i", "2", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify-hr", "--d", "3", "--e", "1", "--trials", "0"],
+        ["verify-hr", "--d", "3", "--e", "1", "--jobs", "-3"],
+        ["family", "--d", "4", "--e", "1", "--check", "B", "--jobs", "0"],
+        ["gamma-scan", "--d", "3", "--e", "1", "--trials", "0"],
+    ],
+)
+def test_trials_and_jobs_below_one_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    assert run_main(command + ["--seed", "1", "--out", str(out)]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- worker exceptions -------------------------------------------------------------
+
+
+def test_worker_exception_becomes_error_result(tmp_path, monkeypatch, capsys):
+    real_gram = cli.gram
+
+    def gram_failing_at_d4(form):
+        if form.d == 4:
+            raise RuntimeError("boom")
+        return real_gram(form)
+
+    monkeypatch.setattr(cli, "gram", gram_failing_at_d4)
+    out = tmp_path / "v.json"
+    assert run_main(["verify-hr", "--d", "3..4", "--e", "1", "--seed", "1", "--jobs", "1", "--out", str(out)]) == 1
+    rep = load(out)
+    assert rep["summary"] == {"total": 2, "passed": 1, "failed": 1}
+    assert rep["results"][0]["pass"]
+    assert rep["results"][1] == {"d": 4, "e": 1, "lambda": [1, 1], "trial": 0, "error": "RuntimeError: boom"}
+    assert "RuntimeError: boom" in capsys.readouterr().err
+
+    out = tmp_path / "g.json"
+    args = ["gamma-scan", "--d", "4", "--e", "1", "--trials", "2", "--seed", "1", "--jobs", "1", "--out", str(out)]
+    assert run_main(args) == 1
+    rep = load(out)
+    assert rep["summary"]["errors"] == [{"d": 4, "e": 1, "trial": t, "error": "RuntimeError: boom"} for t in (0, 1)]
+
+    def failing_recursion(*args):
+        raise ValueError("bad family")
+
+    monkeypatch.setattr(cli, "verify_recursion", failing_recursion)
+    out = tmp_path / "f.json"
+    args = ["family", "--d", "4", "--e", "1", "--check", "recursion", "--seed", "1", "--jobs", "1", "--out", str(out)]
+    assert run_main(args) == 1
+    rep = load(out)
+    assert rep["summary"]["failed"] == rep["summary"]["total"] == 1
+    assert rep["results"][0]["error"] == "ValueError: bad family"
 
 
 # -- family ------------------------------------------------------------------------

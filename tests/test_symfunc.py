@@ -8,10 +8,9 @@ from hrlab.exterior import Form, identity_form, wedge
 from hrlab.sampling import random_positive_form
 from hrlab.symfunc import (
     Partition,
-    UniPoly,
     WeightVector,
     derived_schur,
-    derived_schur_all_elements,
+    derived_schur_all,
     elementary,
     elementary_elements,
     partitions,
@@ -22,7 +21,15 @@ from hrlab.symfunc import (
     twisted_chern_elements,
 )
 
-from oracles import Poly, brute_partitions, oracle_elementary, oracle_schur
+from oracles import (
+    Poly,
+    UniPoly,
+    brute_partitions,
+    derived_schur_all_elements,
+    oracle_elementary,
+    oracle_schur,
+    schur_by_permutations,
+)
 
 
 def poly_vars(n):
@@ -138,39 +145,12 @@ def test_zero_padding_invariance():
         # zero parts are not valid Partition entries; evaluate via the padded
         # determinant directly
         one = Form.scalar(d, 1)
-        got = _schur_with_explicit_parts(parts, forms, one)
+        got = schur_by_permutations(parts, forms, one)
         assert got == base
     xs = poly_vars(2)
-    assert _schur_with_explicit_parts((1, 1, 0), xs, Poly.const(2, 1)) == schur_elements(
+    assert schur_by_permutations((1, 1, 0), xs, Poly.const(2, 1)) == schur_elements(
         (1, 1), xs, Poly.const(2, 1)
     )
-
-
-def _schur_with_explicit_parts(parts, xs, one):
-    """Evaluate the determinant with zero parts kept, bypassing validation."""
-    from itertools import permutations as perms
-
-    from hrlab.symfunc import elementary_elements
-
-    zero = one * 0
-    n = len(parts)
-    need = max(parts[0] + n - 1, 0) if n else 0
-    cs = [elementary_elements(k, list(xs), one) for k in range(need + 1)]
-
-    def entry(i, j):
-        k = parts[i] - i + j
-        if k < 0 or k > need:
-            return zero
-        return cs[k]
-
-    total = zero
-    for perm in perms(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        prod = one
-        for i in range(n):
-            prod = prod * entry(i, perm[i])
-        total = total + (prod if inv % 2 == 0 else prod * -1)
-    return total
 
 
 def test_schur_warns_when_part_exceeds_form_count():
@@ -179,6 +159,18 @@ def test_schur_warns_when_part_exceeds_form_count():
     with pytest.warns(RuntimeWarning):
         out = schur((2,), forms)
     assert out.is_zero()
+
+
+def test_schur_matches_permutation_oracle_on_forms():
+    # Every partition of d - 2, parts above e and (1^4) included.
+    for d in range(4, 7):
+        for e in range(1, 4):
+            rng = random.Random(100 * d + e)
+            forms = [random_positive_form(rng, d) for _ in range(e)]
+            one = Form.scalar(d, 1)
+            for lam in partitions(d - 2, d - 2):
+                want = schur_by_permutations(lam.parts, forms, one)
+                assert schur_elements(lam, forms, one) == want, (d, e, lam)
 
 
 # -- derived schur ------------------------------------------------------------------
@@ -199,6 +191,27 @@ def test_derived_schur_out_of_range_is_zero():
     assert derived_schur((1,), forms, 5).is_zero()
     assert derived_schur((1,), forms, -1).is_zero()
     assert derived_schur((1,), forms, 0) == schur((1,), forms)
+
+
+def test_derived_schur_all_matches_unipoly_oracle_on_forms():
+    for d in range(2, 6):
+        for e in range(1, 4):
+            rng = random.Random(200 * d + e)
+            forms = [random_positive_form(rng, d) for _ in range(e)]
+            one = Form.scalar(d, 1)
+            for lam in partitions(d - 2, max(d - 2, 1)):
+                want = derived_schur_all_elements(lam, forms, one)
+                assert derived_schur_all(lam, forms) == want, (d, e, lam)
+
+
+def test_derived_schur_rejects_forms_not_of_bidegree_11():
+    d = 3
+    w = identity_form(d)
+    for bad in (Form.scalar(d, 1), w + Form.scalar(d, 1), wedge(w, w), Form.dz(d, 1)):
+        with pytest.raises(ValueError):
+            derived_schur_all((1,), [w, bad])
+        with pytest.raises(ValueError):
+            derived_schur((1,), [w, bad], 0)
 
 
 def test_derived_schur_monomial_positive():
@@ -284,18 +297,6 @@ def test_twisted_chern_with_forms():
     cs = [elementary(k, roots) for k in range(3)]
     for p in range(3):
         assert twisted_chern(cs, 2, delta, p) == elementary(p, [r + delta for r in roots])
-
-
-def test_twisted_chern_formal_variable_wrapper():
-    d = 3
-    roots = [identity_form(d), identity_form(d).scale(2)]
-    cs = [elementary(k, roots) for k in range(3)]
-    one = Form.scalar(d, 1)
-    delta = UniPoly((Form.zero(d), one))
-    got = twisted_chern(cs, 2, delta, 1)
-    assert isinstance(got, UniPoly)
-    assert got.coeff(0) == cs[1]
-    assert got.coeff(1) == one.scale(2)
 
 
 # -- convex combinations ------------------------------------------------------------
