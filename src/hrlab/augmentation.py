@@ -22,6 +22,12 @@ recursion in i, and a second-order route (property B) whose conclusion is the
 restriction to W.  Each check here is exact: the quantified inequalities are
 decided by positive semidefiniteness of assembled quadratic forms, never by
 sampling vectors.
+
+Each check evaluates R_t (and R'_t for B) once per sampled t and signs it
+once; t = 0 is always the first sample and is R_0 itself, so the reported
+r0_signature is that sample's.  The verdicts read "R_0 is Hodge-Riemann with
+respect to h" off the report instead of signing R_0 again.  Both reports
+share one shape: the per-t serialiser, passed and max_passing_radius.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .bilinear import (
     Signature,
@@ -104,7 +110,6 @@ class AugmentedSpace:
         self.dim_w = d * d
         self.dim_v = d * d + 1
         self.zeta_index = d * d
-        self.basis_tag = f"w11+zeta(d={d})"
         self.h_coords = tuple(coords_11_real(h)) + (Fraction(0),)
         self.zeta_coords = tuple(
             Fraction(1) if i == self.zeta_index else Fraction(0)
@@ -170,7 +175,7 @@ def _assemble(space: AugmentedSpace, ww: Form, wz: Form, zz: Form) -> SymBilinea
             rows[a][space.zeta_index] = v
             rows[space.zeta_index][a] = v
     rows[space.zeta_index][space.zeta_index] = _integral(zz)
-    return SymBilinearForm(rows, space.basis_tag)
+    return SymBilinearForm(rows)
 
 
 def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
@@ -188,7 +193,7 @@ def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
         return cached
     d = space.d
     if i < 0 or i > d:
-        out = SymBilinearForm.zero(space.dim_v, space.basis_tag)
+        out = SymBilinearForm.zero(space.dim_v)
     else:
         coeffs = space.derived_coeffs(lam)
 
@@ -219,37 +224,35 @@ class FormFamily:
         if not coeffs:
             raise ValueError("need at least one coefficient")
         n = coeffs[0].n
-        tag = coeffs[0].basis_tag
-        if any(c.n != n or c.basis_tag != tag for c in coeffs):
-            raise ValueError("coefficients must share dimension and basis")
+        if any(c.n != n for c in coeffs):
+            raise ValueError("coefficients must share one dimension")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def n(self) -> int:
         return self.coeffs[0].n
 
-    @property
-    def basis_tag(self) -> str:
-        return self.coeffs[0].basis_tag
-
     def at(self, t) -> SymBilinearForm:
-        """Exact Horner evaluation at a rational parameter."""
+        """Exact Horner evaluation at a rational parameter, on the raw rows."""
         t = as_fraction(t)
-        out = self.coeffs[-1]
+        if t == 0:
+            # R_0 itself: the checks evaluate t = 0 often and it costs nothing.
+            return self.coeffs[0]
+        rows = self.coeffs[-1].matrix
         for c in reversed(self.coeffs[:-1]):
-            out = t * out + c
-        return out
+            rows = [[t * x + y for x, y in zip(r, cr)] for r, cr in zip(rows, c.matrix)]
+        return SymBilinearForm(rows)
 
     def derivative(self) -> "FormFamily":
         if len(self.coeffs) == 1:
-            return FormFamily((SymBilinearForm.zero(self.n, self.basis_tag),))
+            return FormFamily((SymBilinearForm.zero(self.n),))
         return FormFamily(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def __eq__(self, other):
         if not isinstance(other, FormFamily):
             return NotImplemented
         la, lb = len(self.coeffs), len(other.coeffs)
-        zero = SymBilinearForm.zero(self.n, self.basis_tag)
+        zero = SymBilinearForm.zero(self.n)
         pa = self.coeffs + (zero,) * max(0, lb - la)
         pb = other.coeffs + (zero,) * max(0, la - lb)
         return all(a == b for a, b in zip(pa, pb))
@@ -268,7 +271,7 @@ def twist_family(space: AugmentedSpace, lam, i: int) -> FormFamily:
     _check_weight(space, lam)
     d = space.d
     if i < 0 or i > d:
-        return FormFamily((SymBilinearForm.zero(space.dim_v, space.basis_tag),))
+        return FormFamily((SymBilinearForm.zero(space.dim_v),))
     return FormFamily(
         tuple(
             comb(d - i + k, k) * intersection_form(space, lam, i - k)
@@ -293,10 +296,10 @@ def derivative_inequality_defect(
         [u[a] * w[b] + w[a] * u[b] - qh * qp.matrix[a][b] for b in range(n)]
         for a in range(n)
     ]
-    return SymBilinearForm(rows, q.basis_tag + "|derivative-defect")
+    return SymBilinearForm(rows)
 
 
-def _weak_hr_sample(qt: SymBilinearForm, h) -> dict:
+def _weak_hr_sample(t: Fraction, qt: SymBilinearForm, h) -> dict:
     sig = signature(qt)
     qh = qt.quad(h)
     weak = qh > 0 and sig.n_plus == 1
@@ -305,20 +308,73 @@ def _weak_hr_sample(qt: SymBilinearForm, h) -> dict:
     # whenever Q(h) > 0; a mismatch is an implementation bug.
     if qh > 0 and weak != defect_psd:
         raise RuntimeError("weak HR characterizations disagree; implementation bug")
-    return {"signature": sig, "q_h": qh, "weak_hr": weak, "hodge_index_psd": defect_psd}
+    return {"t": t, "signature": sig, "q_h": qh, "weak_hr": weak, "hodge_index_psd": defect_psd}
 
 
-def _max_passing_radius(per_t: list[dict], keys: Sequence[str]) -> Optional[Fraction]:
-    passing = [
-        abs(entry["t"])
-        for entry in per_t
-        if all(entry[k] for k in keys)
-    ]
-    return max(passing) if passing else None
+def _str_or_none(x: Optional[Fraction]) -> Optional[str]:
+    return fraction_to_str(x) if x is not None else None
 
 
 @dataclass(frozen=True)
-class PropertyAReport:
+class _FamilyReport:
+    """The shape the first- and second-order reports share.
+
+    per_t holds one sample per t, t = 0 first, so r0_signature is the
+    signature of that sample.  A subclass names its label, its five checks,
+    the values it echoes as (JSON key, attribute) pairs, and the per-t flags
+    a sample must show for its |t| to count toward max_passing_radius.
+    """
+
+    r0_h: Fraction
+    r0_signature: Signature
+    t_samples: tuple[Fraction, ...]
+    per_t: tuple[dict, ...]
+
+    label: ClassVar[str]
+    value_fields: ClassVar[tuple[tuple[str, str], ...]]
+    sample_checks: ClassVar[tuple[str, ...]]
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
+
+    @property
+    def r0_hr(self) -> bool:
+        """R_0 is Hodge-Riemann with respect to h: is_hr_wrt on R_0."""
+        return self.r0_h > 0 and self.r0_signature.is_hr
+
+    @property
+    def max_passing_radius(self) -> Optional[Fraction]:
+        passing = [
+            abs(entry["t"])
+            for entry in self.per_t
+            if all(entry[k] for k in self.sample_checks)
+        ]
+        return max(passing) if passing else None
+
+    def to_json(self) -> dict:
+        return {
+            "label": self.label,
+            "checks": self.checks,
+            "passed": self.passed,
+            "values": {key: fraction_to_str(getattr(self, attr)) for key, attr in self.value_fields},
+            "r0_signature": self.r0_signature.to_json(),
+            "t_samples": [fraction_to_str(t) for t in self.t_samples],
+            "per_t": [
+                {
+                    "t": fraction_to_str(entry["t"]),
+                    "signature": entry["signature"].to_json(),
+                    "hodge_index_psd": entry["hodge_index_psd"],
+                    **{k: entry[k] for k in self.sample_checks},
+                }
+                for entry in self.per_t
+            ],
+            "max_passing_radius": _str_or_none(self.max_passing_radius),
+        }
+
+
+@dataclass(frozen=True)
+class PropertyAReport(_FamilyReport):
     """Verdicts for the five first-order conditions of a family.
 
     a1: R_0(h) > 0 and R'_0(h) > 0.
@@ -335,57 +391,27 @@ class PropertyAReport:
     a4: bool
     a5: bool
     constant: Optional[Fraction]
-    r0_h: Fraction
     r0p_h: Fraction
     r0_zeta_h: Fraction
-    r0_signature: Signature
-    t_samples: tuple[Fraction, ...]
-    per_t: tuple[dict, ...]
 
-    @property
-    def passed(self) -> bool:
-        return self.a1 and self.a2 and self.a3 and self.a4 and self.a5
+    label: ClassVar[str] = "A"
+    value_fields: ClassVar = (
+        ("r0_h", "r0_h"),
+        ("r0_derivative_h", "r0p_h"),
+        ("r0_zeta_h", "r0_zeta_h"),
+    )
+    sample_checks: ClassVar = ("weak_hr",)
 
     @property
     def checks(self) -> dict[str, bool]:
         return {"A1": self.a1, "A2": self.a2, "A3": self.a3, "A4": self.a4, "A5": self.a5}
 
-    @property
-    def max_passing_radius(self) -> Optional[Fraction]:
-        return _max_passing_radius(list(self.per_t), ["weak_hr"])
-
     def to_json(self) -> dict:
-        return {
-            "label": "A",
-            "checks": self.checks,
-            "passed": self.passed,
-            "constant": fraction_to_str(self.constant) if self.constant is not None else None,
-            "values": {
-                "r0_h": fraction_to_str(self.r0_h),
-                "r0_derivative_h": fraction_to_str(self.r0p_h),
-                "r0_zeta_h": fraction_to_str(self.r0_zeta_h),
-            },
-            "r0_signature": self.r0_signature.to_json(),
-            "t_samples": [fraction_to_str(t) for t in self.t_samples],
-            "per_t": [
-                {
-                    "t": fraction_to_str(entry["t"]),
-                    "signature": entry["signature"].to_json(),
-                    "weak_hr": entry["weak_hr"],
-                    "hodge_index_psd": entry["hodge_index_psd"],
-                }
-                for entry in self.per_t
-            ],
-            "max_passing_radius": (
-                fraction_to_str(self.max_passing_radius)
-                if self.max_passing_radius is not None
-                else None
-            ),
-        }
+        return {**super().to_json(), "constant": _str_or_none(self.constant)}
 
 
 @dataclass(frozen=True)
-class PropertyBReport:
+class PropertyBReport(_FamilyReport):
     """Verdicts for the five second-order conditions of a family.
 
     b1: R_0(h) > 0.
@@ -400,47 +426,14 @@ class PropertyBReport:
     b3: bool
     b4: bool
     b5: bool
-    r0_h: Fraction
-    r0_signature: Signature
-    t_samples: tuple[Fraction, ...]
-    per_t: tuple[dict, ...]
 
-    @property
-    def passed(self) -> bool:
-        return self.b1 and self.b2 and self.b3 and self.b4 and self.b5
+    label: ClassVar[str] = "B"
+    value_fields: ClassVar = (("r0_h", "r0_h"),)
+    sample_checks: ClassVar = ("weak_hr", "derivative_inequality_psd")
 
     @property
     def checks(self) -> dict[str, bool]:
         return {"B1": self.b1, "B2": self.b2, "B3": self.b3, "B4": self.b4, "B5": self.b5}
-
-    @property
-    def max_passing_radius(self) -> Optional[Fraction]:
-        return _max_passing_radius(list(self.per_t), ["weak_hr", "derivative_inequality_psd"])
-
-    def to_json(self) -> dict:
-        return {
-            "label": "B",
-            "checks": self.checks,
-            "passed": self.passed,
-            "values": {"r0_h": fraction_to_str(self.r0_h)},
-            "r0_signature": self.r0_signature.to_json(),
-            "t_samples": [fraction_to_str(t) for t in self.t_samples],
-            "per_t": [
-                {
-                    "t": fraction_to_str(entry["t"]),
-                    "signature": entry["signature"].to_json(),
-                    "weak_hr": entry["weak_hr"],
-                    "hodge_index_psd": entry["hodge_index_psd"],
-                    "derivative_inequality_psd": entry["derivative_inequality_psd"],
-                }
-                for entry in self.per_t
-            ],
-            "max_passing_radius": (
-                fraction_to_str(self.max_passing_radius)
-                if self.max_passing_radius is not None
-                else None
-            ),
-        }
 
 
 def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyAReport:
@@ -450,17 +443,9 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
     r0p = family.derivative().at(0)
     r0_h = r0.quad(h)
     r0p_h = r0p.quad(h)
-    a1 = r0_h > 0 and r0p_h > 0
-
-    per_t = []
-    a2 = True
-    for t in ts:
-        entry = {"t": t}
-        entry.update(_weak_hr_sample(family.at(t), h))
-        per_t.append(entry)
-        a2 = a2 and entry["weak_hr"]
-
-    a3 = is_psd(derivative_inequality_defect(r0, r0p, h))
+    # Each R_t is built and signed inside the loop, so one sample's matrix is
+    # held at a time.
+    per_t = tuple(_weak_hr_sample(t, family.at(t), h) for t in ts)
 
     lhs = r0p.pairing_vector(zeta)
     rhs = r0.pairing_vector(h)
@@ -473,21 +458,19 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
         a4 = all(x == constant * y for x, y in zip(lhs, rhs))
 
     r0_zeta_h = r0.value(zeta, h)
-    a5 = r0_zeta_h > 0
-
     return PropertyAReport(
-        a1=a1,
-        a2=a2,
-        a3=a3,
+        a1=r0_h > 0 and r0p_h > 0,
+        a2=all(entry["weak_hr"] for entry in per_t),
+        a3=is_psd(derivative_inequality_defect(r0, r0p, h)),
         a4=a4,
-        a5=a5,
+        a5=r0_zeta_h > 0,
         constant=constant,
         r0_h=r0_h,
         r0p_h=r0p_h,
         r0_zeta_h=r0_zeta_h,
-        r0_signature=signature(r0),
+        r0_signature=per_t[0]["signature"],
         t_samples=ts,
-        per_t=tuple(per_t),
+        per_t=per_t,
     )
 
 
@@ -499,40 +482,30 @@ def check_property_b(family: FormFamily, h, zeta, t_samples=None) -> PropertyBRe
     """
     ts = _normalize_t_samples(t_samples)
     deriv = family.derivative()
-    r0 = family.at(0)
-    rp0 = deriv.at(0)
-    rpp0 = deriv.derivative().at(0)
-    r0_h = r0.quad(h)
-    b1 = r0_h > 0
+    r0_h = family.at(0).quad(h)
 
     per_t = []
-    b2 = b3 = True
     for t in ts:
         qt = family.at(t)
-        entry = {"t": t}
-        entry.update(_weak_hr_sample(qt, h))
+        entry = _weak_hr_sample(t, qt, h)
         entry["derivative_inequality_psd"] = is_psd(
             derivative_inequality_defect(qt, deriv.at(t), h)
         )
         per_t.append(entry)
-        b2 = b2 and entry["weak_hr"]
-        b3 = b3 and entry["derivative_inequality_psd"]
 
     zeta_vec = [as_fraction(x) for x in zeta]
     w_indices = [a for a in range(family.n) if zeta_vec[a] == 0]
+    rpp0 = deriv.derivative().at(0)
     second_zeta = rpp0.pairing_vector(zeta)
-    first_h = rp0.pairing_vector(h)
-    b4 = all(second_zeta[a] == 2 * first_h[a] for a in w_indices)
-    b5 = rpp0.value(zeta, zeta) == 2 * r0_h
-
+    first_h = deriv.at(0).pairing_vector(h)
     return PropertyBReport(
-        b1=b1,
-        b2=b2,
-        b3=b3,
-        b4=b4,
-        b5=b5,
+        b1=r0_h > 0,
+        b2=all(entry["weak_hr"] for entry in per_t),
+        b3=all(entry["derivative_inequality_psd"] for entry in per_t),
+        b4=all(second_zeta[a] == 2 * first_h[a] for a in w_indices),
+        b5=rpp0.value(zeta, zeta) == 2 * r0_h,
         r0_h=r0_h,
-        r0_signature=signature(r0),
+        r0_signature=per_t[0]["signature"],
         t_samples=ts,
         per_t=tuple(per_t),
     )
@@ -578,18 +551,17 @@ def verify_augmentation1(family: FormFamily, h, zeta, t_samples=None) -> Theorem
     verdict means both sides came out true.
     """
     rep = check_property_a(family, h, zeta, t_samples)
-    r0p = family.derivative().at(0)
+    derivative_sig = signature(family.derivative().at(0))
     hyps = {
         "property_A": rep.passed,
-        "derivative_hr_wrt_h": is_hr_wrt(r0p, h),
+        "derivative_hr_wrt_h": rep.r0p_h > 0 and derivative_sig.is_hr,
     }
-    conclusion = is_hr_wrt(family.at(0), h)
     details = {
         "property_A": rep.to_json(),
-        "r0_signature": signature(family.at(0)).to_json(),
-        "derivative_signature": signature(r0p).to_json(),
+        "r0_signature": rep.r0_signature.to_json(),
+        "derivative_signature": derivative_sig.to_json(),
     }
-    return _verdict("augmentation1", hyps, conclusion, details)
+    return _verdict("augmentation1", hyps, rep.r0_hr, details)
 
 
 def verify_recursion(space: AugmentedSpace, lam, j: int, t_samples=None) -> TheoremVerdict:
@@ -629,10 +601,8 @@ def verify_recursion(space: AugmentedSpace, lam, j: int, t_samples=None) -> Theo
         for i in range(2, j + 1)
     )
     w_idx = list(space.w_indices())
-    hyp3 = fams[1].at(0).restrict_indices(w_idx, f"w11(d={d})").is_zero()
-    hyp4 = is_hr_wrt(
-        fams[2].at(0).restrict_indices(w_idx, f"w11(d={d})"), space.h_coords_w()
-    )
+    hyp3 = fams[1].at(0).restrict_indices(w_idx).is_zero()
+    hyp4 = is_hr_wrt(fams[2].at(0).restrict_indices(w_idx), space.h_coords_w())
     c2 = reports[2].constant
     hyp5 = c2 is not None and c2 != 0
 
@@ -643,19 +613,12 @@ def verify_recursion(space: AugmentedSpace, lam, j: int, t_samples=None) -> Theo
         "r2_hr_on_w": hyp4,
         "r2_constant_nonzero": hyp5,
     }
-    conclusions = {i: is_hr_wrt(fams[i].at(0), h) for i in range(2, j + 1)}
+    conclusions = {i: reports[i].r0_hr for i in reports}
     details = {
         "per_i_property_A": {str(i): reports[i].to_json() for i in reports},
         "per_i_base_conditions_ok": {str(i): per_i_ok[i] for i in per_i_ok},
         "per_i_conclusion": {str(i): conclusions[i] for i in conclusions},
-        "constants": {
-            str(i): (
-                fraction_to_str(reports[i].constant)
-                if reports[i].constant is not None
-                else None
-            )
-            for i in reports
-        },
+        "constants": {str(i): _str_or_none(reports[i].constant) for i in reports},
     }
     return _verdict("recursion", hyps, all(conclusions.values()), details)
 
@@ -682,12 +645,12 @@ def verify_augmentation2(space: AugmentedSpace, lam, t_samples=None) -> TheoremV
         "second_derivative_identity": identity_ok,
         "second_derivative_hr_wrt_h": is_hr_wrt(rpp0, h),
     }
-    w_idx = list(space.w_indices())
-    restricted = fam.at(0).restrict_indices(w_idx, f"w11(d={d})")
-    conclusion = is_hr_wrt(restricted, space.h_coords_w())
+    restricted = fam.at(0).restrict_indices(list(space.w_indices()))
+    restricted_sig = signature(restricted)
+    conclusion = restricted.quad(space.h_coords_w()) > 0 and restricted_sig.is_hr
     details = {
         "property_B": rep.to_json(),
-        "restricted_signature": signature(restricted).to_json(),
+        "restricted_signature": restricted_sig.to_json(),
     }
     return _verdict("augmentation2", hyps, conclusion, details)
 
@@ -713,5 +676,4 @@ def rank_drop_family(n: int = 3) -> FormFamily:
     for k in range(2, n):
         c0[k][k] = Fraction(-1)
         c1[k][k] = Fraction(-1)
-    tag = f"rank-drop(n={n})"
-    return FormFamily((SymBilinearForm(c0, tag), SymBilinearForm(c1, tag)))
+    return FormFamily((SymBilinearForm(c0), SymBilinearForm(c1)))

@@ -28,6 +28,11 @@ class Signature(NamedTuple):
     n_minus: int
     n_zero: int
 
+    @property
+    def is_hr(self) -> bool:
+        """(1, n-1, 0): one positive direction, no kernel."""
+        return self.n_plus == 1 and self.n_zero == 0
+
     def to_json(self) -> list[int]:
         return [self.n_plus, self.n_minus, self.n_zero]
 
@@ -43,11 +48,11 @@ def _as_vector(v, n: int) -> tuple[Fraction, ...]:
 
 
 class SymBilinearForm:
-    """Rational symmetric matrix over a declared ordered basis."""
+    """Rational symmetric matrix; the caller knows the basis it is written in."""
 
-    __slots__ = ("matrix", "basis_tag")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, basis_tag: str = ""):
+    def __init__(self, matrix):
         rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -57,15 +62,14 @@ class SymBilinearForm:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix is not symmetric")
         object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "basis_tag", basis_tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymBilinearForm is immutable")
 
     @staticmethod
-    def zero(n: int, basis_tag: str = "") -> "SymBilinearForm":
+    def zero(n: int) -> "SymBilinearForm":
         z = Fraction(0)
-        return SymBilinearForm([[z] * n for _ in range(n)], basis_tag)
+        return SymBilinearForm([[z] * n for _ in range(n)])
 
     @property
     def n(self) -> int:
@@ -87,19 +91,14 @@ class SymBilinearForm:
         h = _as_vector(h, self.n)
         return tuple(sum(row[j] * h[j] for j in range(self.n)) for row in self.matrix)
 
-    def restrict_indices(self, indices: Sequence[int], basis_tag: str | None = None) -> "SymBilinearForm":
-        tag = self.basis_tag + "|sub" if basis_tag is None else basis_tag
-        return SymBilinearForm(
-            [[self.matrix[i][j] for j in indices] for i in indices], tag
-        )
+    def restrict_indices(self, indices: Sequence[int]) -> "SymBilinearForm":
+        return SymBilinearForm([[self.matrix[i][j] for j in indices] for i in indices])
 
-    def restrict_span(self, vectors: Sequence[Vector], basis_tag: str | None = None) -> "SymBilinearForm":
+    def restrict_span(self, vectors: Sequence[Vector]) -> "SymBilinearForm":
         vecs = [_as_vector(v, self.n) for v in vectors]
-        tag = self.basis_tag + "|span" if basis_tag is None else basis_tag
         images = [self.pairing_vector(v) for v in vecs]
         return SymBilinearForm(
-            [[sum(u[k] * img[k] for k in range(self.n)) for img in images] for u in vecs],
-            tag,
+            [[sum(u[k] * img[k] for k in range(self.n)) for img in images] for u in vecs]
         )
 
     def __add__(self, other):
@@ -108,8 +107,7 @@ class SymBilinearForm:
         if other.n != self.n:
             raise ValueError("size mismatch")
         return SymBilinearForm(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)],
-            self.basis_tag,
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]
         )
 
     def __sub__(self, other):
@@ -119,9 +117,7 @@ class SymBilinearForm:
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
-            return SymBilinearForm(
-                [[x * c for x in row] for row in self.matrix], self.basis_tag
-            )
+            return SymBilinearForm([[x * c for x in row] for row in self.matrix])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -132,22 +128,17 @@ class SymBilinearForm:
     def __eq__(self, other):
         if not isinstance(other, SymBilinearForm):
             return NotImplemented
-        return self.matrix == other.matrix and self.basis_tag == other.basis_tag
+        return self.matrix == other.matrix
 
     def __repr__(self):
-        return f"SymBilinearForm(n={self.n}, tag={self.basis_tag!r})"
+        return f"SymBilinearForm(n={self.n})"
 
     def to_json(self) -> dict:
-        return {
-            "basis": self.basis_tag,
-            "matrix": [[fraction_to_str(x) for x in row] for row in self.matrix],
-        }
+        return {"matrix": [[fraction_to_str(x) for x in row] for row in self.matrix]}
 
     @staticmethod
     def from_json(obj: dict) -> "SymBilinearForm":
-        return SymBilinearForm(
-            [[Fraction(s) for s in row] for row in obj["matrix"]], obj["basis"]
-        )
+        return SymBilinearForm([[Fraction(s) for s in row] for row in obj["matrix"]])
 
 
 def _congruence(rows: list[list]) -> list[tuple]:
@@ -224,7 +215,7 @@ def is_psd(Q: SymBilinearForm) -> bool:
 
 def is_hr(Q: SymBilinearForm) -> bool:
     """Signature (1, n-1, 0): one positive direction, no kernel."""
-    return signature(Q) == Signature(1, Q.n - 1, 0)
+    return signature(Q).is_hr
 
 
 def is_hr_wrt(Q: SymBilinearForm, h: Vector) -> bool:
@@ -250,7 +241,7 @@ def hodge_index_defect(Q: SymBilinearForm, h: Vector) -> SymBilinearForm:
         [w[i] * w[j] - qh * Q.matrix[i][j] for j in range(n)]
         for i in range(n)
     ]
-    return SymBilinearForm(rows, Q.basis_tag + "|hodge-index-defect")
+    return SymBilinearForm(rows)
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
@@ -311,7 +302,7 @@ def primitive_restriction(Q: SymBilinearForm, h: Vector) -> SymBilinearForm:
         raise ValueError("primitive restriction needs Q(h) != 0")
     w = Q.pairing_vector(h)
     basis = kernel_basis([w])
-    return Q.restrict_span(basis, Q.basis_tag + "|primitive")
+    return Q.restrict_span(basis)
 
 
 def proportionality_witness(
@@ -367,7 +358,7 @@ def gram(omega: Form) -> SymBilinearForm:
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = top_ratio(wedge(left[i], basis[j]))
-    return SymBilinearForm(rows, f"w11(d={d})")
+    return SymBilinearForm(rows)
 
 
 def _hermitian_congruence(entries):

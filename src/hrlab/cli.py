@@ -16,6 +16,7 @@ records as an error result), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -573,13 +574,18 @@ def _require_seed(ns: argparse.Namespace, randomized: bool) -> None:
 
 
 def _load_forms(ns: argparse.Namespace):
-    """The --forms file as (form JSON list, d), or (None, None) without one."""
+    """The --forms file as (form JSON list, d), or (None, None) without one.
+
+    Sets ns.forms_sha256 to the hash of the bytes read, for the config echo.
+    """
     if not getattr(ns, "forms", None):
         return None, None
     try:
-        obj = json.loads(Path(ns.forms).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = Path(ns.forms).read_bytes()
+        obj = json.loads(raw)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read forms file {ns.forms}: {exc}") from None
+    ns.forms_sha256 = hashlib.sha256(raw).hexdigest()
     if isinstance(obj, dict):
         obj = obj.get("omegas", obj.get("forms"))
     if not isinstance(obj, list) or not obj:
@@ -606,7 +612,10 @@ def _config_json(ns: argparse.Namespace, **resolved) -> dict:
     cfg = {}
     # --out and --jobs steer where and how the work runs, not what it is,
     # so they stay out of the echoed config to keep reports byte-stable.
-    for key in ("d", "e", "lam", "trials", "seed", "t_samples", "grid", "check", "builtin", "forms"):
+    # forms_sha256 is set once a forms file is read: the path alone does not
+    # say which forms ran.
+    for key in ("d", "e", "lam", "trials", "seed", "t_samples", "grid", "check", "builtin",
+                "forms", "forms_sha256"):
         if hasattr(ns, key):
             val = getattr(ns, key)
             cfg["lambda" if key == "lam" else key] = val

@@ -130,7 +130,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Equal values hash equally: a real one hashes like its Fraction.
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __repr__(self):
         if self.im == 0:
@@ -148,6 +149,4 @@ class GaussianRational:
         return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

@@ -495,7 +495,7 @@ def intersection_form_by_product(space, lam, i: int) -> SymBilinearForm:
     _check_weight(space, lam)
     d = space.d
     if i < 0 or i > d:
-        return SymBilinearForm.zero(space.dim_v, space.basis_tag)
+        return SymBilinearForm.zero(space.dim_v)
     s_hat = schur_shifted(space, lam)
     hp = space.h_power(d - i)
 

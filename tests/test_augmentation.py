@@ -80,7 +80,7 @@ def test_qi_at_top_index_restricts_to_gram():
     for d, e, lam in [(3, 1, (1,)), (4, 2, (2,))]:
         sp = make_space(d, e, d * 10 + e)
         q = intersection_form(sp, lam, d)
-        block = q.restrict_indices(range(d * d), f"w11(d={d})")
+        block = q.restrict_indices(range(d * d))
         assert block == gram(schur(lam, sp.omegas))
         # zeta row and column vanish at i = d
         assert all(x == 0 for x in q.pairing_vector(sp.zeta_coords))
@@ -178,16 +178,15 @@ def test_family_second_derivative_identity():
 
 
 def test_family_eval_horner():
-    tag = "t"
-    c0 = SymBilinearForm([[1]], tag)
-    c1 = SymBilinearForm([[2]], tag)
-    c2 = SymBilinearForm([[3]], tag)
+    c0 = SymBilinearForm([[1]])
+    c1 = SymBilinearForm([[2]])
+    c2 = SymBilinearForm([[3]])
     fam = FormFamily((c0, c1, c2))
     t = Fraction(1, 2)
     assert fam.at(t).matrix[0][0] == 1 + 2 * t + 3 * t * t
     assert fam.at(0) == c0
     assert fam.derivative().coeffs == (c1, 2 * c2)
-    assert FormFamily((c0,)) == FormFamily((c0, SymBilinearForm.zero(1, tag)))
+    assert FormFamily((c0,)) == FormFamily((c0, SymBilinearForm.zero(1)))
 
 
 # -- property checks -------------------------------------------------------------------
@@ -214,7 +213,7 @@ def test_property_a_partial_failures():
 
 
 def test_property_a_zero_family():
-    zero = FormFamily((SymBilinearForm.zero(3, "z"),))
+    zero = FormFamily((SymBilinearForm.zero(3),))
     h = (Fraction(1), Fraction(0), Fraction(0))
     zeta = (Fraction(0), Fraction(0), Fraction(1))
     rep = check_property_a(zero, h, zeta)
@@ -244,7 +243,7 @@ def test_property_b_at_top_index():
 
 
 def test_property_b_zero_family():
-    zero = FormFamily((SymBilinearForm.zero(3, "z"),))
+    zero = FormFamily((SymBilinearForm.zero(3),))
     h = (Fraction(1), Fraction(0), Fraction(0))
     zeta = (Fraction(0), Fraction(0), Fraction(1))
     rep = check_property_b(zero, h, zeta)
@@ -285,7 +284,7 @@ def test_augmentation1_consistent():
 
 
 def test_augmentation1_not_applicable_for_zero_family():
-    zero = FormFamily((SymBilinearForm.zero(3, "z"),))
+    zero = FormFamily((SymBilinearForm.zero(3),))
     h = (Fraction(1), Fraction(0), Fraction(0))
     zeta = (Fraction(0), Fraction(0), Fraction(1))
     verdict = verify_augmentation1(zero, h, zeta)
@@ -322,7 +321,7 @@ def test_recursion_hypothesis_details():
     assert scalar.homogeneous_bidegree() == (0, 0)
     value = scalar.coefficient([], [])
     assert value.is_real() and value.re > 0
-    q2_block = intersection_form(sp, lam, 2).restrict_indices(range(d * d), f"w11(d={d})")
+    q2_block = intersection_form(sp, lam, 2).restrict_indices(range(d * d))
     power = sp.h_power(d - 2)
     assert q2_block == value.re * gram(power)
 
@@ -423,3 +422,86 @@ def test_rank_drop_dimension_scaling():
     assert signature(fam.at(Fraction(1, 10))) == Signature(1, 4, 0)
     with pytest.raises(ValueError):
         rank_drop_family(1)
+
+
+# -- each R_t evaluated and signed once -------------------------------------------------
+
+
+def _random_rational_symmetric(rng, n):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rows
+
+
+def test_family_at_equals_direct_sum():
+    rng = random.Random(41)
+    for count in range(1, 5):
+        n = rng.randint(1, 4)
+        coeffs = [_random_rational_symmetric(rng, n) for _ in range(count)]
+        fam = FormFamily(SymBilinearForm(c) for c in coeffs)
+        for t in (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(7, 2)):
+            want = [
+                [sum(t**k * c[a][b] for k, c in enumerate(coeffs)) for b in range(n)]
+                for a in range(n)
+            ]
+            assert fam.at(t).matrix == tuple(tuple(row) for row in want)
+
+
+REUSE_SPACES = [(3, 1, (1,), 51), (4, 2, (2,), 52), (4, 2, (1, 1), 53)]
+
+
+@pytest.mark.parametrize("d, e, lam, seed", REUSE_SPACES)
+def test_r0_signature_is_the_t0_sample(d, e, lam, seed):
+    sp = make_space(d, e, seed)
+    h, zeta = sp.h_coords, sp.zeta_coords
+    for i in range(2, d + 1):
+        fam = twist_family(sp, lam, i)
+        rep = check_property_a(fam, h, zeta)
+        assert rep.t_samples[0] == 0
+        assert rep.r0_signature == signature(fam.at(0)) == rep.per_t[0]["signature"]
+    fam = twist_family(sp, lam, d)
+    assert check_property_b(fam, h, zeta).r0_signature == signature(fam.at(0))
+
+
+@pytest.mark.parametrize("d, e, lam, seed", REUSE_SPACES)
+def test_verdict_conclusions_equal_direct_hr_checks(d, e, lam, seed):
+    sp = make_space(d, e, seed)
+    h, zeta = sp.h_coords, sp.zeta_coords
+    # i = 2 and i = d are the EXPECTED-FAIL indices of property A.
+    for i in range(2, d + 1):
+        fam = twist_family(sp, lam, i)
+        v = verify_augmentation1(fam, h, zeta)
+        r0p = fam.derivative().at(0)
+        assert v.conclusion == is_hr_wrt(fam.at(0), h)
+        assert v.hypotheses["derivative_hr_wrt_h"] == is_hr_wrt(r0p, h)
+        assert v.details["r0_signature"] == list(signature(fam.at(0)))
+        assert v.details["derivative_signature"] == list(signature(r0p))
+    for j in range(2, d):
+        v = verify_recursion(sp, lam, j)
+        direct = {str(i): is_hr_wrt(twist_family(sp, lam, i).at(0), h) for i in range(2, j + 1)}
+        assert v.details["per_i_conclusion"] == direct
+        assert v.conclusion == all(direct.values())
+
+
+def test_verdict_conclusions_equal_direct_hr_checks_aug2():
+    for d, e, lam, seed in REUSE_SPACES[1:] + [(5, 2, (2, 1), 54)]:
+        sp = make_space(d, e, seed)
+        v = verify_augmentation2(sp, lam)
+        restricted = twist_family(sp, lam, d).at(0).restrict_indices(sp.w_indices())
+        assert v.conclusion == is_hr_wrt(restricted, sp.h_coords_w())
+        assert v.details["restricted_signature"] == list(signature(restricted))
+        rpp0 = twist_family(sp, lam, d).derivative().derivative().at(0)
+        assert v.hypotheses["second_derivative_hr_wrt_h"] == is_hr_wrt(rpp0, sp.h_coords)
+
+
+def test_verdict_conclusion_on_degenerate_r0():
+    fam = rank_drop_family(3)
+    h = (Fraction(1), Fraction(0), Fraction(0))
+    zeta = (Fraction(0), Fraction(0), Fraction(1))
+    v = verify_augmentation1(fam, h, zeta)
+    assert v.conclusion is False
+    assert v.conclusion == is_hr_wrt(fam.at(0), h)
+    assert v.details["r0_signature"] == [1, 1, 1]
+    assert v.hypotheses["derivative_hr_wrt_h"] == is_hr_wrt(fam.derivative().at(0), h)

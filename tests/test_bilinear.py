@@ -110,7 +110,7 @@ def test_symmetry_validation():
 
 
 def test_sym_form_json_round_trip():
-    Q = SymBilinearForm([[Fraction(1, 2), 1], [1, 0]], "demo")
+    Q = SymBilinearForm([[Fraction(1, 2), 1], [1, 0]])
     got = SymBilinearForm.from_json(Q.to_json())
     assert got == Q
     assert Q.to_json()["matrix"][0][0] == "1/2"

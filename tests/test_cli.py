@@ -413,3 +413,39 @@ def test_console_invocation_stdout():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["results"][0]["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify-hr"], ["family", "--check", "B"], ["gamma-scan", "--d", "2", "--e", "1"]],
+    ids=lambda c: c[0],
+)
+def test_forms_config_records_content_hash(tmp_path, command):
+    ff = tmp_path / "forms.json"
+    out = tmp_path / "r.json"
+
+    def config_for(form):
+        ff.write_text(json.dumps({"omegas": [form.to_json()]}))
+        assert run_main(command + ["--forms", str(ff), "--out", str(out)]) == 0
+        return load(out)["config"]
+
+    rng = random.Random(5)
+    first, second = random_positive_form(rng, 2), random_positive_form(rng, 2)
+    assert first != second
+    a = config_for(first)
+    assert config_for(second) != a
+    assert config_for(first) == a
+    assert a["forms"] == str(ff) and len(a["forms_sha256"]) == 64
+
+
+def test_forms_file_not_utf8_exits_2(tmp_path, capsys):
+    ff = tmp_path / "forms.json"
+    ff.write_bytes(b'{"omegas": ["\xff"]}')
+    assert run_main(["verify-hr", "--forms", str(ff)]) == 2
+    assert "cannot read forms file" in capsys.readouterr().err
+
+
+def test_seeded_config_has_no_forms_hash(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_main(["verify-hr", "--d", "2", "--e", "1", "--seed", "1", "--out", str(out)]) == 0
+    assert "forms_sha256" not in load(out)["config"]

@@ -64,3 +64,12 @@ def test_immutability_and_hash():
     assert hash(GaussianRational(1, 2)) == hash(z)
     assert bool(GaussianRational(0, 0)) is False
     assert bool(GaussianRational(0, 1)) is True
+
+
+@given(rationals)
+def test_hash_agrees_with_equality_on_reals(x):
+    # A real value equals its Fraction (and int), so it must hash like one.
+    z = GaussianRational(x)
+    assert z == x and hash(z) == hash(x)
+    assert x in {z} and z in {x}
+    assert GaussianRational(3) in {3} and 3 in {GaussianRational(3)}
