@@ -383,6 +383,8 @@ class PropertyAReport(_FamilyReport):
     a4: R'_0(., zeta) is a constant multiple of R_0(., h); the multiple is
         reported as `constant`.
     a5: R_0(zeta, h) > 0.
+
+    r0p is the R'_0 the checks used, kept for the verdicts and not serialised.
     """
 
     a1: bool
@@ -393,6 +395,7 @@ class PropertyAReport(_FamilyReport):
     constant: Optional[Fraction]
     r0p_h: Fraction
     r0_zeta_h: Fraction
+    r0p: SymBilinearForm = field(repr=False, compare=False)
 
     label: ClassVar[str] = "A"
     value_fields: ClassVar = (
@@ -419,6 +422,8 @@ class PropertyBReport(_FamilyReport):
     b3: the derivative inequality at every sampled t.
     b4: R''_0(a, zeta) = 2 R'_0(a, h) for every basis vector a of W.
     b5: R''_0(zeta, zeta) = 2 R_0(h).
+
+    rpp0 is the R''_0 the checks used, kept for the verdict and not serialised.
     """
 
     b1: bool
@@ -426,6 +431,7 @@ class PropertyBReport(_FamilyReport):
     b3: bool
     b4: bool
     b5: bool
+    rpp0: SymBilinearForm = field(repr=False, compare=False)
 
     label: ClassVar[str] = "B"
     value_fields: ClassVar = (("r0_h", "r0_h"),)
@@ -468,6 +474,7 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
         r0_h=r0_h,
         r0p_h=r0p_h,
         r0_zeta_h=r0_zeta_h,
+        r0p=r0p,
         r0_signature=per_t[0]["signature"],
         t_samples=ts,
         per_t=per_t,
@@ -504,6 +511,7 @@ def check_property_b(family: FormFamily, h, zeta, t_samples=None) -> PropertyBRe
         b3=all(entry["derivative_inequality_psd"] for entry in per_t),
         b4=all(second_zeta[a] == 2 * first_h[a] for a in w_indices),
         b5=rpp0.value(zeta, zeta) == 2 * r0_h,
+        rpp0=rpp0,
         r0_h=r0_h,
         r0_signature=per_t[0]["signature"],
         t_samples=ts,
@@ -551,7 +559,7 @@ def verify_augmentation1(family: FormFamily, h, zeta, t_samples=None) -> Theorem
     verdict means both sides came out true.
     """
     rep = check_property_a(family, h, zeta, t_samples)
-    derivative_sig = signature(family.derivative().at(0))
+    derivative_sig = signature(rep.r0p)
     hyps = {
         "property_A": rep.passed,
         "derivative_hr_wrt_h": rep.r0p_h > 0 and derivative_sig.is_hr,
@@ -597,7 +605,7 @@ def verify_recursion(space: AugmentedSpace, lam, j: int, t_samples=None) -> Theo
     hyp1 = all(per_i_ok.values())
 
     hyp2 = all(
-        fams[i].derivative().at(0) == (d - i + 1) * fams[i - 1].at(0)
+        reports[i].r0p == (d - i + 1) * fams[i - 1].at(0)
         for i in range(2, j + 1)
     )
     w_idx = list(space.w_indices())
@@ -638,7 +646,7 @@ def verify_augmentation2(space: AugmentedSpace, lam, t_samples=None) -> TheoremV
     h = space.h_coords
     zeta = space.zeta_coords
     rep = check_property_b(fam, h, zeta, t_samples)
-    rpp0 = fam.derivative().derivative().at(0)
+    rpp0 = rep.rpp0
     identity_ok = rpp0 == 2 * twist_family(space, lam, d - 2).at(0)
     hyps = {
         "property_B": rep.passed,

@@ -1,10 +1,13 @@
 """Exact symmetric bilinear forms, signatures, and the Hodge-Riemann predicates.
 
-Every inertia in the package comes from one congruence kernel, over Fraction
-or GaussianRational entries: diagonal pivots where available, and when the
-remaining diagonal vanishes the basis change b_j += conj(a) b_k exposes the
-diagonal entry 2|a|^2 from a nonzero off-diagonal a.  Sylvester's law makes
-the count basis independent, so the result is exact.
+Every inertia in the package comes from one congruence kernel, fraction-free
+symmetric Bareiss elimination over Python ints.  A rational matrix enters
+scaled by the lcm of its denominators, and a Hermitian one M = A + iB as its
+real form [[A, -B], [B, A]], whose inertia is twice that of M.  The kernel
+pivots on the diagonal where it can, and when the remaining diagonal vanishes
+the basis change b_j += b_k exposes the diagonal entry 2a from a nonzero
+off-diagonal a.  Sylvester's law makes the count basis independent, so the
+result is exact.
 
 A form Q with Q(h) > 0 for some h has the Hodge-Riemann property when its
 signature is (1, n-1, 0); the weak variant with respect to h asks only for a
@@ -17,6 +20,7 @@ T(v) = Q(v,h)^2 - Q(v)Q(h).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .exterior import Form, basis_11_real, top_ratio, wedge
@@ -141,72 +145,102 @@ class SymBilinearForm:
         return SymBilinearForm([[Fraction(s) for s in row] for row in obj["matrix"]])
 
 
-def _congruence(rows: list[list]) -> list[tuple]:
-    """Congruence-diagonalise a symmetric or Hermitian matrix in place.
+def _integer_matrix(rows) -> list[list[int]]:
+    """The rational matrix times the lcm of its denominators.
 
-    Returns (index, value, pair) per pivot, in pivot order; pair is (k, m) when
-    a zero-diagonal pair step b_index += m * b_k came just before, else None.
-    Eliminated entries keep their multiplier (LDL^H-style): rows[r][q] is the
-    multiple of b_q taken off b_r when q was eliminated, for each r then active.
+    The factor is positive, so the inertia is the same.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = lcm(*{q for row in ratios for _, q in row})
+    return [[p * (den // q) for p, q in row] for row in ratios]
+
+
+def _congruence(rows: list[list[int]]) -> list[tuple]:
+    """Congruence-diagonalise a symmetric integer matrix without fractions.
+
+    Symmetric Bareiss elimination: the pivot is the first nonzero diagonal
+    entry of the active block, and each update divides exactly by the previous
+    pivot, so every entry stays an integer minor of the input.  When the active
+    diagonal vanishes, the pair step b_j += b_k for a nonzero off-diagonal
+    entry a = A[j][k] exposes the diagonal entry 2a.
+
+    Returns (index, minor, pair, column) per pivot, in pivot order.  The minor
+    is the leading principal minor on the pivots so far, so the LDL pivot is
+    minor / previous minor.  pair is (k, 1) when the pair step b_index += b_k
+    came just before, else None.  column lists (r, A[r][index]) for the rows r
+    still active, so A[r][index] / minor is the multiple of b_index taken off
+    b_r: the LDL multiplier.
     """
     active = list(range(len(rows)))
+    block = [list(row) for row in rows]
     pivots = []
-    while active:
+    prev = 1
+    while block:
         pair = None
-        pivot = next((k for k in active if rows[k][k]), None)
-        if pivot is None:
-            found = next(((j, k) for j in active for k in active if j != k and rows[j][k]), None)
+        t = next((i for i, row in enumerate(block) if row[i]), None)
+        if t is None:
+            found = next(
+                ((j, k) for j, row in enumerate(block) for k, x in enumerate(row) if x and j != k),
+                None,
+            )
             if found is None:
                 break
-            pivot, k = found
-            a = rows[pivot][k]
-            m = a.conjugate()
-            # b_pivot += conj(a) * b_k turns its zero diagonal entry into 2|a|^2.
-            for c in active:
-                rows[pivot][c] += a * rows[k][c]
-            for r in active:
-                rows[r][pivot] += m * rows[r][k]
-            pair = (k, m)
-        p = rows[pivot][pivot]
-        pivots.append((pivot, p, pair))
-        active.remove(pivot)
-        for r in active:
-            f = rows[r][pivot]
+            t, k = found
+            block[t] = [x + y for x, y in zip(block[t], block[k])]
+            for row in block:
+                row[t] += row[k]
+            pair = (active[k], 1)
+        p = block[t][t]
+        pivot_row = block.pop(t)
+        del pivot_row[t]
+        q = active.pop(t)
+        column = []
+        for i, row in enumerate(block):
+            f = row.pop(t)
             if f:
-                f = f / p
-                for c in active:
-                    rows[r][c] -= f * rows[pivot][c]
-                rows[r][pivot] = f
+                column.append((active[i], f))
+                block[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                block[i] = [p * x // prev for x in row]
+        pivots.append((q, p, pair, column))
+        prev = p
     return pivots
 
 
-def _congruence_vector(rows, pivots, step: int) -> list:
+def _pivot_signs(pivots) -> list[int]:
+    """Sign of each LDL pivot: the sign of its minor times the previous one."""
+    signs = []
+    prev = 1
+    for _, minor, _, _ in pivots:
+        signs.append(1 if (minor > 0) == (prev > 0) else -1)
+        prev = minor
+    return signs
+
+
+def _congruence_vector(pivots, n: int, step: int) -> list[Fraction]:
     """The basis vector whose value is pivot number `step`, replayed from the
-    multipliers and pair steps _congruence left behind."""
-    n = len(rows)
-    basis = [[type(rows[0][0])(int(i == j)) for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    for s, (q, _value, pair) in enumerate(pivots):
+    pair steps and multipliers _congruence returned."""
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for s, (q, minor, pair, column) in enumerate(pivots):
         if pair is not None:
             k, m = pair
             basis[q] = [x + m * y for x, y in zip(basis[q], basis[k])]
         if s == step:
             return basis[q]
-        active.remove(q)
-        for r in active:
-            if rows[r][q]:
-                c = rows[r][q].conjugate()
-                basis[r] = [x - c * y for x, y in zip(basis[r], basis[q])]
+        for r, f in column:
+            c = Fraction(f, minor)
+            basis[r] = [x - c * y for x, y in zip(basis[r], basis[q])]
+    raise IndexError(f"no pivot number {step}")
 
 
 def _count_signs(pivots, n: int) -> Signature:
-    plus = sum(1 for _, value, _ in pivots if value > 0)
+    plus = _pivot_signs(pivots).count(1)
     return Signature(plus, len(pivots) - plus, n - len(pivots))
 
 
 def signature(Q: SymBilinearForm) -> Signature:
-    """Exact inertia (n_plus, n_minus, n_zero) via rational congruence."""
-    return _count_signs(_congruence([list(row) for row in Q.matrix]), Q.n)
+    """Exact inertia (n_plus, n_minus, n_zero) via integer congruence."""
+    return _count_signs(_congruence(_integer_matrix(Q.matrix)), Q.n)
 
 
 def is_psd(Q: SymBilinearForm) -> bool:
@@ -361,18 +395,34 @@ def gram(omega: Form) -> SymBilinearForm:
     return SymBilinearForm(rows)
 
 
-def _hermitian_congruence(entries):
-    """_congruence of a Hermitian matrix: (rows, pivots), pivot values real."""
+def _realified(entries) -> list[list[int]]:
+    """The integer realification of a Hermitian matrix M = A + iB.
+
+    It is [[A, -B], [B, A]] with the real and imaginary parts of each
+    coordinate interleaved, scaled to integers: row 2j + (0 or 1) belongs to
+    Re or Im of coordinate j.  Its inertia is twice that of M, and a real
+    vector (x_0, y_0, x_1, y_1, ...) takes the value v^H M v for
+    v_j = x_j + i y_j, up to the positive scale.
+    """
     rows = [[GaussianRational.of(x) for x in row] for row in entries]
-    if any(len(r) != len(rows) for r in rows):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    pivots = _congruence(rows)
-    if any(p.im for _, p, _ in pivots):
-        raise RuntimeError("Hermitian reduction produced a complex pivot")
-    return rows, [(q, p.re, pair) for q, p, pair in pivots]
+    for j in range(n):
+        for k in range(j, n):
+            if rows[j][k] != rows[k][j].conjugate():
+                raise ValueError("matrix is not Hermitian")
+    real = [[None] * (2 * n) for _ in range(2 * n)]
+    for j, row in enumerate(rows):
+        for k, z in enumerate(row):
+            real[2 * j][2 * k] = real[2 * j + 1][2 * k + 1] = z.re
+            real[2 * j][2 * k + 1] = -z.im
+            real[2 * j + 1][2 * k] = z.im
+    return _integer_matrix(real)
 
 
 def hermitian_inertia(entries) -> Signature:
     """Exact inertia of a Hermitian Gaussian-rational matrix."""
-    rows, pivots = _hermitian_congruence(entries)
-    return _count_signs(pivots, len(rows))
+    real = _realified(entries)
+    plus, minus, zero = _count_signs(_congruence(real), len(real))
+    return Signature(plus // 2, minus // 2, zero // 2)

@@ -414,6 +414,9 @@ def _index_list_for(ns: argparse.Namespace, d: int) -> list[int | None]:
 
 
 def _cmd_family_builtin(ns: argparse.Namespace) -> tuple[dict, int]:
+    if ns.forms is not None:
+        # The builtins bring their own data; a forms file would go unread.
+        raise UsageError("--builtin takes no --forms file")
     t0 = time.perf_counter()
     if ns.builtin == "remark-3.7":
         result = _builtin_rank_drop(ns)

@@ -8,13 +8,17 @@ ascending index order.  Every Koszul sign in the algebra is computed against
 this normal form, which makes the wedge sign a pure popcount computation.
 
 Forms are sparse maps from monomials to Gaussian-rational coefficients.  They
-are immutable after construction and every operation here is pure.
+are immutable after construction and every operation here is pure.  The wedge
+product, the hot loop of Schur evaluation and of the intersection forms, reads
+each factor once over a common denominator and multiplies Gaussian integers
+(pairs of Python ints); only the surviving sums become Gaussian rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping
 
 from .gaussian import GaussianRational, I, as_fraction
@@ -45,34 +49,6 @@ def indices_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         j += 1
     return tuple(out)
-
-
-def _merge_sign(x: int, y: int) -> int:
-    # Sign of the shuffle that interleaves two ascending generator blocks x, y
-    # (disjoint masks) into one ascending block: one transposition for every
-    # pair i in x, j in y with i > j.
-    sign = 1
-    while y:
-        low = y & -y
-        if (x & ~((low << 1) - 1)).bit_count() & 1:
-            sign = -sign
-        y &= y - 1
-    return sign
-
-
-def monomial_wedge(h1: int, a1: int, h2: int, a2: int):
-    """Wedge two canonical monomials.
-
-    Returns (sign, hmask, amask), or None when a generator repeats.
-    The sign moves the dz block of the second factor left across the dzb
-    block of the first, then merges both blocks into ascending order.
-    """
-    if h1 & h2 or a1 & a2:
-        return None
-    sign = _merge_sign(h1, h2) * _merge_sign(a1, a2)
-    if (a1.bit_count() * h2.bit_count()) & 1:
-        sign = -sign
-    return sign, h1 | h2, a1 | a2
 
 
 class Form:
@@ -246,31 +222,79 @@ class Form:
         return Form(d, terms)
 
 
+def _gaussian_integer_rows(a: Form) -> tuple[int, list[tuple[int, int, int]]]:
+    """(den, rows): each term of `a` as (monomial, re, im) with coefficient
+    (re + im*i)/den, den the lcm of the component denominators.  The monomial
+    packs the dz mask into the low d bits and the dzb mask above them, so
+    ascending bit order is the canonical generator order."""
+    d = a.d
+    items = [
+        (h | (am << d), c.re.as_integer_ratio(), c.im.as_integer_ratio())
+        for (h, am), c in a.terms.items()
+    ]
+    den = lcm(*{r[1] for _, r, _ in items}, *{i[1] for _, _, i in items})
+    return den, [(m, r[0] * (den // r[1]), i[0] * (den // i[1])) for m, r, i in items]
+
+
+@lru_cache(maxsize=None)
+def _parity_above(m: int) -> int:
+    # Bit j is set when m has an odd number of set bits above position j.  A
+    # generator j of a second factor moves left past exactly those bits of the
+    # first factor m, so the popcount parity of _parity_above(m) & m2 is the
+    # Koszul sign of the product of packed monomials m and m2.
+    x = m >> 1
+    shift = 1
+    while shift < m.bit_length():
+        x ^= x >> shift
+        shift <<= 1
+    return x
+
+
 def wedge(a: Form, b: Form) -> Form:
-    """Exterior product.  Bilinear, associative, graded-commutative."""
+    """Exterior product.  Bilinear, associative, graded-commutative.
+
+    The pair loop runs over Gaussian integers: each operand is read once over
+    a common denominator, products are summed per output monomial, and only
+    the sums that are not exactly zero become GaussianRational coefficients.
+    """
     if not isinstance(a, Form) or not isinstance(b, Form):
         raise TypeError("wedge expects two forms")
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    terms: dict[MaskPair, GaussianRational] = {}
-    for (h1, a1), c1 in a.terms.items():
-        for (h2, a2), c2 in b.terms.items():
-            hit = monomial_wedge(h1, a1, h2, a2)
-            if hit is None:
-                continue
-            sign, h, am = hit
-            c = c1 * c2
-            if sign < 0:
-                c = -c
-            key = (h, am)
-            acc = terms.get(key)
-            s = c if acc is None else acc + c
-            if s:
-                terms[key] = s
-            elif acc is not None:
-                del terms[key]
+    d = a.d
     out = Form.__new__(Form)
-    object.__setattr__(out, "d", a.d)
+    object.__setattr__(out, "d", d)
+    if not a.terms or not b.terms:
+        object.__setattr__(out, "terms", {})
+        return out
+    den_a, rows_a = _gaussian_integer_rows(a)
+    den_b, rows_b = _gaussian_integer_rows(b)
+    acc_re: dict[int, int] = {}
+    acc_im: dict[int, int] = {}
+    for m1, r1, i1 in rows_a:
+        sign_mask = _parity_above(m1)
+        for m2, r2, i2 in rows_b:
+            if m1 & m2:
+                continue
+            re = r1 * r2 - i1 * i2
+            im = r1 * i2 + i1 * r2
+            if (sign_mask & m2).bit_count() & 1:
+                re = -re
+                im = -im
+            key = m1 | m2
+            if key in acc_re:
+                acc_re[key] += re
+                acc_im[key] += im
+            else:
+                acc_re[key] = re
+                acc_im[key] = im
+    den = den_a * den_b
+    full = (1 << d) - 1
+    terms: dict[MaskPair, GaussianRational] = {}
+    for key, re in acc_re.items():
+        im = acc_im[key]
+        if re or im:
+            terms[(key & full, key >> d)] = GaussianRational(Fraction(re, den), Fraction(im, den))
     object.__setattr__(out, "terms", terms)
     return out
 

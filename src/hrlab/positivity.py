@@ -4,8 +4,10 @@ Strict positivity of a (1,1)-form reduces to positive definiteness of its
 Hermitian matrix, decided by its exact inertia.  Positivity of a real
 (p,p)-form is decided by assembling the induced Hermitian pairing on the
 complementary space of holomorphic top fragments and computing its exact
-inertia; a refutation rebuilds the basis vector of the first negative pivot
-as its witness.  Weak positivity is dual to the simple-form cone and only gets
+inertia; both inertias run the integer kernel of `bilinear` on the real form
+of the Hermitian matrix.  A refutation rebuilds the real basis vector (x, y)
+of the first negative pivot and takes v = x + iy, for which v^H M v is
+negative too, as its witness.  Weak positivity is dual to the simple-form cone and only gets
 a sampling falsifier: a refutation carries a witness, absence of one proves
 nothing, and the verdict name says so.
 """
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .bilinear import _congruence_vector, _hermitian_congruence, hermitian_inertia
+from .bilinear import _congruence, _congruence_vector, _pivot_signs, _realified, hermitian_inertia
 from .exterior import Form, HermitianMatrix, top_coefficient, top_ratio, wedge
-from .gaussian import I
+from .gaussian import GaussianRational, I
 from .sampling import derive_seed, random_one_form
 
 POSITIVE = "POSITIVE"
@@ -78,20 +80,18 @@ def is_positive_pp(eta: Form) -> ConeVerdict:
         for T in subsets:
             row.append(unit * top_coefficient(wedge(left, Form.term(d, [], T))))
         mat.append(row)
-    for a in range(len(subsets)):
-        for b in range(len(subsets)):
-            if mat[a][b] != mat[b][a].conjugate():
-                raise RuntimeError("induced pairing is not Hermitian")
-    rows, pivots = _hermitian_congruence(mat)
-    negative = next((s for s, (_, value, _) in enumerate(pivots) if value < 0), None)
+    real = _realified(mat)
+    pivots = _congruence(real)
+    negative = next((s for s, sign in enumerate(_pivot_signs(pivots)) if sign < 0), None)
     if negative is not None:
-        vec = _congruence_vector(rows, pivots, negative)
+        vec = _congruence_vector(pivots, len(real), negative)
         witness = Form(d, {})
-        for coeff, S in zip(vec, subsets):
+        for j, S in enumerate(subsets):
+            coeff = GaussianRational(vec[2 * j], vec[2 * j + 1])
             if coeff:
                 witness = witness + Form.term(d, S, [], coeff.conjugate())
         return ConeVerdict(NOT_POSITIVE, witness)
-    if len(pivots) == len(rows):
+    if len(pivots) == len(real):
         return ConeVerdict(STRICTLY_POSITIVE)
     return ConeVerdict(POSITIVE)
 

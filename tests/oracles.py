@@ -4,9 +4,10 @@ Nothing here shares code with the package, except the last section, whose
 comment says what it reuses: the exterior algebra is replayed over generator
 tuples with insertion-sort sign counting, determinants are expanded by
 cofactors or by plain elimination, inertia is read off the characteristic
-polynomial, elementary symmetric functions come from explicit subsets, the
-mixed discriminant from the double permutation sum, and UniPoly is a plain
-polynomial ring in one central variable.
+polynomial or found by rational congruence, elementary symmetric functions
+come from explicit subsets, the mixed discriminant from the double
+permutation sum, and UniPoly is a plain polynomial ring in one central
+variable.
 """
 
 import weakref
@@ -258,6 +259,50 @@ def realified(rows) -> list:
             out[i][n + j] = -b
             out[n + i][j] = b
     return out
+
+
+def fraction_congruence_inertia(rows) -> Signature:
+    """Inertia of a symmetric or Hermitian matrix by rational congruence.
+
+    Fraction or GaussianRational entries, eliminated in place with division
+    by each pivot: the first nonzero diagonal entry of the active block, or,
+    when that diagonal vanishes, the entry 2|a|^2 that b_j += conj(a) b_k
+    exposes from a nonzero off-diagonal a.  Cubic, so unlike
+    descartes_inertia it reaches the 49 x 49 intersection forms of d = 7.
+    """
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    active = list(range(n))
+    values = []
+    while active:
+        pivot = next((k for k in active if rows[k][k]), None)
+        if pivot is None:
+            found = next(((j, k) for j in active for k in active if j != k and rows[j][k]), None)
+            if found is None:
+                break
+            pivot, k = found
+            a = rows[pivot][k]
+            m = a.conjugate()
+            for c in active:
+                rows[pivot][c] += a * rows[k][c]
+            for r in active:
+                rows[r][pivot] += m * rows[r][k]
+        p = rows[pivot][pivot]
+        if isinstance(p, GaussianRational):
+            if p.im:
+                raise RuntimeError("Hermitian reduction produced a complex pivot")
+            p = p.re
+        values.append(p)
+        active.remove(pivot)
+        pivot_row = rows[pivot]
+        for r in active:
+            f = rows[r][pivot]
+            if f:
+                f = f / pivot_row[pivot]
+                for c in active:
+                    rows[r][c] -= f * pivot_row[c]
+    plus = sum(1 for p in values if p > 0)
+    return Signature(plus, len(values) - plus, n - len(values))
 
 
 # -- Sylvester's criterion -----------------------------------------------------

@@ -505,3 +505,25 @@ def test_verdict_conclusion_on_degenerate_r0():
     assert v.conclusion == is_hr_wrt(fam.at(0), h)
     assert v.details["r0_signature"] == [1, 1, 1]
     assert v.hypotheses["derivative_hr_wrt_h"] == is_hr_wrt(fam.derivative().at(0), h)
+
+
+def test_verdicts_build_each_derivative_family_once(monkeypatch):
+    calls = []
+    original = FormFamily.derivative
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FormFamily, "derivative", counting)
+    d, e, lam, seed = REUSE_SPACES[2]
+    sp = make_space(d, e, seed)
+    fam = twist_family(sp, lam, 3)
+    verify_augmentation1(fam, sp.h_coords, sp.zeta_coords)
+    assert len(calls) == 1  # R'
+    calls.clear()
+    verify_augmentation2(sp, lam)
+    assert len(calls) == 2  # R' and R''
+    calls.clear()
+    verify_recursion(sp, lam, d - 1)
+    assert len(calls) == d - 2  # R'_i for i = 2..j

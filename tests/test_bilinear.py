@@ -8,6 +8,8 @@ from hrlab.bilinear import (
     SymBilinearForm,
     _congruence,
     _congruence_vector,
+    _integer_matrix,
+    _realified,
     gram,
     hermitian_inertia,
     hodge_index_defect,
@@ -33,6 +35,7 @@ from hrlab.symfunc import schur
 
 from oracles import (
     descartes_inertia,
+    fraction_congruence_inertia,
     naive_product_of_forms,
     naive_top_coefficient,
     random_symmetric_rows,
@@ -422,16 +425,19 @@ def test_pair_step_inertia_matches_descartes(hermitian):
         for _ in range(8 if hermitian else 4):
             rows, expected = hyperbolic_plus_diagonal(rng, n, hermitian)
             for M in (permuted_copy(rng, rows), lower_congruent_copy(rng, rows, hermitian)):
-                reduced = [list(r) for r in M]
-                pivots = _congruence(reduced)
-                steps = [s for s, (_, _, pair) in enumerate(pivots) if pair is not None]
+                # The kernel runs on integers; Hermitian input enters realified.
+                A = _realified(M) if hermitian else _integer_matrix(M)
+                size = len(A)
+                pivots = _congruence(A)
+                steps = [s for s, (_, _, pair, _) in enumerate(pivots) if pair is not None]
                 assert steps and 0 < steps[0] < len(pivots) - 1
-                # the replayed basis diagonalises M: b_s^H M b_t is the pivot or 0
-                basis = [_congruence_vector(reduced, pivots, s) for s in range(len(pivots))]
-                for s, (_, value, _) in enumerate(pivots):
+                # the replayed basis diagonalises A: b_s^T A b_t is the LDL pivot or 0
+                basis = [_congruence_vector(pivots, size, s) for s in range(len(pivots))]
+                minors = [1] + [minor for _, minor, _, _ in pivots]
+                for s in range(len(pivots)):
                     for t, v in enumerate(basis):
-                        got = sum(basis[s][i].conjugate() * M[i][j] * v[j] for i in range(n) for j in range(n))
-                        assert got == (value if s == t else 0)
+                        got = sum(basis[s][i] * A[i][j] * v[j] for i in range(size) for j in range(size))
+                        assert got == (Fraction(minors[s + 1], minors[s]) if s == t else 0)
                 if hermitian:
                     got = hermitian_inertia(M)
                     oracle = descartes_inertia(realified(M))
@@ -440,3 +446,130 @@ def test_pair_step_inertia_matches_descartes(hermitian):
                     got = signature(SymBilinearForm(M))
                     assert descartes_inertia(M) == got
                 assert got == expected
+
+
+# -- the integer kernel against the rational congruence oracle ------------------
+
+
+def entry(rng, zero, hermitian, box=5):
+    """A random entry over the denominator 100**k, as R_t has at t = 1/100."""
+    den = 100 ** rng.randint(0, 3)
+    re = Fraction(rng.randint(-box, box), den)
+    if not hermitian:
+        return re
+    return zero + GaussianRational(re, Fraction(rng.randint(-box, box), den))
+
+
+def hermitian_rows(rng, n, hermitian, zero_diagonal=(), rank=None):
+    """A random symmetric (or Hermitian) matrix with entries over 100**k.
+
+    Indices in zero_diagonal get a zero diagonal entry.  With a rank, the
+    matrix is a sum of rank signed outer products v v^H instead.
+    """
+    zero = GaussianRational(0) if hermitian else Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    if rank is None:
+        for i in range(n):
+            for j in range(i, n):
+                x = entry(rng, zero, hermitian)
+                if i == j:
+                    x = zero + (0 if i in zero_diagonal else x.re if hermitian else x)
+                rows[i][j] = x
+                rows[j][i] = x.conjugate() if hermitian else x
+        return rows
+    for _ in range(rank):
+        v = [entry(rng, zero, hermitian, 2) for _ in range(n)]
+        sign = rng.choice([-1, 1])
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] += sign * v[i] * (v[j].conjugate() if hermitian else v[j])
+    return rows
+
+
+def inertia(rows, hermitian):
+    return hermitian_inertia(rows) if hermitian else signature(SymBilinearForm(rows))
+
+
+def oracle_inertias(rows, hermitian):
+    """The rational congruence oracle, and Descartes' rule where it is cheap."""
+    n = len(rows)
+    out = [fraction_congruence_inertia(rows)]
+    if n <= 3 or (n <= 6 and not hermitian):
+        full = descartes_inertia(realified(rows) if hermitian else rows)
+        out.append(Signature(*(x // 2 for x in full)) if hermitian else full)
+    return out
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_integer_kernel_matches_oracles_on_random_matrices(hermitian):
+    rng = random.Random(71 + hermitian)
+    for n in (1, 2, 3, 6, 13, 26) + ((49,) if not hermitian else ()):
+        for _ in range(3 if n < 26 else 1):
+            rows = hermitian_rows(rng, n, hermitian)
+            got = inertia(rows, hermitian)
+            assert all(o == got for o in oracle_inertias(rows, hermitian))
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_integer_kernel_pair_step_on_zero_diagonal_blocks(hermitian):
+    # A zero-diagonal block behind nonzero diagonal entries: once those are
+    # eliminated, the active diagonal can vanish and force a pair step.
+    rng = random.Random(73 + hermitian)
+    for n in (3, 6, 13, 36) if hermitian else (3, 6, 13, 49):
+        for _ in range(3 if n < 13 else 1):
+            zeros = set(rng.sample(range(n), rng.randint(2, max(2, n // 4))))
+            rows = hermitian_rows(rng, n, hermitian, zero_diagonal=zeros)
+            got = inertia(rows, hermitian)
+            assert all(o == got for o in oracle_inertias(rows, hermitian))
+    # Block diagonal D + Z, permuted: the pair step comes after every D pivot.
+    for n in (4, 9, 26):
+        k = n // 3 + 1
+        rows = hermitian_rows(rng, n, hermitian, zero_diagonal=set(range(n - k, n)))
+        for i in range(n - k):
+            for j in range(n):
+                rows[i][j] = rows[j][i] = rows[i][j] * 0
+            rows[i][i] += Fraction(rng.choice([-3, -1, 2, 5]), 100 ** rng.randint(0, 3))
+        rows = permuted_copy(rng, rows)
+        A = _realified(rows) if hermitian else _integer_matrix(rows)
+        pivots = _congruence(A)
+        steps = [s for s, (_, _, pair, _) in enumerate(pivots) if pair is not None]
+        assert steps and steps[0] == (2 if hermitian else 1) * (n - k)
+        got = inertia(rows, hermitian)
+        assert all(o == got for o in oracle_inertias(rows, hermitian))
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_integer_kernel_on_rank_deficient_zero_and_1x1(hermitian):
+    rng = random.Random(79 + hermitian)
+    zero = GaussianRational(0) if hermitian else Fraction(0)
+    for n, rank in ((1, 1), (4, 2), (6, 5), (13, 4), (26, 3)):
+        rows = hermitian_rows(rng, n, hermitian, rank=rank)
+        got = inertia(rows, hermitian)
+        assert got.n_zero >= n - rank
+        assert all(o == got for o in oracle_inertias(rows, hermitian))
+    for n in (1, 5, 26):
+        assert inertia([[zero] * n for _ in range(n)], hermitian) == Signature(0, 0, n)
+    for x, want in ((Fraction(3, 100), (1, 0, 0)), (Fraction(-1, 10**6), (0, 1, 0)), (0, (0, 0, 1))):
+        assert inertia([[zero + x]], hermitian) == Signature(*want)
+
+
+def test_hermitian_inertia_rejects_non_hermitian_input():
+    i = GaussianRational(0, 1)
+    one = GaussianRational(1)
+    for rows in (
+        [[one, i], [i, one]],  # M[1][0] != conj(M[0][1])
+        [[one + i]],  # complex diagonal
+        [[one, Fraction(1, 2)], [Fraction(1, 3), one]],
+    ):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_inertia(rows)
+    with pytest.raises(ValueError, match="square"):
+        hermitian_inertia([[one, one]])
+
+
+def test_integer_kernel_matches_oracle_on_d7_gram():
+    rng = random.Random(83)
+    omega = schur((2, 1, 1, 1), [random_positive_form(rng, 7) for _ in range(2)])
+    g = gram(omega)
+    assert g.n == 49
+    assert signature(g) == fraction_congruence_inertia(g.matrix) == Signature(1, 48, 0)

@@ -365,6 +365,17 @@ def test_family_builtin_minkowski(tmp_path):
     assert rep["results"][0]["signature"] == [1, 3, 0]
 
 
+@pytest.mark.parametrize("builtin", ["remark-3.7", "minkowski"])
+def test_family_builtin_with_forms_exits_2(tmp_path, capsys, builtin):
+    out = tmp_path / "b.json"
+    code = run_main(["family", "--builtin", builtin, "--forms", str(tmp_path / "none.json"),
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--builtin" in err and "--forms" in err
+
+
 # -- gamma scan ---------------------------------------------------------------------
 
 

@@ -126,6 +126,74 @@ def test_wedge_matches_naive_oracle(a, b):
     assert got == want
 
 
+def rational_form(rng, d, terms):
+    """Terms with re and im over different non-integer denominators."""
+    out = {}
+    for _ in range(terms):
+        key = (rng.randrange(1 << d), rng.randrange(1 << d))
+        re = Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7, 100]))
+        im = Fraction(rng.randint(-9, 9), rng.choice([5, 9, 11, 10_000]))
+        out[key] = GaussianRational(re, im)
+    return Form(d, out)
+
+
+def assert_wedge_matches_oracle(a, b):
+    d = a.d
+    got = wedge(a, b)
+    assert naive_from_form(got, d) == naive_mul(naive_from_form(a, d), naive_from_form(b, d))
+    assert all(c for c in got.terms.values())
+
+
+def test_wedge_matches_naive_oracle_on_rational_coefficients():
+    rng = random.Random(29)
+    for d in (1, 2, 3, 5):
+        for _ in range(12):
+            a, b = rational_form(rng, d, 6), rational_form(rng, d, 6)
+            assert_wedge_matches_oracle(a, b)
+            assert any(c.re.denominator != c.im.denominator for c in a.terms.values())
+
+
+def rational_one_form(rng, d):
+    out = Form.zero(d)
+    for j in range(1, d + 1):
+        re = Fraction(rng.randint(-9, 9), rng.choice([2, 3, 100]))
+        im = Fraction(rng.randint(-9, 9), rng.choice([5, 7, 10_000]))
+        out = out + Form.term(d, [j], [], GaussianRational(re, im))
+        out = out + Form.term(d, [], [j], GaussianRational(im, re))
+    return out
+
+
+def test_wedge_drops_exactly_cancelling_sums():
+    rng = random.Random(31)
+    for d in (2, 4):
+        for _ in range(6):
+            alpha, beta = rational_one_form(rng, d), rational_one_form(rng, d)
+            # Every monomial of alpha ^ alpha gets two products that cancel.
+            assert naive_mul(naive_from_form(alpha, d), naive_from_form(alpha, d)) == {}
+            assert wedge(alpha, alpha).terms == {}
+            # Only the beta ^ alpha part of (alpha + beta) ^ alpha survives.
+            assert wedge(alpha + beta, alpha) == wedge(beta, alpha)
+            assert_wedge_matches_oracle(alpha + beta, alpha)
+            gamma = rational_form(rng, d, 5)
+            assert_wedge_matches_oracle(wedge(gamma, alpha), alpha)
+
+
+def test_wedge_zero_forms_and_d1():
+    rng = random.Random(37)
+    for d in (1, 3):
+        a = rational_form(rng, d, 4)
+        zero = Form.zero(d)
+        assert wedge(a, zero).terms == {} and wedge(zero, a).terms == {}
+        assert wedge(zero, zero).terms == {}
+    z, zb = Form.dz(1, 1), Form.dzbar(1, 1)
+    half = GaussianRational(Fraction(1, 2), Fraction(3, 7))
+    assert wedge(z.scale(half), zb) == Form.term(1, [1], [1], half)
+    assert wedge(zb, z.scale(half)) == Form.term(1, [1], [1], -half)
+    assert wedge(z, z).terms == {}
+    for _ in range(10):
+        assert_wedge_matches_oracle(rational_form(rng, 1, 3), rational_form(rng, 1, 3))
+
+
 @given(forms(4), forms(4), forms(4))
 def test_wedge_associative_and_bilinear(a, b, c):
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
