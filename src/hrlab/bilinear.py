@@ -230,7 +230,6 @@ def _congruence_vector(pivots, n: int, step: int) -> list[Fraction]:
         for r, f in column:
             c = Fraction(f, minor)
             basis[r] = [x - c * y for x, y in zip(basis[r], basis[q])]
-    raise IndexError(f"no pivot number {step}")
 
 
 def _count_signs(pivots, n: int) -> Signature:
@@ -421,8 +420,22 @@ def _realified(entries) -> list[list[int]]:
     return _integer_matrix(real)
 
 
+def _hermitian_reduction(entries) -> tuple[Signature, list[GaussianRational] | None]:
+    """The inertia of a Hermitian matrix M and, when M has a negative
+    direction, a vector v with v^H M v < 0: the real basis vector
+    (x_0, y_0, x_1, y_1, ...) of the first negative pivot of the real form,
+    read back as v_j = x_j + i y_j."""
+    real = _realified(entries)
+    pivots = _congruence(real)
+    plus, minus, zero = _count_signs(pivots, len(real))
+    negative = next((s for s, sign in enumerate(_pivot_signs(pivots)) if sign < 0), None)
+    vector = None
+    if negative is not None:
+        w = _congruence_vector(pivots, len(real), negative)
+        vector = [GaussianRational(x, y) for x, y in zip(w[::2], w[1::2])]
+    return Signature(plus // 2, minus // 2, zero // 2), vector
+
+
 def hermitian_inertia(entries) -> Signature:
     """Exact inertia of a Hermitian Gaussian-rational matrix."""
-    real = _realified(entries)
-    plus, minus, zero = _count_signs(_congruence(real), len(real))
-    return Signature(plus // 2, minus // 2, zero // 2)
+    return _hermitian_reduction(entries)[0]

@@ -262,11 +262,6 @@ def wedge(a: Form, b: Form) -> Form:
     if a.d != b.d:
         raise ValueError("dimension mismatch")
     d = a.d
-    out = Form.__new__(Form)
-    object.__setattr__(out, "d", d)
-    if not a.terms or not b.terms:
-        object.__setattr__(out, "terms", {})
-        return out
     den_a, rows_a = _gaussian_integer_rows(a)
     den_b, rows_b = _gaussian_integer_rows(b)
     acc_re: dict[int, int] = {}
@@ -295,6 +290,8 @@ def wedge(a: Form, b: Form) -> Form:
         im = acc_im[key]
         if re or im:
             terms[(key & full, key >> d)] = GaussianRational(Fraction(re, den), Fraction(im, den))
+    out = Form.__new__(Form)
+    object.__setattr__(out, "d", d)
     object.__setattr__(out, "terms", terms)
     return out
 

@@ -4,11 +4,11 @@ Strict positivity of a (1,1)-form reduces to positive definiteness of its
 Hermitian matrix, decided by its exact inertia.  Positivity of a real
 (p,p)-form is decided by assembling the induced Hermitian pairing on the
 complementary space of holomorphic top fragments and computing its exact
-inertia; both inertias run the integer kernel of `bilinear` on the real form
-of the Hermitian matrix.  A refutation rebuilds the real basis vector (x, y)
-of the first negative pivot and takes v = x + iy, for which v^H M v is
-negative too, as its witness.  Weak positivity is dual to the simple-form cone and only gets
-a sampling falsifier: a refutation carries a witness, absence of one proves
+inertia.  Both inertias run the integer kernel of `bilinear` on the real form
+of the Hermitian matrix M; a refutation rebuilds the real basis vector (x, y)
+of the first negative pivot and takes v = x + iy, for which v^H M v < 0, as
+its witness.  Weak positivity is dual to the simple-form cone and only gets a
+sampling falsifier: a refutation carries a witness, absence of one proves
 nothing, and the verdict name says so.
 """
 
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .bilinear import _congruence, _congruence_vector, _pivot_signs, _realified, hermitian_inertia
+from .bilinear import _hermitian_reduction, hermitian_inertia
 from .exterior import Form, HermitianMatrix, top_coefficient, top_ratio, wedge
-from .gaussian import GaussianRational, I
+from .gaussian import I
 from .sampling import derive_seed, random_one_form
 
 POSITIVE = "POSITIVE"
@@ -80,18 +80,14 @@ def is_positive_pp(eta: Form) -> ConeVerdict:
         for T in subsets:
             row.append(unit * top_coefficient(wedge(left, Form.term(d, [], T))))
         mat.append(row)
-    real = _realified(mat)
-    pivots = _congruence(real)
-    negative = next((s for s, sign in enumerate(_pivot_signs(pivots)) if sign < 0), None)
-    if negative is not None:
-        vec = _congruence_vector(pivots, len(real), negative)
+    inertia, vec = _hermitian_reduction(mat)
+    if vec is not None:
         witness = Form(d, {})
-        for j, S in enumerate(subsets):
-            coeff = GaussianRational(vec[2 * j], vec[2 * j + 1])
+        for coeff, S in zip(vec, subsets):
             if coeff:
                 witness = witness + Form.term(d, S, [], coeff.conjugate())
         return ConeVerdict(NOT_POSITIVE, witness)
-    if len(pivots) == len(real):
+    if inertia.n_zero == 0:
         return ConeVerdict(STRICTLY_POSITIVE)
     return ConeVerdict(POSITIVE)
 
