@@ -7,10 +7,10 @@ truncate above degree d.  For a partition lam and strictly positive data
 
     Q_i(b, b') = integral of  b * s_lam(omega_hat) * zeta^i * h^(d-i) * b'
 
-are assembled from the derived Schur coefficients of s_lam
-(intersection_form).  The tests build them a second way, by multiplying
-everything out in the truncated polynomial ring over the exterior algebra,
-and require exact equality.
+are read off the derived Schur coefficients of s_lam by one top-degree
+pairing (intersection_form).  The tests build them a second way, by
+multiplying everything out in the truncated polynomial ring over the exterior
+algebra and wedging each pairing, and require exact equality.
 
 The one-parameter families
 
@@ -44,7 +44,6 @@ from .bilinear import (
     is_hr_wrt,
     is_psd,
     signature,
-    gram,
 )
 from .exterior import (
     Form,
@@ -52,7 +51,7 @@ from .exterior import (
     coords_11_real,
     form_to_hermitian,
     identity_form,
-    top_ratio,
+    top_pairings,
     wedge,
 )
 from .gaussian import as_fraction, fraction_to_str
@@ -143,10 +142,6 @@ class AugmentedSpace:
         return cached
 
 
-def _integral(form: Form) -> Fraction:
-    return Fraction(0) if form.is_zero() else top_ratio(form)
-
-
 def _check_weight(space: AugmentedSpace, lam: Partition) -> None:
     # The integrand slices only land in top degree when |lam| = d - 2.
     if lam.weight != space.d - 2:
@@ -155,35 +150,15 @@ def _check_weight(space: AugmentedSpace, lam: Partition) -> None:
         )
 
 
-def _assemble(space: AugmentedSpace, ww: Form, wz: Form, zz: Form) -> SymBilinearForm:
-    """Matrix over V from the three homogeneous slices of the integrand.
-
-    ww pairs two W vectors, wz pairs a W vector with zeta, zz pairs zeta with
-    itself; each slice is wedged against basis forms and integrated.
-    """
-    n = space.dim_v
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    if not ww.is_zero():
-        block = gram(ww).matrix
-        for a in range(space.dim_w):
-            row_a = rows[a]
-            for b in range(space.dim_w):
-                row_a[b] = block[a][b]
-    if not wz.is_zero():
-        for a, alpha in enumerate(space.w_basis):
-            v = _integral(wedge(alpha, wz))
-            rows[a][space.zeta_index] = v
-            rows[space.zeta_index][a] = v
-    rows[space.zeta_index][space.zeta_index] = _integral(zz)
-    return SymBilinearForm(rows)
-
-
 def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
     """Q_i assembled from derived Schur coefficients.
 
-    The W x W slice uses coefficient d-i, the W x zeta slice d-i-1, and the
-    zeta x zeta slice d-i-2, each wedged with h^(d-i).  Outside 0 <= i <= d
-    the form is zero.
+    The integrand is the sum of the derived coefficients d-i, d-i-1 and d-i-2,
+    wedged once with h^(d-i).  zeta pairs as the unit form, so pairing the
+    integrand over W's basis followed by 1 (exterior.top_pairings) reads the
+    W x W block off its (d-2,d-2) part, the W x zeta column off its
+    (d-1,d-1) part and the zeta x zeta entry off its (d,d) part.  Outside
+    0 <= i <= d the form is zero.
     """
     lam = Partition(lam)
     _check_weight(space, lam)
@@ -196,19 +171,10 @@ def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
         out = SymBilinearForm.zero(space.dim_v)
     else:
         coeffs = space.derived_coeffs(lam)
-
-        def sd(j: int) -> Form:
-            if 0 <= j < len(coeffs):
-                return coeffs[j]
-            return Form.zero(d)
-
-        hp = space.h_power(d - i)
-        out = _assemble(
-            space,
-            wedge(sd(d - i), hp),
-            wedge(sd(d - i - 1), hp),
-            wedge(sd(d - i - 2), hp),
-        )
+        slices = sum(coeffs[max(d - i - 2, 0) : d - i + 1], Form.zero(d))
+        basis = space.w_basis + (Form.scalar(d, 1),)
+        pairings = top_pairings(basis, wedge(slices, space.h_power(d - i)), basis)
+        out = SymBilinearForm([[x.re for x in row] for row in pairings])
     space._qi[key] = out
     return out
 

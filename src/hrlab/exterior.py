@@ -9,9 +9,11 @@ this normal form, which makes the wedge sign a pure popcount computation.
 
 Forms are sparse maps from monomials to Gaussian-rational coefficients.  They
 are immutable after construction and every operation here is pure.  The wedge
-product, the hot loop of Schur evaluation and of the intersection forms, reads
-each factor once over a common denominator and multiplies Gaussian integers
-(pairs of Python ints); only the surviving sums become Gaussian rationals.
+product, the hot loop of Schur evaluation, reads each factor once over a
+common denominator and multiplies Gaussian integers (pairs of Python ints);
+only the surviving sums become Gaussian rationals.  Every matrix of top-degree
+pairings (a, b) -> top_coefficient(a ^ omega ^ b) comes from top_pairings,
+which reads omega's coefficients at complements instead of wedging.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .gaussian import GaussianRational, I, as_fraction
 
@@ -293,6 +295,50 @@ def wedge(a: Form, b: Form) -> Form:
     out = Form.__new__(Form)
     object.__setattr__(out, "d", d)
     object.__setattr__(out, "terms", terms)
+    return out
+
+
+def top_pairings(left: Sequence[Form], omega: Form, right: Sequence[Form]) -> list[list[GaussianRational]]:
+    """The matrix of top_coefficient(l ^ omega ^ r) over l in left, r in right.
+
+    No product is formed.  Monomials m1 of l and m2 of r reach top degree
+    only through omega's coefficient at the complement of m1 | m2, so each
+    entry is a signed sum of such coefficients, read over Gaussian integers
+    with one denominator per form; the Koszul signs come from _parity_above.
+    Parts of omega of any other degree meet no complement and add nothing.
+    """
+    d = omega.d
+    if any(f.d != d for f in (*left, *right)):
+        raise ValueError("dimension mismatch")
+    top = (1 << (2 * d)) - 1
+    unit = _vol_unit(d)
+    unit_re, unit_im = int(unit.re), int(unit.im)
+    den_o, rows_o = _gaussian_integer_rows(omega)
+    omega_at = {m: (r, i) for m, r, i in rows_o}
+    right_rows = [_gaussian_integer_rows(r) for r in right]
+    out = []
+    for den_l, rows_l in map(_gaussian_integer_rows, left):
+        row = []
+        for den_r, rows_r in right_rows:
+            re = im = 0
+            for m1, r1, i1 in rows_l:
+                for m2, r2, i2 in rows_r:
+                    c = top ^ m1 ^ m2
+                    if m1 & m2 or c not in omega_at:
+                        continue
+                    o_re, o_im = omega_at[c]
+                    a_re, a_im = r1 * o_re - i1 * o_im, r1 * o_im + i1 * o_re
+                    t_re, t_im = a_re * r2 - a_im * i2, a_re * i2 + a_im * r2
+                    # c moves left past m1, then m2 past m1 | c.
+                    if ((_parity_above(m1) & c).bit_count() + (_parity_above(m1 | c) & m2).bit_count()) & 1:
+                        t_re, t_im = -t_re, -t_im
+                    re += t_re
+                    im += t_im
+            # Divide by the volume unit, 1 or i: multiply by its conjugate.
+            re, im = re * unit_re + im * unit_im, im * unit_re - re * unit_im
+            den = den_l * den_o * den_r
+            row.append(GaussianRational(Fraction(re, den), Fraction(im, den)))
+        out.append(row)
     return out
 
 

@@ -2,14 +2,15 @@
 
 Strict positivity of a (1,1)-form reduces to positive definiteness of its
 Hermitian matrix, decided by its exact inertia.  Positivity of a real
-(p,p)-form is decided by assembling the induced Hermitian pairing on the
-complementary space of holomorphic top fragments and computing its exact
-inertia.  Both inertias run the integer kernel of `bilinear` on the real form
-of the Hermitian matrix M; a refutation rebuilds the real basis vector (x, y)
-of the first negative pivot and takes v = x + iy, for which v^H M v < 0, as
-its witness.  Weak positivity is dual to the simple-form cone and only gets a
-sampling falsifier: a refutation carries a witness, absence of one proves
-nothing, and the verdict name says so.
+(p,p)-form is decided by the exact inertia of the induced Hermitian pairing on
+the complementary space of holomorphic top fragments, whose matrix
+exterior.top_pairings reads off the form's coefficients.  Both inertias run
+the integer kernel of `bilinear` on the real form of the Hermitian matrix M; a
+refutation rebuilds the real basis vector (x, y) of the first negative pivot
+and takes v = x + iy, for which v^H M v < 0, as its witness.  Weak positivity
+is dual to the simple-form cone and only gets a sampling falsifier: a
+refutation carries a witness, absence of one proves nothing, and the verdict
+name says so.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .bilinear import _hermitian_reduction, hermitian_inertia
-from .exterior import Form, HermitianMatrix, top_coefficient, top_ratio, wedge
+from .exterior import Form, HermitianMatrix, top_pairings, top_ratio, wedge
 from .gaussian import I
 from .sampling import derive_seed, random_one_form
 
@@ -58,7 +59,8 @@ def is_positive_pp(eta: Form) -> ConeVerdict:
     The pairing sends a holomorphic (d-p)-fragment b to the top ratio of
     eta ^ i^((d-p)^2) b ^ conj(b); eta is positive exactly when the induced
     Hermitian matrix over the canonical fragment basis is positive
-    semidefinite, and strictly positive when definite.
+    semidefinite, and strictly positive when definite.  The matrix is read
+    off eta's coefficients by exterior.top_pairings, with no wedge.
     """
     d = eta.d
     deg = eta.homogeneous_bidegree()
@@ -72,15 +74,11 @@ def is_positive_pp(eta: Form) -> ConeVerdict:
     q = d - p
     subsets = list(combinations(range(1, d + 1), q))
     unit = I ** (q * q)
-    mat = []
-    for S in subsets:
-        row = []
-        dzS = Form.term(d, S, [])
-        left = wedge(eta, dzS)
-        for T in subsets:
-            row.append(unit * top_coefficient(wedge(left, Form.term(d, [], T))))
-        mat.append(row)
-    inertia, vec = _hermitian_reduction(mat)
+    # eta has even degree, so eta ^ dz_S ^ dzb_T = dz_S ^ eta ^ dzb_T.
+    pairings = top_pairings(
+        [Form.term(d, S, []) for S in subsets], eta, [Form.term(d, [], T) for T in subsets]
+    )
+    inertia, vec = _hermitian_reduction([[unit * x for x in row] for row in pairings])
     if vec is not None:
         witness = Form(d, {})
         for coeff, S in zip(vec, subsets):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from hrlab.augmentation import _assemble, _check_weight
+from hrlab.augmentation import _check_weight
 from hrlab.bilinear import Signature, SymBilinearForm
 from hrlab.exterior import Form, indices_of, wedge
 from hrlab.gaussian import GaussianRational
@@ -465,10 +465,29 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r})"
 
 
-# -- second routes to Schur and derived Schur values -----------------------------
+# -- second routes to Schur and derived Schur values and to top pairings -------
 # Unlike the rest of this module, these routes reuse package primitives: the
-# elementary functions, the Schur expansion (over UniPoly, in schur_shifted),
-# the wedge, and augmentation's assembly of a matrix from its three slices.
+# elementary functions, the Schur expansion (over UniPoly, in schur_shifted)
+# and the wedge.
+
+
+def pairing_by_wedge(left, omega, right) -> list:
+    """The matrix of the top coefficient of l ^ omega ^ r, by wedging.
+
+    Each product is formed and its coefficient at the top monomial is read
+    against naive_vol, so parts of omega of other degrees, which only reach
+    other monomials, add nothing.  The oracle of exterior.top_pairings.
+    """
+    d = omega.d
+    full = (1 << d) - 1
+    ((_, unit),) = naive_vol(d).items()
+    out = []
+    for l in left:
+        lo = wedge(l, omega)
+        out.append(
+            [wedge(lo, r).terms.get((full, full), GaussianRational(0)) / unit for r in right]
+        )
+    return out
 
 
 def schur_by_permutations(parts, xs, one):
@@ -549,4 +568,14 @@ def intersection_form_by_product(space, lam, i: int) -> SymBilinearForm:
         c = s_hat.coeff(m - i) if m - i >= 0 else Form.zero(d)
         return wedge(c, hp)
 
-    return _assemble(space, slice_at(d), slice_at(d - 1), slice_at(d - 2))
+    # The W x W block, the W x zeta column and the zeta x zeta entry, each
+    # integrated from its own slice.
+    w = space.w_basis
+    one = [Form.scalar(d, 1)]
+    block = pairing_by_wedge(w, slice_at(d), w)
+    column = [row[0] for row in pairing_by_wedge(w, slice_at(d - 1), one)]
+    corner = pairing_by_wedge(one, slice_at(d - 2), one)[0][0]
+    rows = [row + [c] for row, c in zip(block, column)] + [column + [corner]]
+    if any(not x.is_real() for row in rows for x in row):
+        raise ValueError("the pairing of real forms came out complex")
+    return SymBilinearForm([[x.re for x in row] for row in rows])

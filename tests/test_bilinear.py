@@ -31,13 +31,14 @@ from hrlab.exterior import (
 )
 from hrlab.gaussian import GaussianRational
 from hrlab.sampling import random_hermitian, random_positive_form
-from hrlab.symfunc import schur
+from hrlab.symfunc import partitions, schur
 
 from oracles import (
     descartes_inertia,
     fraction_congruence_inertia,
     naive_product_of_forms,
     naive_top_coefficient,
+    pairing_by_wedge,
     random_symmetric_rows,
     realified,
 )
@@ -315,6 +316,17 @@ def test_gram_cross_checked_against_naive_oracle():
             oracle = naive_top_coefficient(naive_product_of_forms([bi, bj], d), d)
             assert oracle.is_real()
             assert g.matrix[i][j] == oracle.re
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_gram_matches_wedge_oracle_on_schur_forms(d):
+    rng = random.Random(600 + d)
+    lam = rng.choice(partitions(d - 2, 2))
+    omega = schur(lam, [random_positive_form(rng, d) for _ in range(2)])
+    basis = basis_11_real(d)
+    oracle = pairing_by_wedge(basis, omega, basis)
+    assert all(x.is_real() for row in oracle for x in row)
+    assert gram(omega).matrix == tuple(tuple(x.re for x in row) for row in oracle)
 
 
 def test_gram_zero_and_errors():

@@ -15,12 +15,14 @@ from hrlab.exterior import (
     hermitian_to_form,
     identity_form,
     top_coefficient,
+    top_pairings,
     top_ratio,
     vol_form,
     wedge,
 )
 from hrlab.gaussian import GaussianRational, I
-from hrlab.sampling import random_hermitian, random_positive_hermitian
+from hrlab.sampling import random_hermitian, random_positive_form, random_positive_hermitian
+from hrlab.symfunc import schur
 
 from oracles import (
     mixed_discriminant,
@@ -29,6 +31,7 @@ from oracles import (
     naive_product_of_forms,
     naive_top_coefficient,
     naive_vol,
+    pairing_by_wedge,
 )
 
 
@@ -290,6 +293,83 @@ def test_top_ratio_errors():
     with pytest.raises(ValueError):
         top_ratio(bad)
     assert top_ratio(Form.zero(3)) == 0
+
+
+# -- top pairings by coefficient lookup ------------------------------------------
+
+
+def random_rational_form(rng, d, density):
+    """Each monomial of any bidegree with the given probability; re and im
+    over different non-integer denominators."""
+    terms = {}
+    for key in all_monomials(d):
+        if rng.random() < density:
+            terms[key] = GaussianRational(
+                Fraction(rng.randint(-5, 5), rng.choice((2, 3, 7))),
+                Fraction(rng.randint(-5, 5), rng.choice((1, 5, 9))),
+            )
+    return Form(d, terms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_top_pairings_match_wedge_oracle_on_mixed_rational_forms(d):
+    rng = random.Random(400 + d)
+    nonzero = 0
+    for _ in range(4):
+        left = [random_rational_form(rng, d, 0.3) for _ in range(4)] + [Form.zero(d)]
+        right = [random_rational_form(rng, d, 0.3) for _ in range(3)]
+        omega = random_rational_form(rng, d, 0.5)
+        got = top_pairings(left, omega, right)
+        assert got == pairing_by_wedge(left, omega, right)
+        nonzero += sum(1 for row in got for x in row if x.re.denominator > 1 and x.im)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_top_pairings_zero_omega(d):
+    basis = basis_11_real(d)
+    got = top_pairings(basis, Form.zero(d), basis)
+    assert got == pairing_by_wedge(basis, Form.zero(d), basis)
+    assert all(x == 0 for row in got for x in row)
+    assert top_pairings([], Form.scalar(d, 1), basis) == []
+
+
+def test_top_pairings_d1_unit_pairing():
+    # At d = 1, i dz ^ dzb is the volume form, so it pairs with 1 as 1.
+    basis = basis_11_real(1)
+    one = [Form.scalar(1, 1)]
+    assert top_pairings(basis, Form.scalar(1, 3), one) == [[GaussianRational(3)]]
+    assert top_pairings(one, basis[0], one) == [[GaussianRational(1)]]
+    assert top_pairings(basis, Form.scalar(1, 1), basis) == pairing_by_wedge(
+        basis, Form.scalar(1, 1), basis
+    ) == [[GaussianRational(0)]]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_top_pairings_ignore_off_degree_parts_of_omega(d):
+    rng = random.Random(500 + d)
+    basis = basis_11_real(d)
+    middle = schur((1,) * (d - 2), [random_positive_form(rng, d) for _ in range(2)])
+    extra = Form(
+        d,
+        {
+            key: c
+            for key, c in random_rational_form(rng, d, 0.4).terms.items()
+            if key[0].bit_count() + key[1].bit_count() != 2 * (d - 2)
+        },
+    )
+    assert extra
+    expected = pairing_by_wedge(basis, middle, basis)
+    assert top_pairings(basis, middle + extra, basis) == expected
+    assert pairing_by_wedge(basis, middle + extra, basis) == expected
+    assert top_pairings(basis, middle, basis) == expected
+
+
+def test_top_pairings_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension"):
+        top_pairings([Form.scalar(2, 1)], Form.scalar(3, 1), [Form.scalar(3, 1)])
+    with pytest.raises(ValueError, match="dimension"):
+        top_pairings([Form.scalar(3, 1)], Form.scalar(3, 1), [Form.scalar(2, 1)])
 
 
 # -- Hermitian correspondence --------------------------------------------------

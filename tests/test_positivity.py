@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,8 @@ from hrlab.exterior import (
     HermitianMatrix,
     conjugate,
     hermitian_to_form,
+    top_coefficient,
+    top_pairings,
     top_ratio,
     vol_form,
     wedge,
@@ -28,7 +31,7 @@ from hrlab.positivity import (
 from hrlab.sampling import random_hermitian, random_one_form, random_positive_hermitian
 from hrlab.symfunc import schur
 
-from oracles import hermitian_det, leading_principal_minors
+from oracles import hermitian_det, leading_principal_minors, pairing_by_wedge
 
 
 def test_pd_examples():
@@ -115,6 +118,25 @@ def test_not_positive_witness_after_pair_step():
     assert v.cone == NOT_POSITIVE
     beta = v.witness
     assert top_ratio(wedge(eta, wedge(beta, conjugate(beta)).scale(I))) < 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_positive_pp_pairing_matches_wedge_oracle(d):
+    # The fragment pairing is_positive_pp signs, read three ways: by
+    # top_pairings (dz_S ^ eta ^ dzb_T), by the wedge oracle, and in the
+    # order eta ^ dz_S ^ dzb_T, equal because eta has even degree.
+    rng = random.Random(700 + d)
+    for p in range(d + 1):
+        eta = Form.scalar(d, 1)
+        for _ in range(p):
+            eta = wedge(eta, hermitian_to_form(random_hermitian(rng, d)))
+        subsets = list(combinations(range(1, d + 1), d - p))
+        dz = [Form.term(d, S, []) for S in subsets]
+        dzb = [Form.term(d, [], T) for T in subsets]
+        got = top_pairings(dz, eta, dzb)
+        assert got == pairing_by_wedge(dz, eta, dzb)
+        assert got == [[top_coefficient(wedge(wedge(eta, a), b)) for b in dzb] for a in dz]
+        assert any(x for row in got for x in row)
 
 
 def test_is_positive_pp_errors():
