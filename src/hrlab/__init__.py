@@ -18,7 +18,6 @@ from .augmentation import (
     TheoremVerdict,
     check_property_a,
     check_property_b,
-    derivative_inequality_defect,
     intersection_form,
     rank_drop_family,
     twist_family,
@@ -29,6 +28,8 @@ from .augmentation import (
 from .bilinear import (
     Signature,
     SymBilinearForm,
+    combine,
+    derivative_inequality_defect,
     gram,
     hermitian_inertia,
     hodge_index_defect,

@@ -20,14 +20,15 @@ support two verification routes to the Hodge-Riemann property: a first-order
 route (property A: five conditions on R, its derivative and zeta) driving a
 recursion in i, and a second-order route (property B) whose conclusion is the
 restriction to W.  Each check here is exact: the quantified inequalities are
-decided by positive semidefiniteness of assembled quadratic forms, never by
-sampling vectors.
+decided by positive semidefiniteness of the defect matrices bilinear builds,
+never by sampling vectors.
 
-Each check evaluates R_t (and R'_t for B) once per sampled t and signs it
-once; t = 0 is always the first sample and is R_0 itself, so the reported
-r0_signature is that sample's.  The verdicts read "R_0 is Hodge-Riemann with
-respect to h" off the report instead of signing R_0 again.  Both reports
-share one shape: the per-t serialiser, passed and max_passing_radius.
+Each check evaluates R_t (and R'_t for B) once per sampled t, over ints as
+one bilinear.combine with weights t^k, and signs it once; t = 0 is always the
+first sample and is R_0 itself, so the reported r0_signature is that
+sample's.  The verdicts read "R_0 is Hodge-Riemann with respect to h" off the
+report instead of signing R_0 again.  Both reports share one shape: the
+per-t serialiser, passed and max_passing_radius.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from typing import ClassVar, Optional, Sequence
 from .bilinear import (
     Signature,
     SymBilinearForm,
+    combine,
+    derivative_inequality_defect,
     hodge_index_defect,
     is_hr_wrt,
     is_psd,
@@ -199,15 +202,12 @@ class FormFamily:
         return self.coeffs[0].n
 
     def at(self, t) -> SymBilinearForm:
-        """Exact Horner evaluation at a rational parameter, on the raw rows."""
+        """Exact evaluation at a rational parameter: sum_k t^k c_k over ints."""
         t = as_fraction(t)
         if t == 0:
             # R_0 itself: the checks evaluate t = 0 often and it costs nothing.
             return self.coeffs[0]
-        rows = self.coeffs[-1].matrix
-        for c in reversed(self.coeffs[:-1]):
-            rows = [[t * x + y for x, y in zip(r, cr)] for r, cr in zip(rows, c.matrix)]
-        return SymBilinearForm(rows)
+        return combine([t**k for k in range(len(self.coeffs))], self.coeffs)
 
     def derivative(self) -> "FormFamily":
         if len(self.coeffs) == 1:
@@ -244,25 +244,6 @@ def twist_family(space: AugmentedSpace, lam, i: int) -> FormFamily:
             for k in range(i + 1)
         )
     )
-
-
-def derivative_inequality_defect(
-    q: SymBilinearForm, qp: SymBilinearForm, h
-) -> SymBilinearForm:
-    """Matrix of S(v) = 2*Qp(v,h)*Q(v,h) - Qp(v)*Q(h).
-
-    S positive semidefinite decides the first-derivative inequality
-    Qp(v)Q(h) <= 2*Qp(v,h)Q(v,h) for every v at once.
-    """
-    u = qp.pairing_vector(h)
-    w = q.pairing_vector(h)
-    qh = q.quad(h)
-    n = q.n
-    rows = [
-        [u[a] * w[b] + w[a] * u[b] - qh * qp.matrix[a][b] for b in range(n)]
-        for a in range(n)
-    ]
-    return SymBilinearForm(rows)
 
 
 def _weak_hr_sample(t: Fraction, qt: SymBilinearForm, h) -> dict:

@@ -1,13 +1,16 @@
 """Exact symmetric bilinear forms, signatures, and the Hodge-Riemann predicates.
 
+A SymBilinearForm is an int matrix over one positive denominator in lowest
+terms, read only here.  combine (R_t included), the restrictions and the
+defect matrices build their results over ints and skip the public checks.
+
 Every inertia in the package comes from one congruence kernel, fraction-free
-symmetric Bareiss elimination over Python ints.  A rational matrix enters
-scaled by the lcm of its denominators, and a Hermitian one M = A + iB as its
-real form [[A, -B], [B, A]], whose inertia is twice that of M.  The kernel
-pivots on the diagonal where it can, and when the remaining diagonal vanishes
-the basis change b_j += b_k exposes the diagonal entry 2a from a nonzero
-off-diagonal a.  Sylvester's law makes the count basis independent, so the
-result is exact.
+symmetric Bareiss elimination over Python ints.  A form enters as its int
+matrix, and a Hermitian one M = A + iB as its real form [[A, -B], [B, A]]
+scaled to ints, whose inertia is twice that of M.  The kernel pivots on the
+diagonal where it can, and when the remaining diagonal vanishes the basis
+change b_j += b_k exposes the diagonal entry 2a from a nonzero off-diagonal
+a.  Sylvester's law makes the count basis independent, so the result is exact.
 
 A form Q with Q(h) > 0 for some h has the Hodge-Riemann property when its
 signature is (1, n-1, 0); the weak variant with respect to h asks only for a
@@ -20,7 +23,7 @@ T(v) = Q(v,h)^2 - Q(v)Q(h).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .exterior import Form, basis_11_real, top_pairings, wedge  # wedge unused: perfbench's rebind test reads it
@@ -51,10 +54,21 @@ def _as_vector(v, n: int) -> tuple[Fraction, ...]:
     return vec
 
 
-class SymBilinearForm:
-    """Rational symmetric matrix; the caller knows the basis it is written in."""
+def _int_rows(rows) -> tuple[list[list[int]], int]:
+    """Rational rows as int rows over the lcm of their denominators, and that lcm."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
-    __slots__ = ("matrix",)
+
+def _dot(x, y) -> int:
+    """x . y over ints, reading only the nonzero coordinates of x."""
+    return sum(a * b for a, b in zip(x, y) if a)
+
+
+class SymBilinearForm:
+    """Rational symmetric matrix _ints / _den; the caller knows its basis."""
+
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, matrix):
         rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
@@ -65,77 +79,93 @@ class SymBilinearForm:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix is not symmetric")
-        object.__setattr__(self, "matrix", rows)
+        ints, den = _int_rows(rows)
+        object.__setattr__(self, "_ints", tuple(map(tuple, ints)))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _of(cls, ints, den: int) -> "SymBilinearForm":
+        """ints / den reduced by the gcd, trusting symmetric int rows and den > 0."""
+        if not ints:
+            raise ValueError("matrix must be square and non-empty")
+        g = gcd(den, *(x for row in ints for x in row))
+        form = object.__new__(cls)
+        object.__setattr__(form, "_ints", tuple(tuple(x // g for x in row) for row in ints))
+        object.__setattr__(form, "_den", den // g)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("SymBilinearForm is immutable")
 
     @staticmethod
     def zero(n: int) -> "SymBilinearForm":
-        z = Fraction(0)
-        return SymBilinearForm([[z] * n for _ in range(n)])
+        return SymBilinearForm._of([[0] * n for _ in range(n)], 1)
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The read-only view as Fraction rows, built anew on each read."""
+        return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._ints)
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return len(self._ints)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(map(any, self._ints))
+
+    def _image(self, v: Vector) -> tuple[list[int], list[int], int]:
+        """(x, A x, s) with v = x / s over ints, so Q(e_i, v) = (A x)_i / (den s).
+        Only the nonzero coordinates of v are read: h and zeta are sparse."""
+        (x,), s = _int_rows([_as_vector(v, self.n)])
+        nonzero = [(j, c) for j, c in enumerate(x) if c]
+        return x, [sum(row[j] * c for j, c in nonzero) for row in self._ints], s
 
     def value(self, u: Vector, v: Vector) -> Fraction:
-        u = _as_vector(u, self.n)
-        w = self.pairing_vector(v)
-        return sum((x * w[i] for i, x in enumerate(u) if x), Fraction(0))
+        (x,), su = _int_rows([_as_vector(u, self.n)])
+        _, w, sv = self._image(v)
+        return Fraction(_dot(x, w), self._den * su * sv)
 
     def quad(self, v: Vector) -> Fraction:
-        return self.value(v, v)
+        x, w, s = self._image(v)
+        return Fraction(_dot(x, w), self._den * s * s)
 
     def pairing_vector(self, h: Vector) -> tuple[Fraction, ...]:
-        """The vector of values Q(e_i, h) over the declared basis.
-
-        Only the nonzero coordinates of h are read: h and zeta are sparse.
-        """
-        nonzero = [(j, x) for j, x in enumerate(_as_vector(h, self.n)) if x]
-        return tuple(sum((row[j] * x for j, x in nonzero), Fraction(0)) for row in self.matrix)
+        """The vector of values Q(e_i, h) over the declared basis."""
+        _, w, s = self._image(h)
+        return tuple(Fraction(c, self._den * s) for c in w)
 
     def restrict_indices(self, indices: Sequence[int]) -> "SymBilinearForm":
-        return SymBilinearForm([[self.matrix[i][j] for j in indices] for i in indices])
+        return SymBilinearForm._of([[self._ints[i][j] for j in indices] for i in indices], self._den)
 
     def restrict_span(self, vectors: Sequence[Vector]) -> "SymBilinearForm":
-        vecs = [_as_vector(v, self.n) for v in vectors]
-        images = [self.pairing_vector(v) for v in vecs]
-        return SymBilinearForm(
-            [[sum(u[k] * img[k] for k in range(self.n)) for img in images] for u in vecs]
-        )
+        xs, s = _int_rows([_as_vector(v, self.n) for v in vectors])
+        images = [[_dot(x, row) for row in self._ints] for x in xs]
+        return SymBilinearForm._of([[_dot(x, w) for w in images] for x in xs], self._den * s * s)
 
     def __add__(self, other):
         if not isinstance(other, SymBilinearForm):
             return NotImplemented
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        return SymBilinearForm(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]
-        )
+        return combine((1, 1), (self, other))
 
     def __sub__(self, other):
         if not isinstance(other, SymBilinearForm):
             return NotImplemented
-        return self + (-1) * other
+        return combine((1, -1), (self, other))
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
-            return SymBilinearForm([[x * c for x in row] for row in self.matrix])
+            return combine((c,), (self,))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return (-1) * self
+        return combine((-1,), (self,))
 
     def __eq__(self, other):
         if not isinstance(other, SymBilinearForm):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self._den == other._den and self._ints == other._ints
 
     def __repr__(self):
         return f"SymBilinearForm(n={self.n})"
@@ -148,14 +178,19 @@ class SymBilinearForm:
         return SymBilinearForm([[Fraction(s) for s in row] for row in obj["matrix"]])
 
 
-def _integer_matrix(rows) -> list[list[int]]:
-    """The rational matrix times the lcm of its denominators.
-
-    The factor is positive, so the inertia is the same.
-    """
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    den = lcm(*{q for row in ratios for _, q in row})
-    return [[p * (den // q) for p, q in row] for row in ratios]
+def combine(weights: Sequence, forms: Sequence[SymBilinearForm]) -> SymBilinearForm:
+    """sum_k w_k Q_k for exact rational weights, over ints with one lcm denominator.
+    Raises ValueError on forms of different sizes or a count mismatch."""
+    n = forms[0].n
+    if any(f.n != n for f in forms):
+        raise ValueError("size mismatch")
+    terms = [(as_fraction(w), f) for w, f in zip(weights, forms, strict=True) if w]
+    den = lcm(*(w.denominator * f._den for w, f in terms))
+    rows = [[0] * n for _ in range(n)]
+    for w, f in terms:
+        c = w.numerator * (den // (w.denominator * f._den))
+        rows = [[x + c * y for x, y in zip(r, a)] for r, a in zip(rows, f._ints)]
+    return SymBilinearForm._of(rows, den)
 
 
 def _congruence(rows: list[list[int]]) -> list[tuple]:
@@ -242,7 +277,7 @@ def _count_signs(pivots, n: int) -> Signature:
 
 def signature(Q: SymBilinearForm) -> Signature:
     """Exact inertia (n_plus, n_minus, n_zero) via integer congruence."""
-    return _count_signs(_congruence(_integer_matrix(Q.matrix)), Q.n)
+    return _count_signs(_congruence(Q._ints), Q.n)
 
 
 def is_psd(Q: SymBilinearForm) -> bool:
@@ -268,16 +303,32 @@ def hodge_index_defect(Q: SymBilinearForm, h: Vector) -> SymBilinearForm:
 
     T positive semidefinite is equivalent to the Hodge-index inequality
     holding for every v, turning the universal quantifier into one exact
-    signature computation.
+    signature computation.  With h = x / s over ints, W = A x and q = x.W,
+    T = (W W^T - q A) / (den s)^2.
     """
-    w = Q.pairing_vector(h)
-    qh = Q.quad(h)
-    n = Q.n
+    x, w, s = Q._image(h)
+    q = _dot(x, w)
+    rows = [[wi * wj - q * a for wj, a in zip(w, row)] for wi, row in zip(w, Q._ints)]
+    return SymBilinearForm._of(rows, (Q._den * s) ** 2)
+
+
+def derivative_inequality_defect(
+    q: SymBilinearForm, qp: SymBilinearForm, h: Vector
+) -> SymBilinearForm:
+    """Matrix of S(v) = 2*Qp(v,h)*Q(v,h) - Qp(v)*Q(h).
+
+    S positive semidefinite decides the first-derivative inequality
+    Qp(v)Q(h) <= 2*Qp(v,h)Q(v,h) for every v at once: U W^T + W U^T - q A'
+    over den den' s^2, with U = A' x and W, q as in hodge_index_defect.
+    """
+    x, w, s = q._image(h)
+    _, u, _ = qp._image(h)
+    qh = _dot(x, w)
     rows = [
-        [w[i] * w[j] - qh * Q.matrix[i][j] for j in range(n)]
-        for i in range(n)
+        [ua * wb + wa * ub - qh * b for wb, ub, b in zip(w, u, row)]
+        for ua, wa, row in zip(u, w, qp._ints)
     ]
-    return SymBilinearForm(rows)
+    return SymBilinearForm._of(rows, q._den * qp._den * s * s)
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
@@ -416,7 +467,7 @@ def _realified(entries) -> list[list[int]]:
             real[2 * j][2 * k] = real[2 * j + 1][2 * k + 1] = z.re
             real[2 * j][2 * k + 1] = -z.im
             real[2 * j + 1][2 * k] = z.im
-    return _integer_matrix(real)
+    return _int_rows(real)[0]
 
 
 def _hermitian_reduction(entries) -> tuple[Signature, list[GaussianRational] | None]:

@@ -39,7 +39,7 @@ from .augmentation import (
     verify_augmentation2,
     verify_recursion,
 )
-from .bilinear import gram, is_hr_wrt, signature
+from .bilinear import combine, gram, is_hr_wrt, signature
 from .exterior import Form, form_to_hermitian
 from .gaussian import fraction_to_str
 from .positivity import is_positive_definite_11
@@ -235,11 +235,7 @@ def _gamma_trial_task(args: dict) -> dict:
     points = [tuple(Fraction(c, args["grid"]) for c in comp) for comp in args["points"]]
     out = []
     for x in points:
-        mat = None
-        for w, g in zip(x, grams):
-            piece = w * g
-            mat = piece if mat is None else mat + piece
-        sig = signature(mat)
+        sig = signature(combine(x, grams))
         out.append({"signature": list(sig), "hr": tuple(sig) == (1, d * d - 1, 0)})
     return {"trial": trial, "task_seed": task_seed, "per_point": out}
 
@@ -698,6 +694,9 @@ def main(argv=None) -> int:
         for flag in ("trials", "jobs"):
             if getattr(ns, flag) < 1:
                 raise UsageError(f"--{flag} must be at least 1, got {getattr(ns, flag)}")
+        # Checked before any task runs, so a bad path cannot cost a campaign.
+        if ns.out and (Path(ns.out).is_dir() or not Path(ns.out).parent.is_dir()):
+            raise UsageError(f"--out {ns.out} is not a file in an existing directory")
         report, code = ns.func(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

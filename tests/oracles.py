@@ -6,14 +6,15 @@ tuples with insertion-sort sign counting, determinants are expanded by
 cofactors or by plain elimination, inertia is read off the characteristic
 polynomial or found by rational congruence, elementary symmetric functions
 come from explicit subsets, the mixed discriminant from the double
-permutation sum, and UniPoly is a plain polynomial ring in one central
-variable.
+permutation sum, UniPoly is a plain polynomial ring in one central
+variable, and symmetric-form arithmetic (combinations, Horner and both defect
+matrices) is redone entry by entry on Fraction rows.
 """
 
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, gcd
 
 from hrlab.augmentation import _check_weight
 from hrlab.bilinear import Signature, SymBilinearForm
@@ -387,6 +388,55 @@ def brute_partitions(b: int, e: int) -> set:
     return out
 
 
+# -- symmetric-form arithmetic on Fraction rows -------------------------------
+# Entry by entry over Fraction rows, the references for the int matrix over
+# one denominator that bilinear computes with.  Each returns Fraction rows.
+
+
+def fraction_combination(weights, rows_list) -> list:
+    """sum_k w_k M_k, entrywise."""
+    n = len(rows_list[0])
+    return [
+        [sum((Fraction(w) * m[i][j] for w, m in zip(weights, rows_list)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def fraction_horner(coeff_rows, t) -> list:
+    """sum_k t^k C_k by Horner's rule, from the last coefficient down."""
+    rows = coeff_rows[-1]
+    for c in reversed(coeff_rows[:-1]):
+        rows = [[t * x + y for x, y in zip(r, cr)] for r, cr in zip(rows, c)]
+    return rows
+
+
+def _fraction_image(rows, h) -> list:
+    return [sum((x * y for x, y in zip(row, h)), Fraction(0)) for row in rows]
+
+
+def fraction_hodge_index_defect(rows, h) -> list:
+    """w_i w_j - Q(h) Q_ij with w = Q h."""
+    w = _fraction_image(rows, h)
+    qh = sum((x * y for x, y in zip(h, w)), Fraction(0))
+    return [[w[i] * w[j] - qh * rows[i][j] for j in range(len(w))] for i in range(len(w))]
+
+
+def fraction_derivative_inequality_defect(rows, rows_p, h) -> list:
+    """u_a w_b + w_a u_b - Q(h) Qp_ab with u = Qp h and w = Q h."""
+    u = _fraction_image(rows_p, h)
+    w = _fraction_image(rows, h)
+    qh = sum((x * y for x, y in zip(h, w)), Fraction(0))
+    n = len(w)
+    return [[u[a] * w[b] + w[a] * u[b] - qh * rows_p[a][b] for b in range(n)] for a in range(n)]
+
+
+def in_lowest_terms(Q: SymBilinearForm) -> bool:
+    """The representation invariant: int entries over a denominator > 0 that
+    shares no factor with all of them."""
+    entries = [x for row in Q._ints for x in row]
+    return all(type(x) is int for x in entries) and Q._den > 0 and gcd(Q._den, *entries) == 1
+
+
 # -- seeded test data ------------------------------------------------------------
 
 
@@ -396,6 +446,24 @@ def random_symmetric_rows(rng, n: int, box: int = 5) -> list:
         for j in range(i, n):
             rows[i][j] = rows[j][i] = Fraction(rng.randint(-box, box))
     return rows
+
+
+def rational_rows(rng, n: int) -> list:
+    """A symmetric Fraction matrix with denominators up to 100^3."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            den = rng.choice([1, 3, 7, 100, 300, 100**2, 7 * 100**2, 100**3])
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-999, 999), den)
+    return rows
+
+
+def mixed_vector(rng, n: int) -> tuple:
+    """A vector with mixed denominators and some zero coordinates."""
+    return tuple(
+        Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.choice([1, 2, 3, 10, 49, 100]))
+        for _ in range(n)
+    )
 
 
 # -- polynomials in one central variable ----------------------------------------

@@ -23,7 +23,13 @@ from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_fo
 from hrlab.sampling import random_positive_form
 from hrlab.symfunc import Partition, derived_schur, schur
 
-from oracles import intersection_form_by_product, schur_shifted
+from oracles import (
+    fraction_horner,
+    in_lowest_terms,
+    intersection_form_by_product,
+    rational_rows,
+    schur_shifted,
+)
 
 
 def make_space(d, e, seed, random_h=False):
@@ -447,6 +453,20 @@ def test_family_at_equals_direct_sum():
                 for a in range(n)
             ]
             assert fam.at(t).matrix == tuple(tuple(row) for row in want)
+
+
+def test_family_at_matches_fraction_horner():
+    rng = random.Random(42)
+    ts = [Fraction(1, 100), Fraction(-1, 100), Fraction(1, 10), Fraction(-1, 10), Fraction(7, 3), Fraction(-5, 2)]
+    for count in (1, 2, 4, 6):
+        for n in (1, 3, 5):
+            coeffs = [rational_rows(rng, n) for _ in range(count)]
+            fam = FormFamily(SymBilinearForm(c) for c in coeffs)
+            for t in ts:
+                got = fam.at(t)
+                assert in_lowest_terms(got)
+                assert got.matrix == tuple(tuple(row) for row in fraction_horner(coeffs, t))
+            assert fam.at(0) is fam.coeffs[0]
 
 
 REUSE_SPACES = [(3, 1, (1,), 51), (4, 2, (2,), 52), (4, 2, (1, 1), 53)]

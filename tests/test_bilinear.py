@@ -8,8 +8,9 @@ from hrlab.bilinear import (
     SymBilinearForm,
     _congruence,
     _congruence_vector,
-    _integer_matrix,
     _realified,
+    combine,
+    derivative_inequality_defect,
     gram,
     hermitian_inertia,
     hodge_index_defect,
@@ -35,11 +36,17 @@ from hrlab.symfunc import partitions, schur
 
 from oracles import (
     descartes_inertia,
+    fraction_combination,
     fraction_congruence_inertia,
+    fraction_derivative_inequality_defect,
+    fraction_hodge_index_defect,
+    in_lowest_terms,
+    mixed_vector,
     naive_product_of_forms,
     naive_top_coefficient,
     pairing_by_wedge,
     random_symmetric_rows,
+    rational_rows,
     realified,
 )
 from hrlab.exterior import basis_11_real
@@ -438,7 +445,7 @@ def test_pair_step_inertia_matches_descartes(hermitian):
             rows, expected = hyperbolic_plus_diagonal(rng, n, hermitian)
             for M in (permuted_copy(rng, rows), lower_congruent_copy(rng, rows, hermitian)):
                 # The kernel runs on integers; Hermitian input enters realified.
-                A = _realified(M) if hermitian else _integer_matrix(M)
+                A = _realified(M) if hermitian else SymBilinearForm(M)._ints
                 size = len(A)
                 pivots = _congruence(A)
                 steps = [s for s, (_, _, pair, _) in enumerate(pivots) if pair is not None]
@@ -542,7 +549,7 @@ def test_integer_kernel_pair_step_on_zero_diagonal_blocks(hermitian):
                 rows[i][j] = rows[j][i] = rows[i][j] * 0
             rows[i][i] += Fraction(rng.choice([-3, -1, 2, 5]), 100 ** rng.randint(0, 3))
         rows = permuted_copy(rng, rows)
-        A = _realified(rows) if hermitian else _integer_matrix(rows)
+        A = _realified(rows) if hermitian else SymBilinearForm(rows)._ints
         pivots = _congruence(A)
         steps = [s for s, (_, _, pair, _) in enumerate(pivots) if pair is not None]
         assert steps and steps[0] == (2 if hermitian else 1) * (n - k)
@@ -585,3 +592,100 @@ def test_integer_kernel_matches_oracle_on_d7_gram():
     g = gram(omega)
     assert g.n == 49
     assert signature(g) == fraction_congruence_inertia(g.matrix) == Signature(1, 48, 0)
+
+
+# -- the int matrix over one denominator, against Fraction rows ---------------------
+
+
+def as_rows(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+WEIGHTS = [Fraction(1, 100), Fraction(-1, 100), Fraction(1, 10), Fraction(-1, 10), Fraction(7, 3), Fraction(-5, 2)]
+
+
+def test_public_constructor_is_in_lowest_terms():
+    rng = random.Random(91)
+    for n in (1, 2, 5):
+        rows = rational_rows(rng, n)
+        Q = SymBilinearForm(rows)
+        assert in_lowest_terms(Q) and Q.matrix == as_rows(rows)
+    assert in_lowest_terms(SymBilinearForm.zero(3))
+    assert SymBilinearForm([[Fraction(2, 4), 0], [0, 3]]) == SymBilinearForm([[Fraction(1, 2), 0], [0, 3]])
+
+
+def test_combine_matches_entrywise_oracle():
+    rng = random.Random(92)
+    for n in (1, 3, 6):
+        for count in (1, 2, 4):
+            rows_list = [rational_rows(rng, n) for _ in range(count)]
+            forms = [SymBilinearForm(r) for r in rows_list]
+            weights = [rng.choice(WEIGHTS + [0, 1, -3]) for _ in range(count)]
+            got = combine(weights, forms)
+            assert in_lowest_terms(got)
+            assert got.matrix == as_rows(fraction_combination(weights, rows_list))
+        P, Q = forms[0], forms[-1]
+        for got, want in (
+            (P + Q, fraction_combination((1, 1), (rows_list[0], rows_list[-1]))),
+            (P - Q, fraction_combination((1, -1), (rows_list[0], rows_list[-1]))),
+            (Fraction(-5, 2) * P, fraction_combination((Fraction(-5, 2),), (rows_list[0],))),
+            (-P, fraction_combination((-1,), (rows_list[0],))),
+        ):
+            assert in_lowest_terms(got) and got.matrix == as_rows(want)
+
+
+def test_form_arithmetic_identities_and_size_mismatch():
+    rng = random.Random(93)
+    for n in (1, 4):
+        Q = SymBilinearForm(rational_rows(rng, n))
+        assert 2 * (Fraction(1, 2) * Q) == Q
+        assert Q - Q == SymBilinearForm.zero(n)
+        assert in_lowest_terms(Q - Q) and (Q - Q).is_zero()
+        assert Q.is_zero() or Fraction(1, 2) * Q != Q
+    with pytest.raises(ValueError):
+        combine((1, 1), (SymBilinearForm.zero(2), SymBilinearForm.zero(3)))
+    with pytest.raises(ValueError):
+        SymBilinearForm.zero(2) + SymBilinearForm.zero(3)
+    with pytest.raises(ValueError):
+        combine((1,), (SymBilinearForm.zero(2), SymBilinearForm.zero(2)))
+    # Restrictions to nothing are rejected, as the public constructor rejects [].
+    with pytest.raises(ValueError, match="non-empty"):
+        SymBilinearForm.zero(2).restrict_indices([])
+    with pytest.raises(ValueError, match="non-empty"):
+        SymBilinearForm.zero(2).restrict_span([])
+
+
+def test_values_and_restrictions_match_fraction_rows():
+    rng = random.Random(94)
+    for n in (2, 5):
+        rows = rational_rows(rng, n)
+        Q = SymBilinearForm(rows)
+        u, v = mixed_vector(rng, n), mixed_vector(rng, n)
+        image = [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in rows]
+        assert Q.pairing_vector(v) == tuple(image)
+        assert Q.value(u, v) == sum((x * y for x, y in zip(u, image)), Fraction(0))
+        assert Q.quad(v) == sum((x * y for x, y in zip(v, image)), Fraction(0))
+        span = Q.restrict_span([u, v])
+        assert in_lowest_terms(span)
+        assert span.matrix == ((Q.quad(u), Q.value(u, v)), (Q.value(v, u), Q.quad(v)))
+        sub = Q.restrict_indices([n - 1, 0])
+        assert in_lowest_terms(sub)
+        assert sub.matrix == ((rows[n - 1][n - 1], rows[n - 1][0]), (rows[0][n - 1], rows[0][0]))
+
+
+def test_defects_match_fraction_oracles():
+    rng = random.Random(95)
+    for n in (1, 3, 6):
+        for _ in range(3):
+            rows, rows_p = rational_rows(rng, n), rational_rows(rng, n)
+            h = mixed_vector(rng, n)
+            T = hodge_index_defect(SymBilinearForm(rows), h)
+            assert in_lowest_terms(T)
+            assert T.matrix == as_rows(fraction_hodge_index_defect(rows, h))
+            S = derivative_inequality_defect(SymBilinearForm(rows), SymBilinearForm(rows_p), h)
+            assert in_lowest_terms(S)
+            assert S.matrix == as_rows(fraction_derivative_inequality_defect(rows, rows_p, h))
+
+
+def test_hermitian_inertia_of_the_empty_matrix():
+    assert hermitian_inertia([]) == Signature(0, 0, 0)

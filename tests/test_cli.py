@@ -211,6 +211,31 @@ def test_trials_and_jobs_below_one_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "worker, command",
+    [
+        ("_hr_task", ["verify-hr", "--d", "3", "--e", "1"]),
+        ("_family_task", ["family", "--d", "4", "--e", "1", "--check", "A"]),
+        ("_gamma_trial_task", ["gamma-scan", "--d", "3", "--e", "1"]),
+    ],
+)
+def test_unusable_out_path_exits_2_before_any_task(tmp_path, monkeypatch, capsys, worker, command):
+    calls = []
+    real = getattr(cli, worker)
+
+    def counting(task):
+        calls.append(task)
+        return real(task)
+
+    monkeypatch.setattr(cli, worker, counting)
+    for out in (tmp_path / "no" / "such" / "r.json", tmp_path):
+        assert run_main(command + ["--seed", "1", "--jobs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "no").exists()
+
+
 # -- worker exceptions -------------------------------------------------------------
 
 
