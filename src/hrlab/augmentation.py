@@ -46,6 +46,7 @@ from .bilinear import (
     hodge_index_defect,
     is_hr_wrt,
     is_psd,
+    pairing_form,
     signature,
 )
 from .exterior import (
@@ -54,7 +55,6 @@ from .exterior import (
     coords_11_real,
     form_to_hermitian,
     identity_form,
-    top_pairings,
     wedge,
 )
 from .gaussian import as_fraction, fraction_to_str
@@ -158,7 +158,7 @@ def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
 
     The integrand is the sum of the derived coefficients d-i, d-i-1 and d-i-2,
     wedged once with h^(d-i).  zeta pairs as the unit form, so pairing the
-    integrand over W's basis followed by 1 (exterior.top_pairings) reads the
+    integrand over W's basis followed by 1 (bilinear.pairing_form) reads the
     W x W block off its (d-2,d-2) part, the W x zeta column off its
     (d-1,d-1) part and the zeta x zeta entry off its (d,d) part.  Outside
     0 <= i <= d the form is zero.
@@ -176,8 +176,7 @@ def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
         coeffs = space.derived_coeffs(lam)
         slices = sum(coeffs[max(d - i - 2, 0) : d - i + 1], Form.zero(d))
         basis = space.w_basis + (Form.scalar(d, 1),)
-        pairings = top_pairings(basis, wedge(slices, space.h_power(d - i)), basis)
-        out = SymBilinearForm([[x.re for x in row] for row in pairings])
+        out = pairing_form(basis, wedge(slices, space.h_power(d - i)))
     space._qi[key] = out
     return out
 

@@ -425,13 +425,24 @@ def proportionality_witness(
     return kappa
 
 
+def pairing_form(basis: Sequence[Form], omega: Form) -> SymBilinearForm:
+    """The form (a, b) -> top_ratio(a ^ omega ^ b) over basis, from the int
+    matrix of exterior.top_pairings over its denominator.
+
+    The trusted constructor may skip the public checks: for a real omega and
+    a basis of real even-degree forms, a ^ omega ^ b = b ^ omega ^ a is real,
+    so the imaginary parts vanish and the real parts are symmetric.
+    """
+    rows, den = top_pairings(basis, omega, basis)
+    return SymBilinearForm._of([[re for re, _ in row] for row in rows], den)
+
+
 def gram(omega: Form) -> SymBilinearForm:
     """Intersection form (a, b) -> top_ratio(a ^ omega ^ b) over basis_11_real.
 
     omega must be a real homogeneous (d-2, d-2)-form with d >= 2; the result
-    is the d^2 x d^2 rational symmetric matrix of the pairing, read off
-    omega's coefficients by exterior.top_pairings.  The pairing of real forms
-    is real, so only the real parts are kept.
+    is the d^2 x d^2 rational symmetric matrix of the pairing, from
+    pairing_form.
     """
     d = omega.d
     if d < 2:
@@ -440,8 +451,7 @@ def gram(omega: Form) -> SymBilinearForm:
         raise ValueError(f"expected a ({d-2},{d-2})-form")
     if not omega.is_real():
         raise ValueError("expected a real form")
-    basis = basis_11_real(d)
-    return SymBilinearForm([[x.re for x in row] for row in top_pairings(basis, omega, basis)])
+    return pairing_form(basis_11_real(d), omega)
 
 
 def _realified(entries) -> list[list[int]]:

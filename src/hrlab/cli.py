@@ -57,18 +57,20 @@ class UsageError(Exception):
 # -- flag parsing -----------------------------------------------------------
 
 
-def parse_range(text: str, name: str) -> list[int]:
+def parse_range(text: str, name: str, supported: range | None = None) -> list[int]:
+    """N or LO..HI as a list.  A bound outside `supported` is a usage error,
+    raised before the list is built."""
     text = text.strip()
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            lo, hi = int(lo), int(hi)
-            if lo > hi:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, hi = map(int, text.split("..")) if ".." in text else (int(text),) * 2
+        if lo > hi:
+            raise ValueError
     except ValueError:
         raise UsageError(f"cannot parse {name} range {text!r}; use N or LO..HI") from None
+    for bound in (lo, hi) if supported is not None else ():
+        if bound not in supported:
+            raise UsageError(f"{name} {bound} outside the supported range {supported[0]}..{supported[-1]}")
+    return list(range(lo, hi + 1))
 
 
 def parse_partition(text: str) -> Partition:
@@ -291,9 +293,8 @@ def _campaign(ns: argparse.Namespace):
     Returns (d list, e list, explicit partition or None, tasks): one task per
     (d, e, lam, trial), lam the explicit partition or each admissible one.
     """
-    dlist = parse_range(ns.d, "--d")
+    dlist = parse_range(ns.d, "--d", SUPPORTED_D)
     elist = parse_range(ns.e, "--e")
-    _validate_supported(dlist)
     forms_json, forms_d = _load_forms(ns)
     if forms_json is not None:
         dlist = [forms_d]
@@ -484,12 +485,11 @@ def _builtin_minkowski() -> dict:
 
 
 def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
-    dlist = parse_range(ns.d, "--d")
+    dlist = parse_range(ns.d, "--d", SUPPORTED_D)
     elist = parse_range(ns.e, "--e")
     if len(dlist) != 1 or len(elist) != 1:
         raise UsageError("gamma-scan needs a single --d and --e")
     d, e = dlist[0], elist[0]
-    _validate_supported([d])
     if ns.grid < 1:
         raise UsageError("--grid must be at least 1")
     forms_json, forms_d = _load_forms(ns)
@@ -561,12 +561,6 @@ def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
 # -- shared plumbing --------------------------------------------------------
 
 
-def _validate_supported(dlist: list[int]) -> None:
-    for d in dlist:
-        if d not in SUPPORTED_D:
-            raise UsageError(f"d={d} outside the supported range 2..8")
-
-
 def _require_seed(ns: argparse.Namespace, randomized: bool) -> None:
     if randomized and ns.seed is None:
         raise UsageError("--seed is mandatory for randomized commands")
@@ -589,12 +583,16 @@ def _load_forms(ns: argparse.Namespace):
         obj = obj.get("omegas", obj.get("forms"))
     if not isinstance(obj, list) or not obj:
         raise UsageError("forms file must hold a non-empty list under 'omegas'")
+    # Checked before Form.from_json, which allocates by the dimension.
+    for f in obj:
+        d = f.get("dimension") if isinstance(f, dict) else None
+        if not isinstance(d, int) or d not in SUPPORTED_D:
+            raise UsageError(f"forms file: dimension {d!r} outside the supported range 2..8")
     try:
         forms = [Form.from_json(f) for f in obj]
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed form in file: {exc}") from None
     d = forms[0].d
-    _validate_supported([d])
     for f in forms:
         if f.d != d:
             raise UsageError("forms file mixes dimensions")

@@ -7,23 +7,25 @@ factors first in ascending index order, followed by all dzb factors in
 ascending index order.  Every Koszul sign in the algebra is computed against
 this normal form, which makes the wedge sign a pure popcount computation.
 
-Forms are sparse maps from monomials to Gaussian-rational coefficients.  They
-are immutable after construction and every operation here is pure.  The wedge
-product, the hot loop of Schur evaluation, reads each factor once over a
-common denominator and multiplies Gaussian integers (pairs of Python ints);
-only the surviving sums become Gaussian rationals.  Every matrix of top-degree
-pairings (a, b) -> top_coefficient(a ^ omega ^ b) comes from top_pairings,
-which reads omega's coefficients at complements instead of wedging.
+A form stores Gaussian integers over one positive denominator in lowest
+terms, keyed by packed monomials; only this module reads that representation,
+and `terms` is a read-only view of it as Gaussian rationals.  Forms are
+immutable and every operation here is pure.  The wedge product, the hot loop
+of Schur evaluation, multiplies the stored Gaussian integers (pairs of Python
+ints) directly.  Every matrix of top-degree pairings
+(a, b) -> top_coefficient(a ^ omega ^ b) comes from top_pairings, which reads
+omega's coefficients at complements instead of wedging and returns Gaussian
+integers over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .gaussian import GaussianRational, I, as_fraction
+from .gaussian import GaussianRational, I, RationalLike, as_fraction
 
 MaskPair = tuple[int, int]
 
@@ -54,27 +56,58 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 
 class Form:
-    """Sparse element of the exterior algebra on d generators and conjugates."""
+    """Sparse element of the exterior algebra on d generators and conjugates.
 
-    __slots__ = ("d", "terms")
+    _coeffs maps a packed monomial (the dz mask in the low d bits, the dzb
+    mask above, so ascending bit order is the canonical generator order) to
+    (re, im), the coefficient (re + im*i)/_den.  No entry is zero and the gcd
+    of _den > 0 with every re and im is 1, so equal forms store equal values.
+    """
+
+    __slots__ = ("d", "_den", "_coeffs")
 
     def __init__(self, d: int, terms: Mapping[MaskPair, GaussianRational] | None = None):
         if d < 1:
             raise ValueError("dimension must be positive")
-        clean: dict[MaskPair, GaussianRational] = {}
-        if terms:
-            full = (1 << d) - 1
-            for (h, a), c in terms.items():
-                if h & ~full or a & ~full:
-                    raise ValueError("monomial index exceeds dimension")
-                c = GaussianRational.of(c)
-                if c:
-                    clean[(h, a)] = c
+        full = (1 << d) - 1
+        parts = []
+        for (h, a), c in (terms or {}).items():
+            if h & ~full or a & ~full:
+                raise ValueError("monomial index exceeds dimension")
+            c = GaussianRational.of(c)
+            if c:
+                parts.append((h | (a << d), c.re.as_integer_ratio(), c.im.as_integer_ratio()))
+        # Scaling by the lcm of the denominators leaves the form in lowest terms.
+        den = lcm(*(x[1] for _, re, im in parts for x in (re, im)))
+        coeffs = {m: (re[0] * (den // re[1]), im[0] * (den // im[1])) for m, re, im in parts}
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, d: int, den: int, coeffs: dict[int, tuple[int, int]]) -> "Form":
+        """coeffs / den reduced by the gcd, trusting den > 0 and nonzero entries."""
+        g = gcd(den, *(x for c in coeffs.values() for x in c))
+        if g > 1:
+            coeffs = {m: (re // g, im // g) for m, (re, im) in coeffs.items()}
+        form = object.__new__(cls)
+        object.__setattr__(form, "d", d)
+        object.__setattr__(form, "_den", den // g)
+        object.__setattr__(form, "_coeffs", coeffs)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
+
+    def _gaussian(self, m: int) -> GaussianRational:
+        re, im = self._coeffs.get(m, (0, 0))
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
+
+    @property
+    def terms(self) -> dict[MaskPair, GaussianRational]:
+        """The read-only view {(dz mask, dzb mask): coefficient}, built anew on each read."""
+        full = (1 << self.d) - 1
+        return {(m & full, m >> self.d): self._gaussian(m) for m in self._coeffs}
 
     # -- constructors -----------------------------------------------------
 
@@ -101,16 +134,17 @@ class Form:
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._coeffs)
 
     def coefficient(self, dz: Iterable[int], dzbar: Iterable[int]) -> GaussianRational:
-        return self.terms.get((mask_of(dz, self.d), mask_of(dzbar, self.d)), GaussianRational(0))
+        return self._gaussian(mask_of(dz, self.d) | mask_of(dzbar, self.d) << self.d)
 
     def bidegrees(self) -> set[tuple[int, int]]:
-        return {(h.bit_count(), a.bit_count()) for (h, a) in self.terms}
+        full = (1 << self.d) - 1
+        return {((m & full).bit_count(), (m >> self.d).bit_count()) for m in self._coeffs}
 
     def homogeneous_bidegree(self) -> tuple[int, int] | None:
         """The (p,q) shared by all monomials, or None for zero or mixed forms."""
@@ -132,18 +166,17 @@ class Form:
             return NotImplemented
         if other.d != self.d:
             raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key)
-            s = c if acc is None else acc + c
-            if s:
-                terms[key] = s
-            elif acc is not None:
-                del terms[key]
-        out = Form.__new__(Form)
-        object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "terms", terms)
-        return out
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        coeffs = {m: (re * fa, im * fa) for m, (re, im) in self._coeffs.items()}
+        for m, (re, im) in other._coeffs.items():
+            r0, i0 = coeffs.get(m, (0, 0))
+            c = (r0 + re * fb, i0 + im * fb)
+            if c[0] or c[1]:
+                coeffs[m] = c
+            else:
+                del coeffs[m]
+        return Form._of(self.d, den, coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -154,14 +187,16 @@ class Form:
         return self.scale(-1)
 
     def scale(self, value) -> "Form":
-        c = GaussianRational.of(value)
-        out = Form.__new__(Form)
-        object.__setattr__(out, "d", self.d)
-        if not c:
-            object.__setattr__(out, "terms", {})
-        else:
-            object.__setattr__(out, "terms", {k: v * c for k, v in self.terms.items()})
-        return out
+        parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value, 0)
+        if not all(isinstance(x, RationalLike) for x in parts):
+            raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+        (cr, rd), (ci, id_) = (x.as_integer_ratio() for x in parts)
+        cden = lcm(rd, id_)
+        cr, ci = cr * (cden // rd), ci * (cden // id_)
+        if not (cr or ci):
+            return Form._of(self.d, 1, {})
+        coeffs = {m: (re * cr - im * ci, re * ci + im * cr) for m, (re, im) in self._coeffs.items()}
+        return Form._of(self.d, self._den * cden, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Form):
@@ -186,14 +221,13 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self.d == other.d and self.terms == other.terms
+        return (self.d, self._den, self._coeffs) == (other.d, other._den, other._coeffs)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._coeffs:
             return f"Form(d={self.d}, 0)"
         bits = []
-        for (h, a) in sorted(self.terms):
-            c = self.terms[(h, a)]
+        for (h, a), c in sorted(self.terms.items()):
             gens = [f"dz{j}" for j in indices_of(h)] + [f"dzb{j}" for j in indices_of(a)]
             mono = "^".join(gens) if gens else "1"
             bits.append(f"({c})*{mono}")
@@ -203,11 +237,11 @@ class Form:
 
     def to_json(self) -> dict:
         terms = []
-        for (h, a) in sorted(self.terms):
+        for (h, a), c in sorted(self.terms.items()):
             terms.append(
                 {
                     "monomial": {"dz": list(indices_of(h)), "dzbar": list(indices_of(a))},
-                    "coeff": self.terms[(h, a)].to_json(),
+                    "coeff": c.to_json(),
                 }
             )
         return {"dimension": self.d, "terms": terms}
@@ -222,20 +256,6 @@ class Form:
                 raise ValueError("duplicate monomial in serialized form")
             terms[key] = GaussianRational.from_json(t["coeff"])
         return Form(d, terms)
-
-
-def _gaussian_integer_rows(a: Form) -> tuple[int, list[tuple[int, int, int]]]:
-    """(den, rows): each term of `a` as (monomial, re, im) with coefficient
-    (re + im*i)/den, den the lcm of the component denominators.  The monomial
-    packs the dz mask into the low d bits and the dzb mask above them, so
-    ascending bit order is the canonical generator order."""
-    d = a.d
-    items = [
-        (h | (am << d), c.re.as_integer_ratio(), c.im.as_integer_ratio())
-        for (h, am), c in a.terms.items()
-    ]
-    den = lcm(*{r[1] for _, r, _ in items}, *{i[1] for _, _, i in items})
-    return den, [(m, r[0] * (den // r[1]), i[0] * (den // i[1])) for m, r, i in items]
 
 
 @lru_cache(maxsize=None)
@@ -255,22 +275,20 @@ def _parity_above(m: int) -> int:
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product.  Bilinear, associative, graded-commutative.
 
-    The pair loop runs over Gaussian integers: each operand is read once over
-    a common denominator, products are summed per output monomial, and only
-    the sums that are not exactly zero become GaussianRational coefficients.
+    The pair loop multiplies the stored Gaussian integers, sums the products
+    per output monomial and keeps the sums that are not exactly zero, over
+    the product of the two denominators.
     """
     if not isinstance(a, Form) or not isinstance(b, Form):
         raise TypeError("wedge expects two forms")
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    d = a.d
-    den_a, rows_a = _gaussian_integer_rows(a)
-    den_b, rows_b = _gaussian_integer_rows(b)
+    rows_b = list(b._coeffs.items())
     acc_re: dict[int, int] = {}
     acc_im: dict[int, int] = {}
-    for m1, r1, i1 in rows_a:
+    for m1, (r1, i1) in a._coeffs.items():
         sign_mask = _parity_above(m1)
-        for m2, r2, i2 in rows_b:
+        for m2, (r2, i2) in rows_b:
             if m1 & m2:
                 continue
             re = r1 * r2 - i1 * i2
@@ -285,44 +303,38 @@ def wedge(a: Form, b: Form) -> Form:
             else:
                 acc_re[key] = re
                 acc_im[key] = im
-    den = den_a * den_b
-    full = (1 << d) - 1
-    terms: dict[MaskPair, GaussianRational] = {}
-    for key, re in acc_re.items():
-        im = acc_im[key]
-        if re or im:
-            terms[(key & full, key >> d)] = GaussianRational(Fraction(re, den), Fraction(im, den))
-    out = Form.__new__(Form)
-    object.__setattr__(out, "d", d)
-    object.__setattr__(out, "terms", terms)
-    return out
+    coeffs = {key: (re, acc_im[key]) for key, re in acc_re.items() if re or acc_im[key]}
+    return Form._of(a.d, a._den * b._den, coeffs)
 
 
-def top_pairings(left: Sequence[Form], omega: Form, right: Sequence[Form]) -> list[list[GaussianRational]]:
-    """The matrix of top_coefficient(l ^ omega ^ r) over l in left, r in right.
+def top_pairings(
+    left: Sequence[Form], omega: Form, right: Sequence[Form]
+) -> tuple[list[list[tuple[int, int]]], int]:
+    """The matrix of top_coefficient(l ^ omega ^ r) over l in left, r in right,
+    as (rows, den): rows[j][k] = (re, im) stands for (re + im*i)/den, with den
+    the lcm of the left denominators times omega's times the lcm of the right.
 
     No product is formed.  Monomials m1 of l and m2 of r reach top degree
     only through omega's coefficient at the complement of m1 | m2, so each
-    entry is a signed sum of such coefficients, read over Gaussian integers
-    with one denominator per form; the Koszul signs come from _parity_above.
-    Parts of omega of any other degree meet no complement and add nothing.
+    entry is a signed sum of such coefficients; the Koszul signs come from
+    _parity_above.  Parts of omega of any other degree meet no complement and
+    add nothing.
     """
     d = omega.d
     if any(f.d != d for f in (*left, *right)):
         raise ValueError("dimension mismatch")
     top = (1 << (2 * d)) - 1
-    unit = _vol_unit(d)
-    unit_re, unit_im = int(unit.re), int(unit.im)
-    den_o, rows_o = _gaussian_integer_rows(omega)
-    omega_at = {m: (r, i) for m, r, i in rows_o}
-    right_rows = [_gaussian_integer_rows(r) for r in right]
+    unit_re, unit_im = (0, 1) if d & 1 else (1, 0)  # _vol_unit(d) = i**(d*d)
+    omega_at = omega._coeffs
+    den_l, den_r = lcm(*(f._den for f in left)), lcm(*(f._den for f in right))
+    right_rows = [(den_r // r._den, list(r._coeffs.items())) for r in right]
     out = []
-    for den_l, rows_l in map(_gaussian_integer_rows, left):
+    for l in left:
         row = []
-        for den_r, rows_r in right_rows:
+        for scale_r, rows_r in right_rows:
             re = im = 0
-            for m1, r1, i1 in rows_l:
-                for m2, r2, i2 in rows_r:
+            for m1, (r1, i1) in l._coeffs.items():
+                for m2, (r2, i2) in rows_r:
                     c = top ^ m1 ^ m2
                     if m1 & m2 or c not in omega_at:
                         continue
@@ -335,27 +347,24 @@ def top_pairings(left: Sequence[Form], omega: Form, right: Sequence[Form]) -> li
                     re += t_re
                     im += t_im
             # Divide by the volume unit, 1 or i: multiply by its conjugate.
-            re, im = re * unit_re + im * unit_im, im * unit_re - re * unit_im
-            den = den_l * den_o * den_r
-            row.append(GaussianRational(Fraction(re, den), Fraction(im, den)))
+            s = (den_l // l._den) * scale_r
+            row.append(((re * unit_re + im * unit_im) * s, (im * unit_re - re * unit_im) * s))
         out.append(row)
-    return out
+    return out, den_l * omega._den * den_r
 
 
 def conjugate(a: Form) -> Form:
     """Antilinear involution swapping dz and dzb; maps bidegree (p,q) to (q,p)."""
-    terms: dict[MaskPair, GaussianRational] = {}
-    for (h, am), c in a.terms.items():
-        cc = c.conjugate()
+    d = a.d
+    full = (1 << d) - 1
+    coeffs = {}
+    for m, (re, im) in a._coeffs.items():
+        h, am = m & full, m >> d
         # dz block and dzb block swap roles; restoring canonical order costs
         # one transposition per crossing pair.
-        if (h.bit_count() * am.bit_count()) & 1:
-            cc = -cc
-        terms[(am, h)] = cc
-    out = Form.__new__(Form)
-    object.__setattr__(out, "d", a.d)
-    object.__setattr__(out, "terms", terms)
-    return out
+        sign = -1 if (h.bit_count() * am.bit_count()) & 1 else 1
+        coeffs[am | h << d] = (sign * re, -sign * im)
+    return Form._of(d, a._den, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -384,12 +393,10 @@ def top_coefficient(a: Form) -> GaussianRational:
 
     The input must be homogeneous of bidegree (d,d); the zero form counts.
     """
-    if a.is_zero():
-        return GaussianRational(0)
-    full = (1 << a.d) - 1
-    if set(a.terms) != {(full, full)}:
+    top = (1 << (2 * a.d)) - 1
+    if a._coeffs.keys() - {top}:
         raise ValueError("top extraction needs a homogeneous (d,d)-form")
-    return a.terms[(full, full)] / _vol_unit(a.d)
+    return a._gaussian(top) / _vol_unit(a.d)
 
 
 def top_ratio(a: Form) -> Fraction:

@@ -4,7 +4,9 @@ Strict positivity of a (1,1)-form reduces to positive definiteness of its
 Hermitian matrix, decided by its exact inertia.  Positivity of a real
 (p,p)-form is decided by the exact inertia of the induced Hermitian pairing on
 the complementary space of holomorphic top fragments, whose matrix
-exterior.top_pairings reads off the form's coefficients.  Both inertias run
+exterior.top_pairings reads off the form's coefficients as Gaussian integers
+over one denominator, a positive scale that changes neither the inertia nor
+the witness and is dropped.  Both inertias run
 the integer kernel of `bilinear` on the real form of the Hermitian matrix M; a
 refutation rebuilds the real basis vector (x, y) of the first negative pivot
 and takes v = x + iy, for which v^H M v < 0, as its witness.  Weak positivity
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 from .bilinear import _hermitian_reduction, hermitian_inertia
 from .exterior import Form, HermitianMatrix, top_pairings, top_ratio, wedge
-from .gaussian import I
+from .gaussian import GaussianRational, I
 from .sampling import derive_seed, random_one_form
 
 POSITIVE = "POSITIVE"
@@ -75,10 +77,12 @@ def is_positive_pp(eta: Form) -> ConeVerdict:
     subsets = list(combinations(range(1, d + 1), q))
     unit = I ** (q * q)
     # eta has even degree, so eta ^ dz_S ^ dzb_T = dz_S ^ eta ^ dzb_T.
-    pairings = top_pairings(
+    pairings, _ = top_pairings(
         [Form.term(d, S, []) for S in subsets], eta, [Form.term(d, [], T) for T in subsets]
     )
-    inertia, vec = _hermitian_reduction([[unit * x for x in row] for row in pairings])
+    inertia, vec = _hermitian_reduction(
+        [[unit * GaussianRational(re, im) for re, im in row] for row in pairings]
+    )
     if vec is not None:
         witness = Form(d, {})
         for coeff, S in zip(vec, subsets):

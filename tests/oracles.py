@@ -437,6 +437,24 @@ def in_lowest_terms(Q: SymBilinearForm) -> bool:
     return all(type(x) is int for x in entries) and Q._den > 0 and gcd(Q._den, *entries) == 1
 
 
+def form_in_lowest_terms(f: Form) -> bool:
+    """The Form invariant: Gaussian-integer entries, none zero, over a
+    denominator > 0 that shares no factor with all of them."""
+    entries = [x for c in f._coeffs.values() for x in c]
+    return (
+        all(type(x) is int for x in entries)
+        and all(c != (0, 0) for c in f._coeffs.values())
+        and f._den > 0
+        and gcd(f._den, *entries) == 1
+    )
+
+
+def gaussian_matrix(pairings) -> list:
+    """The (rows, den) result of exterior.top_pairings as GaussianRational rows."""
+    rows, den = pairings
+    return [[GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im in row] for row in rows]
+
+
 # -- seeded test data ------------------------------------------------------------
 
 

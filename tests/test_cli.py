@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +184,45 @@ def test_wrong_weight_lambda_exits_2():
 def test_unsupported_dimension_exits_2():
     assert run_main(["verify-hr", "--d", "9", "--seed", "1"]) == 2
     assert run_main(["verify-hr", "--d", "1..3", "--seed", "1"]) == 2
+
+
+def _cap_address_space():
+    # 2 GiB, so an allocation sized by a bad input fails fast in the child.
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+HUGE_DIMENSION_FORM = {
+    "dimension": 40_000_000_000,
+    "terms": [{"monomial": {"dz": [1], "dzbar": [1]}, "coeff": {"re": "0/1", "im": "1/1"}}],
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-hr", "--d", "2..99999999999", "--e", "1", "--seed", "1"],
+        ["gamma-scan", "--d", "2..99999999999", "--e", "1", "--seed", "1"],
+        ["verify-hr", "--forms", "FORMS"],
+    ],
+    ids=["verify-hr-d", "gamma-scan-d", "verify-hr-forms"],
+)
+def test_out_of_range_dimension_is_a_usage_error_before_allocation(tmp_path, args):
+    ff = tmp_path / "forms.json"
+    ff.write_text(json.dumps({"omegas": [HUGE_DIMENSION_FORM]}))
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrlab", *(str(ff) if a == "FORMS" else a for a in args)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
 
 
 def test_gamma_scan_needs_single_d():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hrlab.bilinear import gram
 from hrlab.exterior import (
     Form,
     HermitianMatrix,
@@ -25,6 +26,9 @@ from hrlab.sampling import random_hermitian, random_positive_form, random_positi
 from hrlab.symfunc import schur
 
 from oracles import (
+    form_in_lowest_terms,
+    gaussian_matrix,
+    in_lowest_terms,
     mixed_discriminant,
     naive_from_form,
     naive_mul,
@@ -298,17 +302,43 @@ def test_top_ratio_errors():
 # -- top pairings by coefficient lookup ------------------------------------------
 
 
-def random_rational_form(rng, d, density):
+def random_rational_form(rng, d, density, re_dens=(2, 3, 7), im_dens=(1, 5, 9)):
     """Each monomial of any bidegree with the given probability; re and im
     over different non-integer denominators."""
     terms = {}
     for key in all_monomials(d):
         if rng.random() < density:
             terms[key] = GaussianRational(
-                Fraction(rng.randint(-5, 5), rng.choice((2, 3, 7))),
-                Fraction(rng.randint(-5, 5), rng.choice((1, 5, 9))),
+                Fraction(rng.randint(-5, 5), rng.choice(re_dens)),
+                Fraction(rng.randint(-5, 5), rng.choice(im_dens)),
             )
     return Form(d, terms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_form_results_stay_in_lowest_terms(d):
+    # re and im over different denominators up to 100^3, so every operation
+    # has common factors to take out.
+    rng = random.Random(600 + d)
+    for _ in range(6):
+        a, b = (random_rational_form(rng, d, 0.4, (3, 100, 7 * 100**2), (9, 300, 100**3)) for _ in "ab")
+        w = Fraction(rng.choice((-3, 7, 100)), rng.choice((21, 100**3)))
+        results = [a, a + b, a - b, a - a, a.scale(w), a.scale(I), a.scale(0), wedge(a, b), conjugate(a)]
+        assert all(form_in_lowest_terms(f) for f in results)
+        assert all(Form(d, f.terms) == f for f in results)
+        assert 2 * (Fraction(1, 2) * a) == a
+        assert a - a == Form.zero(d)
+        assert a.scale(I).scale(-I) == a
+        assert conjugate(conjugate(a)) == a
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_gram_of_a_scaled_form(d):
+    rng = random.Random(650 + d)
+    omega = schur((1,) * (d - 2), [random_positive_form(rng, d) for _ in range(2)])
+    third = gram(omega.scale(Fraction(1, 3)))
+    assert third == Fraction(1, 3) * gram(omega)
+    assert in_lowest_terms(third)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -319,7 +349,7 @@ def test_top_pairings_match_wedge_oracle_on_mixed_rational_forms(d):
         left = [random_rational_form(rng, d, 0.3) for _ in range(4)] + [Form.zero(d)]
         right = [random_rational_form(rng, d, 0.3) for _ in range(3)]
         omega = random_rational_form(rng, d, 0.5)
-        got = top_pairings(left, omega, right)
+        got = gaussian_matrix(top_pairings(left, omega, right))
         assert got == pairing_by_wedge(left, omega, right)
         nonzero += sum(1 for row in got for x in row if x.re.denominator > 1 and x.im)
     assert nonzero > 0
@@ -328,19 +358,19 @@ def test_top_pairings_match_wedge_oracle_on_mixed_rational_forms(d):
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_top_pairings_zero_omega(d):
     basis = basis_11_real(d)
-    got = top_pairings(basis, Form.zero(d), basis)
+    got = gaussian_matrix(top_pairings(basis, Form.zero(d), basis))
     assert got == pairing_by_wedge(basis, Form.zero(d), basis)
     assert all(x == 0 for row in got for x in row)
-    assert top_pairings([], Form.scalar(d, 1), basis) == []
+    assert gaussian_matrix(top_pairings([], Form.scalar(d, 1), basis)) == []
 
 
 def test_top_pairings_d1_unit_pairing():
     # At d = 1, i dz ^ dzb is the volume form, so it pairs with 1 as 1.
     basis = basis_11_real(1)
     one = [Form.scalar(1, 1)]
-    assert top_pairings(basis, Form.scalar(1, 3), one) == [[GaussianRational(3)]]
-    assert top_pairings(one, basis[0], one) == [[GaussianRational(1)]]
-    assert top_pairings(basis, Form.scalar(1, 1), basis) == pairing_by_wedge(
+    assert gaussian_matrix(top_pairings(basis, Form.scalar(1, 3), one)) == [[GaussianRational(3)]]
+    assert gaussian_matrix(top_pairings(one, basis[0], one)) == [[GaussianRational(1)]]
+    assert gaussian_matrix(top_pairings(basis, Form.scalar(1, 1), basis)) == pairing_by_wedge(
         basis, Form.scalar(1, 1), basis
     ) == [[GaussianRational(0)]]
 
@@ -360,9 +390,9 @@ def test_top_pairings_ignore_off_degree_parts_of_omega(d):
     )
     assert extra
     expected = pairing_by_wedge(basis, middle, basis)
-    assert top_pairings(basis, middle + extra, basis) == expected
+    assert gaussian_matrix(top_pairings(basis, middle + extra, basis)) == expected
     assert pairing_by_wedge(basis, middle + extra, basis) == expected
-    assert top_pairings(basis, middle, basis) == expected
+    assert gaussian_matrix(top_pairings(basis, middle, basis)) == expected
 
 
 def test_top_pairings_dimension_mismatch():
