@@ -6,8 +6,12 @@ defect matrices build their results over ints and skip the public checks.
 
 Every inertia in the package comes from one congruence kernel, fraction-free
 symmetric Bareiss elimination over Python ints.  A form enters as its int
-matrix, and a Hermitian one M = A + iB as its real form [[A, -B], [B, A]]
-scaled to ints, whose inertia is twice that of M.  The kernel pivots on the
+matrix, and a Hermitian one M = A + iB, given as the Gaussian-integer rows a
+HermitianMatrix stores or top_pairings returns, as its real form
+[[A, -B], [B, A]], whose inertia is twice that of M; those rows are taken as
+they are, with no coercion and no second symmetry check.  Only
+hermitian_inertia takes Gaussian-rational rows, and exterior coerces and
+checks them once.  The kernel pivots on the
 diagonal where it can, and when the remaining diagonal vanishes the basis
 change b_j += b_k exposes the diagonal entry 2a from a nonzero off-diagonal
 a.  Sylvester's law makes the count basis independent, so the result is exact.
@@ -26,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .exterior import Form, basis_11_real, top_pairings, wedge  # wedge unused: perfbench's rebind test reads it
+from .exterior import Form, _hermitian_ints, basis_11_real, top_pairings, wedge  # wedge unused: perfbench's rebind test reads it
 from .gaussian import GaussianRational, as_fraction, fraction_to_str
 
 
@@ -454,38 +458,33 @@ def gram(omega: Form) -> SymBilinearForm:
     return pairing_form(basis_11_real(d), omega)
 
 
-def _realified(entries) -> list[list[int]]:
-    """The integer realification of a Hermitian matrix M = A + iB.
+def _realified(rows) -> list[list[int]]:
+    """The real form [[A, -B], [B, A]] of a Hermitian matrix M = A + iB,
+    given as Gaussian-integer rows: rows[j][k] = (re, im) is M[j][k] up to a
+    positive scale.
 
-    It is [[A, -B], [B, A]] with the real and imaginary parts of each
-    coordinate interleaved, scaled to integers: row 2j + (0 or 1) belongs to
-    Re or Im of coordinate j.  Its inertia is twice that of M, and a real
-    vector (x_0, y_0, x_1, y_1, ...) takes the value v^H M v for
-    v_j = x_j + i y_j, up to the positive scale.
+    The real and imaginary parts of each coordinate are interleaved: row
+    2j + (0 or 1) belongs to Re or Im of coordinate j.  Its inertia is twice
+    that of M, and a real vector (x_0, y_0, x_1, y_1, ...) takes the value
+    v^H M v for v_j = x_j + i y_j, up to the same scale.
     """
-    rows = [[GaussianRational.of(x) for x in row] for row in entries]
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    for j in range(n):
-        for k in range(j, n):
-            if rows[j][k] != rows[k][j].conjugate():
-                raise ValueError("matrix is not Hermitian")
-    real = [[None] * (2 * n) for _ in range(2 * n)]
+    real = [[0] * (2 * n) for _ in range(2 * n)]
     for j, row in enumerate(rows):
-        for k, z in enumerate(row):
-            real[2 * j][2 * k] = real[2 * j + 1][2 * k + 1] = z.re
-            real[2 * j][2 * k + 1] = -z.im
-            real[2 * j + 1][2 * k] = z.im
-    return _int_rows(real)[0]
+        for k, (re, im) in enumerate(row):
+            real[2 * j][2 * k] = real[2 * j + 1][2 * k + 1] = re
+            real[2 * j][2 * k + 1] = -im
+            real[2 * j + 1][2 * k] = im
+    return real
 
 
-def _hermitian_reduction(entries) -> tuple[Signature, list[GaussianRational] | None]:
-    """The inertia of a Hermitian matrix M and, when M has a negative
-    direction, a vector v with v^H M v < 0: the real basis vector
-    (x_0, y_0, x_1, y_1, ...) of the first negative pivot of the real form,
-    read back as v_j = x_j + i y_j."""
-    real = _realified(entries)
+def _hermitian_reduction(rows) -> tuple[Signature, list[GaussianRational] | None]:
+    """The inertia of a Hermitian matrix M, given as Gaussian-integer rows
+    as _realified takes them, and, when M has a negative direction, a vector
+    v with v^H M v < 0: the real basis vector (x_0, y_0, x_1, y_1, ...) of
+    the first negative pivot of the real form, read back as v_j = x_j + i y_j.
+    The rows are trusted to be Hermitian."""
+    real = _realified(rows)
     pivots = _congruence(real)
     plus, minus, zero = _count_signs(pivots, len(real))
     negative = next((s for s, sign in enumerate(_pivot_signs(pivots)) if sign < 0), None)
@@ -497,5 +496,5 @@ def _hermitian_reduction(entries) -> tuple[Signature, list[GaussianRational] | N
 
 
 def hermitian_inertia(entries) -> Signature:
-    """Exact inertia of a Hermitian Gaussian-rational matrix."""
-    return _hermitian_reduction(entries)[0]
+    """Exact inertia of a Hermitian Gaussian-rational matrix, given as rows."""
+    return _hermitian_reduction(_hermitian_ints(entries)[0])[0]

@@ -99,7 +99,8 @@ def parse_index_list(text: str, d: int) -> list[int]:
         elif tok == "d-1":
             out.append(d - 1)
         elif ".." in tok:
-            out.extend(parse_range(tok, "--i"))
+            # Every check needs i in 2..d; the bound comes before the list is built.
+            out.extend(parse_range(tok, "--i", range(2, d + 1)))
         else:
             try:
                 out.append(int(tok))

@@ -8,14 +8,19 @@ ascending index order.  Every Koszul sign in the algebra is computed against
 this normal form, which makes the wedge sign a pure popcount computation.
 
 A form stores Gaussian integers over one positive denominator in lowest
-terms, keyed by packed monomials; only this module reads that representation,
-and `terms` is a read-only view of it as Gaussian rationals.  Forms are
-immutable and every operation here is pure.  The wedge product, the hot loop
-of Schur evaluation, multiplies the stored Gaussian integers (pairs of Python
-ints) directly.  Every matrix of top-degree pairings
-(a, b) -> top_coefficient(a ^ omega ^ b) comes from top_pairings, which reads
-omega's coefficients at complements instead of wedging and returns Gaussian
-integers over one denominator.
+terms, keyed by packed monomials, and a HermitianMatrix stores a square array
+of Gaussian integers the same way.  Only this module reads these
+representations; `Form.terms` and `HermitianMatrix.entries` are read-only
+views of them as Gaussian rationals.  Forms and matrices are immutable and
+every operation here is pure.  The wedge product, the hot loop of Schur
+evaluation, multiplies the stored Gaussian integers (pairs of Python ints)
+directly, and so do the split by holomorphic degree and the passage between
+a real (1,1)-form and its Hermitian matrix, a rotation by i.  Hermitian
+symmetry is checked by _check_hermitian alone, once per matrix: where
+Gaussian-rational rows come in, and in form_to_hermitian.  Every matrix of
+top-degree pairings (a, b) -> top_coefficient(a ^ omega ^ b) comes from
+top_pairings, which reads omega's coefficients at complements instead of
+wedging and returns Gaussian integers over one denominator.
 """
 
 from __future__ import annotations
@@ -367,6 +372,16 @@ def conjugate(a: Form) -> Form:
     return Form._of(d, a._den, coeffs)
 
 
+def holomorphic_slices(a: Form, top: int) -> list[Form]:
+    """[a_0, ..., a_top]: a_p is the part of a with p dz factors.  a must have
+    no part of holomorphic degree above top."""
+    full = (1 << a.d) - 1
+    parts: list[dict[int, tuple[int, int]]] = [{} for _ in range(top + 1)]
+    for m, c in a._coeffs.items():
+        parts[(m & full).bit_count()][m] = c
+    return [Form._of(a.d, a._den, coeffs) for coeffs in parts]
+
+
 @lru_cache(maxsize=None)
 def _vol_unit(d: int) -> GaussianRational:
     # Coefficient of the canonical monomial dz_1..dz_d ^ dzb_1..dzb_d in the
@@ -407,44 +422,92 @@ def top_ratio(a: Form) -> Fraction:
     return r.re
 
 
-class HermitianMatrix:
-    """d x d Gaussian-rational matrix with exact Hermitian symmetry."""
+def _check_hermitian(rows: Sequence[Sequence[tuple[int, int]]], message: str) -> None:
+    """Raise ValueError(message) unless rows[j][k] == conj(rows[k][j]) for
+    all j, k: the one Hermitian symmetry check of the package."""
+    n = len(rows)
+    for j in range(n):
+        for k in range(j, n):
+            re, im = rows[k][j]
+            if rows[j][k] != (re, -im):
+                raise ValueError(message)
 
-    __slots__ = ("d", "entries")
+
+def _hermitian_ints(entries) -> tuple[list[list[tuple[int, int]]], int]:
+    """Square rows of Gaussian rationals as (rows, den): rows[j][k] = (re, im)
+    stands for (re + im*i)/den, in lowest terms.  Raises ValueError unless
+    the rows are square and Hermitian; the empty matrix passes."""
+    rows = [[GaussianRational.of(x) for x in row] for row in entries]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    # Scaling by the lcm of the denominators leaves the rows in lowest terms.
+    den = lcm(*(x.denominator for row in rows for z in row for x in (z.re, z.im)))
+    ints = [[(int(z.re * den), int(z.im * den)) for z in row] for row in rows]
+    _check_hermitian(ints, "matrix is not Hermitian")
+    return ints, den
+
+
+class HermitianMatrix:
+    """d x d Gaussian-rational matrix with exact Hermitian symmetry.
+
+    _rows[j][k] = (re, im) stands for the entry (re + im*i)/_den.  The gcd of
+    _den > 0 with every re and im is 1, so equal matrices store equal values.
+    Only this module reads that representation; `entries` is a read-only view
+    of it as Gaussian rationals.
+    """
+
+    __slots__ = ("d", "_den", "_rows")
 
     def __init__(self, entries):
-        rows = tuple(tuple(GaussianRational.of(x) for x in row) for row in entries)
-        d = len(rows)
-        if d < 1 or any(len(r) != d for r in rows):
-            raise ValueError("entries must form a square matrix")
-        for j in range(d):
-            for k in range(j, d):
-                if rows[j][k] != rows[k][j].conjugate():
-                    raise ValueError("matrix is not Hermitian")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", rows)
+        rows, den = _hermitian_ints(entries)
+        if not rows:
+            raise ValueError("matrix must be square and non-empty")
+        object.__setattr__(self, "d", len(rows))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+
+    @classmethod
+    def _of(cls, den: int, rows) -> "HermitianMatrix":
+        """rows / den reduced by the gcd, trusting Hermitian rows and den > 0."""
+        if not rows:
+            raise ValueError("matrix must be square and non-empty")
+        g = gcd(den, *(x for row in rows for c in row for x in c))
+        H = object.__new__(cls)
+        object.__setattr__(H, "d", len(rows))
+        object.__setattr__(H, "_den", den // g)
+        rows = tuple(tuple((re // g, im // g) for re, im in row) for row in rows)
+        object.__setattr__(H, "_rows", rows)
+        return H
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
 
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """The read-only view as Gaussian-rational rows, built anew on each read."""
+        den = self._den
+        return tuple(
+            tuple(GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im in row)
+            for row in self._rows
+        )
+
     @staticmethod
     def identity(d: int) -> "HermitianMatrix":
-        return HermitianMatrix(
-            [[GaussianRational(1 if j == k else 0) for k in range(d)] for j in range(d)]
-        )
+        return HermitianMatrix._of(1, [[(int(j == k), 0) for k in range(d)] for j in range(d)])
 
     @staticmethod
     def diagonal(values) -> "HermitianMatrix":
         vals = [as_fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in vals))
         d = len(vals)
-        return HermitianMatrix(
-            [[GaussianRational(vals[j] if j == k else 0) for k in range(d)] for j in range(d)]
+        return HermitianMatrix._of(
+            den, [[(int(v * den) if j == k else 0, 0) for k in range(d)] for j, v in enumerate(vals)]
         )
 
     def __eq__(self, other):
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self._den, self._rows) == (other._den, other._rows)
 
     def __repr__(self):
         return f"HermitianMatrix({[[repr(x) for x in row] for row in self.entries]})"
@@ -461,13 +524,13 @@ class HermitianMatrix:
 
 def hermitian_to_form(H: HermitianMatrix) -> Form:
     """The real (1,1)-form i * sum_{j,k} H[j][k] dz_j^dzb_k."""
-    terms: dict[MaskPair, GaussianRational] = {}
-    for j in range(H.d):
-        for k in range(H.d):
-            c = I * H.entries[j][k]
-            if c:
-                terms[(1 << j, 1 << k)] = c
-    return Form(H.d, terms)
+    d = H.d
+    coeffs = {}
+    for j, row in enumerate(H._rows):
+        for k, (re, im) in enumerate(row):
+            if re or im:
+                coeffs[1 << j | 1 << (k + d)] = (-im, re)  # i * (re + im*i)
+    return Form._of(d, H._den, coeffs)
 
 
 def form_to_hermitian(a: Form) -> HermitianMatrix:
@@ -475,16 +538,12 @@ def form_to_hermitian(a: Form) -> HermitianMatrix:
     if not a.is_homogeneous(1, 1):
         raise ValueError("expected a (1,1)-form")
     d = a.d
-    rows = [[GaussianRational(0)] * d for _ in range(d)]
-    for (h, am), c in a.terms.items():
-        j = h.bit_length() - 1
-        k = am.bit_length() - 1
-        rows[j][k] = c / I
-    for j in range(d):
-        for k in range(j, d):
-            if rows[j][k] != rows[k][j].conjugate():
-                raise ValueError("form is not real")
-    return HermitianMatrix(rows)
+    full = (1 << d) - 1
+    rows = [[(0, 0)] * d for _ in range(d)]
+    for m, (re, im) in a._coeffs.items():
+        rows[(m & full).bit_length() - 1][(m >> d).bit_length() - 1] = (im, -re)  # (re + im*i) / i
+    _check_hermitian(rows, "form is not real")
+    return HermitianMatrix._of(a._den, rows)
 
 
 @lru_cache(maxsize=None)
@@ -517,10 +576,10 @@ def basis_11_real(d: int) -> tuple[Form, ...]:
 def coords_11_real(a: Form) -> list[Fraction]:
     """Coordinates of a real (1,1)-form in the basis_11_real ordering."""
     H = form_to_hermitian(a)
-    d = a.d
-    coords = [H.entries[j][j].re for j in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            coords.append(H.entries[j][k].re)
-            coords.append(H.entries[j][k].im)
+    den, rows = H._den, H._rows
+    coords = [Fraction(rows[j][j][0], den) for j in range(H.d)]
+    for j in range(H.d):
+        for k in range(j + 1, H.d):
+            re, im = rows[j][k]
+            coords += [Fraction(re, den), Fraction(im, den)]
     return coords

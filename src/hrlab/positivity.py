@@ -1,12 +1,14 @@
 """Positivity tests for forms, at the levels where they are exactly decidable.
 
 Strict positivity of a (1,1)-form reduces to positive definiteness of its
-Hermitian matrix, decided by its exact inertia.  Positivity of a real
-(p,p)-form is decided by the exact inertia of the induced Hermitian pairing on
-the complementary space of holomorphic top fragments, whose matrix
-exterior.top_pairings reads off the form's coefficients as Gaussian integers
-over one denominator, a positive scale that changes neither the inertia nor
-the witness and is dropped.  Both inertias run
+Hermitian matrix, decided by its exact inertia from the Gaussian integers the
+HermitianMatrix stores, whose symmetry was checked when it was built.
+Positivity of a real (p,p)-form is decided by the exact inertia of the
+induced Hermitian pairing on the complementary space of holomorphic top
+fragments, whose matrix exterior.top_pairings reads off the form's
+coefficients as Gaussian integers over one denominator, a positive scale that
+changes neither the inertia nor the witness and is dropped; the volume unit
+1 or i is an int rotation of the rows.  Both inertias run
 the integer kernel of `bilinear` on the real form of the Hermitian matrix M; a
 refutation rebuilds the real basis vector (x, y) of the first negative pivot
 and takes v = x + iy, for which v^H M v < 0, as its witness.  Weak positivity
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .bilinear import _hermitian_reduction, hermitian_inertia
-from .exterior import Form, HermitianMatrix, top_pairings, top_ratio, wedge
-from .gaussian import GaussianRational, I
+from .bilinear import _hermitian_reduction
+from .exterior import Form, HermitianMatrix, conjugate, top_pairings, top_ratio, wedge
+from .gaussian import I
 from .sampling import derive_seed, random_one_form
 
 POSITIVE = "POSITIVE"
@@ -52,7 +54,7 @@ class ConeVerdict:
 
 def is_positive_definite_11(H: HermitianMatrix) -> bool:
     """Exact positive definiteness: inertia (d, 0, 0)."""
-    return hermitian_inertia(H.entries) == (H.d, 0, 0)
+    return _hermitian_reduction(H._rows)[0] == (H.d, 0, 0)
 
 
 def is_positive_pp(eta: Form) -> ConeVerdict:
@@ -75,14 +77,13 @@ def is_positive_pp(eta: Form) -> ConeVerdict:
         raise ValueError("expected a real form")
     q = d - p
     subsets = list(combinations(range(1, d + 1), q))
-    unit = I ** (q * q)
     # eta has even degree, so eta ^ dz_S ^ dzb_T = dz_S ^ eta ^ dzb_T.
     pairings, _ = top_pairings(
         [Form.term(d, S, []) for S in subsets], eta, [Form.term(d, [], T) for T in subsets]
     )
-    inertia, vec = _hermitian_reduction(
-        [[unit * GaussianRational(re, im) for re, im in row] for row in pairings]
-    )
+    if q & 1:  # the unit i**(q*q) is i: (re, im) * i = (-im, re)
+        pairings = [[(-im, re) for re, im in row] for row in pairings]
+    inertia, vec = _hermitian_reduction(pairings)
     if vec is not None:
         witness = Form(d, {})
         for coeff, S in zip(vec, subsets):
@@ -107,8 +108,6 @@ def simple_form(alphas: Sequence[Form]) -> Form:
             raise ValueError("mixed dimensions")
         if not a.is_homogeneous(1, 0):
             raise ValueError("factors must be (1,0)-forms")
-        from .exterior import conjugate
-
         out = wedge(out, wedge(a, conjugate(a)).scale(I))
     return out
 

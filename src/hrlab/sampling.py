@@ -2,9 +2,11 @@
 
 Strictly positive Hermitian matrices come from the construction B*B + I with
 B drawn from a small Gaussian-integer box, so positivity holds by construction
-and every draw is reproducible from its seed.  Task seeds are derived by
-hashing, never by reusing a shared stream, so campaigns parallelize without
-order dependence.
+and every draw is reproducible from its seed.  The Hermitian draws are built
+over the Gaussian integers a HermitianMatrix stores, with no Gaussian-rational
+step and no symmetry check: they are Hermitian by construction.  Task seeds
+are derived by hashing, never by reusing a shared stream, so campaigns
+parallelize without order dependence.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
+def _gaussian_int(rng: random.Random, box: int) -> tuple[int, int]:
+    """(re, im) drawn from the box, real part first."""
+    return rng.randint(-box, box), rng.randint(-box, box)
+
+
 def random_gaussian_rational(rng: random.Random, box: int = 2) -> GaussianRational:
-    return GaussianRational(rng.randint(-box, box), rng.randint(-box, box))
+    return GaussianRational(*_gaussian_int(rng, box))
 
 
 def random_one_form(rng: random.Random, d: int, box: int = 2) -> Form:
@@ -38,25 +45,27 @@ def random_one_form(rng: random.Random, d: int, box: int = 2) -> Form:
 
 def random_hermitian(rng: random.Random, d: int, box: int = 2) -> HermitianMatrix:
     """A + A*, an arbitrary Hermitian matrix over the Gaussian-integer box."""
-    a = [[random_gaussian_rational(rng, box) for _ in range(d)] for _ in range(d)]
-    return HermitianMatrix(
-        [[a[j][k] + a[k][j].conjugate() for k in range(d)] for j in range(d)]
+    a = [[_gaussian_int(rng, box) for _ in range(d)] for _ in range(d)]
+    return HermitianMatrix._of(
+        1, [[(a[j][k][0] + a[k][j][0], a[j][k][1] - a[k][j][1]) for k in range(d)] for j in range(d)]
     )
 
 
 def random_positive_hermitian(rng: random.Random, d: int, box: int = 2) -> HermitianMatrix:
     """B*B + I: exactly positive definite by construction."""
-    b = [[random_gaussian_rational(rng, box) for _ in range(d)] for _ in range(d)]
-    entries = []
+    b = [[_gaussian_int(rng, box) for _ in range(d)] for _ in range(d)]
+    rows = []
     for j in range(d):
         row = []
         for k in range(d):
-            acc = GaussianRational(1 if j == k else 0)
-            for m in range(d):
-                acc = acc + b[m][j].conjugate() * b[m][k]
-            row.append(acc)
-        entries.append(row)
-    return HermitianMatrix(entries)
+            re, im = int(j == k), 0
+            for bm in b:  # + conj(b[m][j]) * b[m][k]
+                (xr, xi), (yr, yi) = bm[j], bm[k]
+                re += xr * yr + xi * yi
+                im += xr * yi - xi * yr
+            row.append((re, im))
+        rows.append(row)
+    return HermitianMatrix._of(1, rows)
 
 
 def random_positive_form(rng: random.Random, d: int, box: int = 2) -> Form:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .exterior import Form
+from .exterior import Form, holomorphic_slices
 from .gaussian import as_fraction, fraction_to_str
 
 
@@ -242,10 +242,7 @@ def derived_schur_all(lam, forms: Sequence[Form]) -> list[Form]:
         raise ValueError("derived Schur forms need (1,1)-forms")
     one = Form.scalar(d, 1)
     shifted = schur_elements(lam, [f + one for f in forms], one)
-    slices = [{} for _ in range(lam.weight + 1)]
-    for (h, a), c in shifted.terms.items():
-        slices[lam.weight - h.bit_count()][(h, a)] = c
-    return [Form(d, terms) for terms in slices]
+    return holomorphic_slices(shifted, lam.weight)[::-1]
 
 
 def derived_schur(lam, forms: Sequence[Form], j: int) -> Form:

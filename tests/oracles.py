@@ -18,7 +18,7 @@ from math import factorial, gcd
 
 from hrlab.augmentation import _check_weight
 from hrlab.bilinear import Signature, SymBilinearForm
-from hrlab.exterior import Form, indices_of, wedge
+from hrlab.exterior import Form, HermitianMatrix, indices_of, wedge
 from hrlab.gaussian import GaussianRational
 from hrlab.symfunc import Partition, elementary_elements, schur_elements
 
@@ -358,6 +358,8 @@ def perm_sign(perm) -> int:
 def mixed_discriminant(mats) -> GaussianRational:
     """Double permutation sum, normalized so D(A, ..., A) = det(A)."""
     d = mats[0].d
+    # entries is a view built on each read, so read it once per matrix.
+    entries = [M.entries for M in mats]
     total = GaussianRational(0)
     for sigma in permutations(range(d)):
         s1 = perm_sign(sigma)
@@ -365,7 +367,7 @@ def mixed_discriminant(mats) -> GaussianRational:
             s2 = perm_sign(tau)
             prod = GaussianRational(1)
             for k in range(d):
-                prod = prod * mats[k].entries[sigma[k]][tau[k]]
+                prod = prod * entries[k][sigma[k]][tau[k]]
             total = total + (prod if s1 * s2 > 0 else -prod)
     return total / factorial(d)
 
@@ -446,6 +448,23 @@ def form_in_lowest_terms(f: Form) -> bool:
         and all(c != (0, 0) for c in f._coeffs.values())
         and f._den > 0
         and gcd(f._den, *entries) == 1
+    )
+
+
+def hermitian_in_lowest_terms(H: HermitianMatrix) -> bool:
+    """The HermitianMatrix invariant: a d x d tuple of Gaussian-integer
+    entries with H[j][k] = conj(H[k][j]), over a denominator > 0 that shares
+    no factor with all of them."""
+    rows, d = H._rows, H.d
+    entries = [x for row in rows for c in row for x in c]
+    return (
+        type(rows) is tuple
+        and len(rows) == d
+        and all(type(row) is tuple and len(row) == d for row in rows)
+        and all(type(x) is int for x in entries)
+        and all(rows[j][k] == (rows[k][j][0], -rows[k][j][1]) for j in range(d) for k in range(d))
+        and H._den > 0
+        and gcd(H._den, *entries) == 1
     )
 
 
@@ -567,11 +586,13 @@ def pairing_by_wedge(left, omega, right) -> list:
     d = omega.d
     full = (1 << d) - 1
     ((_, unit),) = naive_vol(d).items()
+    # The unit is 1, -1, i or -i, so dividing by it is multiplying by its conjugate.
+    inverse = unit.conjugate()
     out = []
     for l in left:
         lo = wedge(l, omega)
         out.append(
-            [wedge(lo, r).terms.get((full, full), GaussianRational(0)) / unit for r in right]
+            [wedge(lo, r).terms.get((full, full), GaussianRational(0)) * inverse for r in right]
         )
     return out
 

@@ -26,6 +26,7 @@ from hrlab.bilinear import (
 )
 from hrlab.exterior import (
     Form,
+    HermitianMatrix,
     coords_11_real,
     hermitian_to_form,
     identity_form,
@@ -445,7 +446,7 @@ def test_pair_step_inertia_matches_descartes(hermitian):
             rows, expected = hyperbolic_plus_diagonal(rng, n, hermitian)
             for M in (permuted_copy(rng, rows), lower_congruent_copy(rng, rows, hermitian)):
                 # The kernel runs on integers; Hermitian input enters realified.
-                A = _realified(M) if hermitian else SymBilinearForm(M)._ints
+                A = _realified(HermitianMatrix(M)._rows) if hermitian else SymBilinearForm(M)._ints
                 size = len(A)
                 pivots = _congruence(A)
                 steps = [s for s, (_, _, pair, _) in enumerate(pivots) if pair is not None]
@@ -549,7 +550,7 @@ def test_integer_kernel_pair_step_on_zero_diagonal_blocks(hermitian):
                 rows[i][j] = rows[j][i] = rows[i][j] * 0
             rows[i][i] += Fraction(rng.choice([-3, -1, 2, 5]), 100 ** rng.randint(0, 3))
         rows = permuted_copy(rng, rows)
-        A = _realified(rows) if hermitian else SymBilinearForm(rows)._ints
+        A = _realified(HermitianMatrix(rows)._rows) if hermitian else SymBilinearForm(rows)._ints
         pivots = _congruence(A)
         steps = [s for s, (_, _, pair, _) in enumerate(pivots) if pair is not None]
         assert steps and steps[0] == (2 if hermitian else 1) * (n - k)

@@ -4,6 +4,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from hrlab.cli import (
     parse_range,
     parse_t_samples,
 )
-from hrlab.exterior import Form, identity_form
+from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_form
+from hrlab.gaussian import GaussianRational
 from hrlab.sampling import random_positive_form
 
 
@@ -55,8 +57,6 @@ def test_parse_partition():
 
 
 def test_parse_t_samples():
-    from fractions import Fraction
-
     assert parse_t_samples("1/100,-1/100") == (Fraction(1, 100), Fraction(-1, 100))
 
 
@@ -148,6 +148,33 @@ def test_forms_file_rejects_non_positive(tmp_path):
     assert run_main(["verify-hr", "--forms", str(ff)]) == 2
 
 
+def outer_products_over_3(rng, d, count, shift):
+    """The (1,1)-form of sum_m b_m^H b_m / 3 + shift * I, b_m Gaussian-integer rows."""
+    b = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)] for _ in range(count)]
+    zero = GaussianRational(0)
+    return hermitian_to_form(HermitianMatrix([
+        [sum((row[j].conjugate() * row[k] for row in b), zero) * Fraction(1, 3) + (shift if j == k else 0)
+         for k in range(d)]
+        for j in range(d)
+    ]))
+
+
+def test_forms_file_with_rational_entries(tmp_path, capsys):
+    rng = random.Random(13)
+    ff = tmp_path / "forms.json"
+    # B^H B / 3 + I / 3: strictly positive, with entries such as 1/3.
+    forms = [outer_products_over_3(rng, 3, 3, Fraction(1, 3)) for _ in range(2)]
+    assert any(c.re.denominator == 3 for f in forms for c in f.terms.values())
+    ff.write_text(json.dumps({"omegas": [f.to_json() for f in forms]}))
+    out = tmp_path / "r.json"
+    assert run_main(["verify-hr", "--forms", str(ff), "--out", str(out)]) == 0
+    assert all(r["signature"] == [1, 8, 0] for r in load(out)["results"])
+    # B^H B / 3 with B of rank 2 < 3: positive semidefinite, not definite.
+    ff.write_text(json.dumps({"omegas": [outer_products_over_3(rng, 3, 2, 0).to_json()]}))
+    assert run_main(["verify-hr", "--forms", str(ff)]) == 2
+    assert "non strictly positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "form",
     [Form.dz(3, 1), Form.term(3, [1], [2]), identity_form(9), identity_form(1)],
@@ -205,8 +232,9 @@ HUGE_DIMENSION_FORM = {
         ["verify-hr", "--d", "2..99999999999", "--e", "1", "--seed", "1"],
         ["gamma-scan", "--d", "2..99999999999", "--e", "1", "--seed", "1"],
         ["verify-hr", "--forms", "FORMS"],
+        ["family", "--check", "A", "--d", "5", "--e", "2", "--i", "2..99999999999", "--seed", "1"],
     ],
-    ids=["verify-hr-d", "gamma-scan-d", "verify-hr-forms"],
+    ids=["verify-hr-d", "gamma-scan-d", "verify-hr-forms", "family-i"],
 )
 def test_out_of_range_dimension_is_a_usage_error_before_allocation(tmp_path, args):
     ff = tmp_path / "forms.json"

@@ -22,12 +22,18 @@ from hrlab.exterior import (
     wedge,
 )
 from hrlab.gaussian import GaussianRational, I
-from hrlab.sampling import random_hermitian, random_positive_form, random_positive_hermitian
+from hrlab.sampling import (
+    random_gaussian_rational,
+    random_hermitian,
+    random_positive_form,
+    random_positive_hermitian,
+)
 from hrlab.symfunc import schur
 
 from oracles import (
     form_in_lowest_terms,
     gaussian_matrix,
+    hermitian_in_lowest_terms,
     in_lowest_terms,
     mixed_discriminant,
     naive_from_form,
@@ -434,6 +440,92 @@ def test_form_to_hermitian_rejects_bad_input():
     non_real = Form.term(2, [1], [2], GaussianRational(1))
     with pytest.raises(ValueError):
         form_to_hermitian(non_real)
+
+
+def test_form_to_hermitian_keeps_its_error_messages():
+    with pytest.raises(ValueError, match=r"expected a \(1,1\)-form"):
+        form_to_hermitian(Form.term(3, [1, 2], [1, 2]))
+    with pytest.raises(ValueError, match="form is not real"):
+        form_to_hermitian(Form.term(2, [1], [2], GaussianRational(1)))
+    with pytest.raises(ValueError, match="form is not real"):
+        form_to_hermitian(Form.term(2, [1], [1]))  # real diagonal coefficient: H[0][0] = -i
+
+
+# -- the Hermitian matrix as Gaussian integers over one denominator ----------------
+
+
+def rational_hermitian_entries(rng, d):
+    """Hermitian GaussianRational rows over mixed denominators, some zero."""
+    def part():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 4, 6, 100]))
+
+    rows = [[GaussianRational(0)] * d for _ in range(d)]
+    for j in range(d):
+        for k in range(j, d):
+            z = GaussianRational(part(), 0 if j == k else part())
+            rows[j][k], rows[k][j] = z, z.conjugate()
+    return rows
+
+
+def test_hermitian_matrix_is_in_lowest_terms_from_every_constructor():
+    rng = random.Random(29)
+    for d in (1, 2, 3, 4):
+        for _ in range(6):
+            entries = rational_hermitian_entries(rng, d)
+            H = HermitianMatrix(entries)
+            assert hermitian_in_lowest_terms(H)
+            assert H.entries == tuple(map(tuple, entries))
+            assert hermitian_in_lowest_terms(HermitianMatrix.from_json(H.to_json()))
+            f = hermitian_to_form(H)
+            assert form_in_lowest_terms(f)
+            G = form_to_hermitian(f.scale(Fraction(2, 3)))
+            assert hermitian_in_lowest_terms(G)
+            assert G.entries == tuple(tuple(z * Fraction(2, 3) for z in row) for row in entries)
+            for draw in (random_hermitian(rng, d), random_positive_hermitian(rng, d)):
+                assert hermitian_in_lowest_terms(draw)
+                assert hermitian_in_lowest_terms(form_to_hermitian(hermitian_to_form(draw)))
+        assert hermitian_in_lowest_terms(HermitianMatrix.identity(d))
+        assert hermitian_in_lowest_terms(HermitianMatrix([[0] * d for _ in range(d)]))
+    H = HermitianMatrix.diagonal([Fraction(1, 2), Fraction(3, 4), 0])
+    assert hermitian_in_lowest_terms(H)
+    assert [H.entries[j][j] for j in range(3)] == [Fraction(1, 2), Fraction(3, 4), 0]
+
+
+def test_hermitian_draws_match_their_definition():
+    # The same rng calls in the same order, then A + A^H and B^H B + I over
+    # Gaussian rationals: the seeded draws do not depend on the int arithmetic.
+    for d in (1, 2, 3, 4):
+        for seed in range(4):
+            rng = random.Random(seed)
+            a = [[random_gaussian_rational(rng) for _ in range(d)] for _ in range(d)]
+            want = [[a[j][k] + a[k][j].conjugate() for k in range(d)] for j in range(d)]
+            assert random_hermitian(random.Random(seed), d).entries == tuple(map(tuple, want))
+            rng = random.Random(seed)
+            b = [[random_gaussian_rational(rng) for _ in range(d)] for _ in range(d)]
+            want = [
+                [sum((bm[j].conjugate() * bm[k] for bm in b), GaussianRational(int(j == k))) for k in range(d)]
+                for j in range(d)
+            ]
+            assert random_positive_hermitian(random.Random(seed), d).entries == tuple(map(tuple, want))
+
+
+def test_trusted_constructor_reduces_by_the_gcd():
+    H = HermitianMatrix._of(6, [[(4, 0), (2, -6)], [(2, 6), (0, 0)]])
+    assert hermitian_in_lowest_terms(H)
+    assert H == HermitianMatrix([[Fraction(2, 3), GaussianRational(Fraction(1, 3), -1)],
+                                 [GaussianRational(Fraction(1, 3), 1), 0]])
+
+
+def test_equal_hermitian_matrices_compare_equal():
+    half = HermitianMatrix([[Fraction(2, 4), GaussianRational(Fraction(2, 6), Fraction(-4, 8))],
+                            [GaussianRational(Fraction(1, 3), Fraction(1, 2)), 3]])
+    same = HermitianMatrix([[Fraction(1, 2), GaussianRational(Fraction(1, 3), Fraction(-1, 2))],
+                            [GaussianRational(Fraction(2, 6), Fraction(2, 4)), Fraction(6, 2)]])
+    assert half == same
+    assert HermitianMatrix([[Fraction(2, 4)]]) == HermitianMatrix([[Fraction(1, 2)]])
+    assert HermitianMatrix.diagonal([Fraction(2, 4)]) == HermitianMatrix([[Fraction(1, 2)]])
+    assert HermitianMatrix([[Fraction(2, 4)]]) != HermitianMatrix([[Fraction(1, 4)]])
+    assert form_to_hermitian(hermitian_to_form(half)) == same
 
 
 def test_two_det_identity():

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from hrlab.bilinear import hermitian_inertia
+from hrlab.bilinear import Signature, hermitian_inertia
 from hrlab.exterior import (
     Form,
     HermitianMatrix,
@@ -31,7 +32,15 @@ from hrlab.positivity import (
 from hrlab.sampling import random_hermitian, random_one_form, random_positive_hermitian
 from hrlab.symfunc import schur
 
-from oracles import gaussian_matrix, hermitian_det, leading_principal_minors, pairing_by_wedge
+from oracles import (
+    descartes_inertia,
+    fraction_congruence_inertia,
+    gaussian_matrix,
+    hermitian_det,
+    leading_principal_minors,
+    pairing_by_wedge,
+    realified,
+)
 
 
 def test_pd_examples():
@@ -59,6 +68,53 @@ def test_pd_agrees_with_inertia_on_arbitrary_hermitians():
             H = random_hermitian(rng, d)
             sig = hermitian_inertia([list(row) for row in H.entries])
             assert is_positive_definite_11(H) == (sig == (d, 0, 0))
+
+
+def rational_hermitian(rng, n, kind):
+    """Hermitian GaussianRational rows over mixed denominators.
+
+    "zero-diagonal": arbitrary entries with at least one zero on the diagonal;
+    "definite": B^H B / 3 + I / 2; "semidefinite": B^H B / 3 with B of fewer
+    than n rows, so the kernel is not trivial.
+    """
+    def entry():
+        den = rng.choice([1, 2, 3, 100])
+        return GaussianRational(Fraction(rng.randint(-3, 3), den), Fraction(rng.randint(-3, 3), den))
+
+    zero = GaussianRational(0)
+    if kind == "zero-diagonal":
+        rows = [[zero] * n for _ in range(n)]
+        zeros = set(rng.sample(range(n), rng.randint(1, n)))
+        for j in range(n):
+            for k in range(j, n):
+                z = entry()
+                if j == k:
+                    z = zero if j in zeros else GaussianRational(z.re)
+                rows[j][k], rows[k][j] = z, z.conjugate()
+        return rows
+    b = [[entry() for _ in range(n)] for _ in range(n if kind == "definite" else rng.randint(0, n - 1))]
+    shift = Fraction(1, 2) if kind == "definite" else 0
+    return [
+        [sum((col[j].conjugate() * col[k] for col in b), zero) * Fraction(1, 3) + (shift if j == k else 0)
+         for k in range(n)]
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_pd_and_inertia_of_rational_matrices_match_oracles(n):
+    # Descartes' rule expands a 2n x 2n cofactor determinant, so it stops at n = 3.
+    rng = random.Random(31 + n)
+    for kind in ("zero-diagonal", "definite", "semidefinite"):
+        for _ in range(4 if n <= 3 else 2):
+            rows = rational_hermitian(rng, n, kind)
+            H = HermitianMatrix(rows)
+            want = fraction_congruence_inertia(rows)
+            if n <= 3:
+                assert Signature(*(x // 2 for x in descartes_inertia(realified(rows)))) == want
+            assert hermitian_inertia(rows) == hermitian_inertia(H.entries) == want
+            assert is_positive_definite_11(H) == (want == (n, 0, 0))
+            assert (want == (n, 0, 0)) == (kind == "definite")
 
 
 def test_hermitian_det_small():
