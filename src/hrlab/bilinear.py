@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .exterior import Form, _hermitian_ints, basis_11_real, top_pairings, wedge  # wedge unused: perfbench's rebind test reads it
-from .gaussian import GaussianRational, as_fraction, fraction_to_str
+from .gaussian import GaussianRational, as_fraction, fraction_from_str, fraction_to_str
 
 
 class Signature(NamedTuple):
@@ -100,6 +100,9 @@ class SymBilinearForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymBilinearForm is immutable")
+
+    def __reduce__(self):
+        return SymBilinearForm._of, (self._ints, self._den)
 
     @staticmethod
     def zero(n: int) -> "SymBilinearForm":
@@ -179,7 +182,7 @@ class SymBilinearForm:
 
     @staticmethod
     def from_json(obj: dict) -> "SymBilinearForm":
-        return SymBilinearForm([[Fraction(s) for s in row] for row in obj["matrix"]])
+        return SymBilinearForm([[fraction_from_str(s) for s in row] for row in obj["matrix"]])
 
 
 def combine(weights: Sequence, forms: Sequence[SymBilinearForm]) -> SymBilinearForm:

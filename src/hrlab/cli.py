@@ -1,6 +1,7 @@
 """Batch driver for verification campaigns, reproducible by seed.
 
-Three subcommands:
+Three subcommands, each a grid of tasks that carry their inputs as values (a
+--forms file is parsed and checked once; --jobs N pickles its Forms):
 
   verify-hr    signature assertions for intersection forms of Schur classes
   family       first/second-order condition checks and theorem verdicts
@@ -16,6 +17,7 @@ records as an error result), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -119,7 +121,7 @@ def admissible_partitions(d: int, e: int) -> tuple[Partition, ...]:
 def _task_forms(args: dict, label: str, *key) -> tuple[list[Form], int | None]:
     """The task's forms: the --forms ones, or e draws seeded by (seed, label, *key)."""
     if args.get("forms") is not None:
-        return [Form.from_json(f) for f in args["forms"]], None
+        return args["forms"], None
     task_seed = derive_seed(args["seed"], label, *key)
     rng = random.Random(task_seed)
     return [random_positive_form(rng, args["d"]) for _ in range(args["e"])], task_seed
@@ -176,7 +178,7 @@ def _status_from_expectations(actual: dict, expected: dict) -> tuple[str, list[s
 
 def _family_task(args: dict) -> dict:
     d, parts, check = args["d"], tuple(args["lambda"]), args["check"]
-    t_samples = tuple(Fraction(s) for s in args["t_samples"]) if args["t_samples"] else None
+    t_samples = args["t_samples"]
     omegas, task_seed = _task_forms(args, "family", d, args["e"], parts, args["trial"])
     space = AugmentedSpace(omegas)
     lam = Partition(parts)
@@ -296,12 +298,11 @@ def _campaign(ns: argparse.Namespace):
     """
     dlist = parse_range(ns.d, "--d", SUPPORTED_D)
     elist = parse_range(ns.e, "--e")
-    forms_json, forms_d = _load_forms(ns)
-    if forms_json is not None:
-        dlist = [forms_d]
-        elist = [len(forms_json)]
+    forms = _load_forms(ns)
+    if forms is not None:
+        dlist, elist = [forms[0].d], [len(forms)]
     explicit_lam = parse_partition(ns.lam) if ns.lam is not None else None
-    _require_seed(ns, randomized=forms_json is None)
+    _require_seed(ns, randomized=forms is None)
     tasks = []
     for d in dlist:
         for e in elist:
@@ -315,9 +316,9 @@ def _campaign(ns: argparse.Namespace):
             else:
                 lams = [explicit_lam]
             tasks += [
-                {"d": d, "e": e, "lambda": list(lam.parts), "trial": trial, "seed": ns.seed, "forms": forms_json}
+                {"d": d, "e": e, "lambda": list(lam.parts), "trial": trial, "seed": ns.seed, "forms": forms}
                 for lam in lams
-                for trial in range(ns.trials if forms_json is None else 1)
+                for trial in range(ns.trials if forms is None else 1)
             ]
     return dlist, elist, explicit_lam, tasks
 
@@ -355,7 +356,7 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
     if not ns.check:
         raise UsageError("family needs --check or --builtin")
     dlist, elist, _lam, grid = _campaign(ns)
-    t_samples = [str(t) for t in parse_t_samples(ns.t_samples)] if ns.t_samples else None
+    t_samples = parse_t_samples(ns.t_samples or "") or None
     ilists = {d: _index_list_for(ns, d) for d in dlist}
     tasks = [
         dict(task, check=ns.check, i=i, t_samples=t_samples)
@@ -493,22 +494,22 @@ def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
     d, e = dlist[0], elist[0]
     if ns.grid < 1:
         raise UsageError("--grid must be at least 1")
-    forms_json, forms_d = _load_forms(ns)
-    if forms_json is not None and (forms_d != d or len(forms_json) != e):
+    forms = _load_forms(ns)
+    if forms is not None and (forms[0].d != d or len(forms) != e):
         raise UsageError("forms file does not match --d/--e")
-    _require_seed(ns, randomized=forms_json is None)
+    _require_seed(ns, randomized=forms is None)
 
     lams = admissible_partitions(d, e)
     k = len(lams)
     comps = _compositions(ns.grid, k)
-    trials = ns.trials if forms_json is None else 1
+    trials = ns.trials if forms is None else 1
     tasks = [
         {
             "d": d,
             "e": e,
             "trial": trial,
             "seed": ns.seed,
-            "forms": forms_json,
+            "forms": forms,
             "grid": ns.grid,
             "points": comps,
         }
@@ -568,12 +569,12 @@ def _require_seed(ns: argparse.Namespace, randomized: bool) -> None:
 
 
 def _load_forms(ns: argparse.Namespace):
-    """The --forms file as (form JSON list, d), or (None, None) without one.
+    """The --forms file's checked Forms, all of one dimension, or None without one.
 
     Sets ns.forms_sha256 to the hash of the bytes read, for the config echo.
     """
     if not getattr(ns, "forms", None):
-        return None, None
+        return None
     try:
         raw = Path(ns.forms).read_bytes()
         obj = json.loads(raw)
@@ -603,7 +604,7 @@ def _load_forms(ns: argparse.Namespace):
             raise UsageError(f"forms file: {exc}") from None
         if not is_positive_definite_11(matrix):
             raise UsageError("forms file contains a non strictly positive form")
-    return [f.to_json() for f in forms], d
+    return forms
 
 
 def _config_json(ns: argparse.Namespace, **resolved) -> dict:
@@ -645,6 +646,7 @@ def _emit(report: dict, ns: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hrlab",

@@ -104,6 +104,10 @@ class Form:
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _of: the stored ints are in lowest terms.
+        return Form._of, (self.d, self._den, self._coeffs)
+
     def _gaussian(self, m: int) -> GaussianRational:
         re, im = self._coeffs.get(m, (0, 0))
         return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
@@ -329,7 +333,6 @@ def top_pairings(
     if any(f.d != d for f in (*left, *right)):
         raise ValueError("dimension mismatch")
     top = (1 << (2 * d)) - 1
-    unit_re, unit_im = (0, 1) if d & 1 else (1, 0)  # _vol_unit(d) = i**(d*d)
     omega_at = omega._coeffs
     den_l, den_r = lcm(*(f._den for f in left)), lcm(*(f._den for f in right))
     right_rows = [(den_r // r._den, list(r._coeffs.items())) for r in right]
@@ -351,9 +354,9 @@ def top_pairings(
                         t_re, t_im = -t_re, -t_im
                     re += t_re
                     im += t_im
-            # Divide by the volume unit, 1 or i: multiply by its conjugate.
             s = (den_l // l._den) * scale_r
-            row.append(((re * unit_re + im * unit_im) * s, (im * unit_re - re * unit_im) * s))
+            re, im = _per_vol_unit(d, re, im)
+            row.append((re * s, im * s))
         out.append(row)
     return out, den_l * omega._den * den_r
 
@@ -382,12 +385,11 @@ def holomorphic_slices(a: Form, top: int) -> list[Form]:
     return [Form._of(a.d, a._den, coeffs) for coeffs in parts]
 
 
-@lru_cache(maxsize=None)
-def _vol_unit(d: int) -> GaussianRational:
-    # Coefficient of the canonical monomial dz_1..dz_d ^ dzb_1..dzb_d in the
-    # volume form i*dz1^dzb1 ^ ... ^ i*dzd^dzbd.  Equals i**(d*d); the test
-    # suite re-derives this from the direct product expansion for small d.
-    return I ** (d * d)
+def _per_vol_unit(d: int, re: int, im: int) -> tuple[int, int]:
+    # (re + im*i) divided by the coefficient of dz_1..dz_d ^ dzb_1..dzb_d in
+    # the volume form i*dz1^dzb1 ^ ... ^ i*dzd^dzbd: i**(d*d), 1 for even d and
+    # i for odd d.  The test suite re-derives vol_form from the product for small d.
+    return (im, -re) if d & 1 else (re, im)
 
 
 def vol_form(d: int) -> Form:
@@ -411,7 +413,8 @@ def top_coefficient(a: Form) -> GaussianRational:
     top = (1 << (2 * a.d)) - 1
     if a._coeffs.keys() - {top}:
         raise ValueError("top extraction needs a homogeneous (d,d)-form")
-    return a._gaussian(top) / _vol_unit(a.d)
+    re, im = _per_vol_unit(a.d, *a._coeffs.get(top, (0, 0)))
+    return GaussianRational(Fraction(re, a._den), Fraction(im, a._den))
 
 
 def top_ratio(a: Form) -> Fraction:
@@ -481,6 +484,9 @@ class HermitianMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
+
+    def __reduce__(self):
+        return HermitianMatrix._of, (self._den, self._rows)
 
     @property
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:

@@ -24,8 +24,16 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def fraction_from_str(s) -> Fraction:
+    """The rational a JSON field holds, a string such as "-3/7" or an int.
+    ValueError on a malformed string or a zero denominator; TypeError on any
+    other type, so a float or a bool is never read as a rational."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise TypeError(f"expected a rational string or an int, got {type(s).__name__}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 class GaussianRational:
@@ -39,6 +47,9 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def of(value) -> "GaussianRational":
@@ -146,7 +157,7 @@ class GaussianRational:
 
     @staticmethod
     def from_json(obj: dict) -> "GaussianRational":
-        return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
+        return GaussianRational(fraction_from_str(obj["re"]), fraction_from_str(obj["im"]))
 
 
 I = GaussianRational(0, 1)

@@ -24,7 +24,7 @@ from math import comb
 from typing import Sequence
 
 from .exterior import Form, holomorphic_slices
-from .gaussian import as_fraction, fraction_to_str
+from .gaussian import as_fraction, fraction_from_str, fraction_to_str
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class WeightVector:
 
     @staticmethod
     def from_json(obj) -> "WeightVector":
-        return WeightVector([Fraction(s) for s in obj])
+        return WeightVector([fraction_from_str(s) for s in obj])
 
 
 # -- generic ring layer ----------------------------------------------------

@@ -99,9 +99,20 @@ def test_verify_hr_deterministic_reports(tmp_path):
     assert "generated_at" in ra["timing"]
 
 
-def test_verify_hr_jobs_parity(tmp_path):
+def write_forms_file(path, seed, d, e):
+    rng = random.Random(seed)
+    path.write_text(json.dumps({"omegas": [random_positive_form(rng, d).to_json() for _ in range(e)]}))
+    return path
+
+
+@pytest.mark.parametrize("inputs", ["seeded", "forms-file"])
+def test_verify_hr_jobs_parity(tmp_path, inputs):
+    # With a forms file every task receives the checked Forms, pickled.
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["verify-hr", "--d", "2..3", "--e", "1..2", "--trials", "1", "--seed", "5"]
+    if inputs == "seeded":
+        base = ["verify-hr", "--d", "2..3", "--e", "1..2", "--trials", "1", "--seed", "5"]
+    else:
+        base = ["verify-hr", "--forms", str(write_forms_file(tmp_path / "forms.json", 19, 4, 2))]
     assert run_main(base + ["--out", str(a)]) == 0
     assert run_main(base + ["--jobs", "2", "--out", str(b)]) == 0
     assert strip_timing(load(a)) == strip_timing(load(b))
@@ -129,10 +140,7 @@ def test_verify_hr_part_above_e_fails_honestly(tmp_path):
 
 
 def test_verify_hr_forms_file(tmp_path):
-    rng = random.Random(11)
-    forms = [random_positive_form(rng, 3) for _ in range(2)]
-    ff = tmp_path / "forms.json"
-    ff.write_text(json.dumps({"omegas": [f.to_json() for f in forms]}))
+    ff = write_forms_file(tmp_path / "forms.json", 11, 3, 2)
     out = tmp_path / "r.json"
     code = run_main(["verify-hr", "--forms", str(ff), "--out", str(out)])
     assert code == 0
@@ -175,10 +183,26 @@ def test_forms_file_with_rational_entries(tmp_path, capsys):
     assert "non strictly positive" in capsys.readouterr().err
 
 
+def identity_with_im(im):
+    """identity_form(3) as JSON, its first coefficient's imaginary part set to im."""
+    obj = identity_form(3).to_json()
+    obj["terms"][0]["coeff"]["im"] = im
+    return obj
+
+
 @pytest.mark.parametrize(
     "form",
-    [Form.dz(3, 1), Form.term(3, [1], [2]), identity_form(9), identity_form(1)],
-    ids=["not-11", "not-real", "d9", "d1"],
+    [
+        Form.dz(3, 1).to_json(),
+        Form.term(3, [1], [2]).to_json(),
+        identity_form(9).to_json(),
+        identity_form(1).to_json(),
+        identity_with_im("1/0"),
+        # Read as 1/2 or 1, these would pass for strictly positive forms.
+        identity_with_im(0.5),
+        identity_with_im(True),
+    ],
+    ids=["not-11", "not-real", "d9", "d1", "zero-denominator", "float", "bool"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -187,9 +211,25 @@ def test_forms_file_with_rational_entries(tmp_path, capsys):
 )
 def test_forms_file_rejects_unusable_forms(tmp_path, capsys, form, command):
     ff = tmp_path / "forms.json"
-    ff.write_text(json.dumps({"omegas": [form.to_json()]}))
+    ff.write_text(json.dumps({"omegas": [form]}))
     assert run_main(command + ["--forms", str(ff)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_forms_file_is_parsed_once_per_run(tmp_path, monkeypatch):
+    ff = write_forms_file(tmp_path / "forms.json", 23, 4, 2)
+    objs = json.loads(ff.read_text())["omegas"]
+    parsed, written = [], []
+    real_from_json, real_to_json = Form.from_json, Form.to_json
+    monkeypatch.setattr(Form, "from_json", staticmethod(lambda obj: parsed.append(obj) or real_from_json(obj)))
+    monkeypatch.setattr(Form, "to_json", lambda self: written.append(self) or real_to_json(self))
+    out = tmp_path / "r.json"
+    assert run_main(["verify-hr", "--forms", str(ff), "--jobs", "1", "--out", str(out)]) == 0
+    # Two tasks, lambda = (2) and (1, 1), share the forms parsed once.
+    assert load(out)["summary"] == {"total": 2, "passed": 2, "failed": 0}
+    assert parsed == objs
+    assert written == []
 
 
 # -- usage errors ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrlab.bilinear import gram
+from hrlab.bilinear import SymBilinearForm, gram
 from hrlab.exterior import (
     Form,
     HermitianMatrix,
@@ -619,6 +621,32 @@ def test_hermitian_json_round_trip():
     rng = random.Random(4)
     H = random_hermitian(rng, 3)
     assert HermitianMatrix.from_json(H.to_json()) == H
+
+
+@pytest.mark.parametrize(
+    "value, invariant",
+    [
+        (Form(2, {(1, 1): GaussianRational(Fraction(1, 3), 2), (1, 2): Fraction(-2, 9)}), form_in_lowest_terms),
+        (
+            HermitianMatrix([[Fraction(1, 2), GaussianRational(1, Fraction(1, 3))],
+                             [GaussianRational(1, Fraction(-1, 3)), 2]]),
+            hermitian_in_lowest_terms,
+        ),
+        (SymBilinearForm([[Fraction(1, 2), 3], [3, Fraction(-5, 4)]]), in_lowest_terms),
+        (GaussianRational(Fraction(1, 3), -2), lambda z: type(z.re) is type(z.im) is Fraction),
+    ],
+    ids=["Form", "HermitianMatrix", "SymBilinearForm", "GaussianRational"],
+)
+@pytest.mark.parametrize(
+    "duplicate", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_exact_values_pickle_and_copy(value, invariant, duplicate):
+    # Worker processes receive campaign inputs pickled.
+    twin = duplicate(value)
+    assert type(twin) is type(value) and twin == value
+    assert invariant(twin)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(twin, "d", 1)
 
 
 def test_hermitian_validation():

@@ -55,6 +55,15 @@ def test_fraction_strings():
     assert fraction_to_str(Fraction(-3, 7)) == "-3/7"
     assert fraction_from_str("-3/7") == Fraction(-3, 7)
     assert fraction_from_str("5") == Fraction(5)
+    assert fraction_from_str(-4) == Fraction(-4)
+    with pytest.raises(ValueError, match="zero denominator"):
+        fraction_from_str("1/0")
+    with pytest.raises(ValueError):
+        fraction_from_str("1/x")
+    # A float is inexact and a bool is no number: neither is read as a rational.
+    for bad in (0.1, 1.0, True, None, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            fraction_from_str(bad)
 
 
 def test_immutability_and_hash():
