@@ -5,16 +5,17 @@ terms, read only here.  combine (R_t included), the restrictions and the
 defect matrices build their results over ints and skip the public checks.
 
 Every inertia in the package comes from one congruence kernel, fraction-free
-symmetric Bareiss elimination over Python ints.  A form enters as its int
-matrix, and a Hermitian one M = A + iB, given as the Gaussian-integer rows a
-HermitianMatrix stores or top_pairings returns, as its real form
-[[A, -B], [B, A]], whose inertia is twice that of M; those rows are taken as
-they are, with no coercion and no second symmetry check.  Only
-hermitian_inertia takes Gaussian-rational rows, and exterior coerces and
-checks them once.  The kernel pivots on the
-diagonal where it can, and when the remaining diagonal vanishes the basis
-change b_j += b_k exposes the diagonal entry 2a from a nonzero off-diagonal
-a.  Sylvester's law makes the count basis independent, so the result is exact.
+symmetric Bareiss elimination over Python ints that keeps only the active
+upper triangle, so each pivot updates about half the entries a full block
+would.  A form enters as its int matrix, and a Hermitian one M = A + iB,
+given as the Gaussian-integer rows a HermitianMatrix stores or top_pairings
+returns, as its real form [[A, -B], [B, A]], whose inertia is twice that of
+M; those rows are taken as they are, with no coercion and no second symmetry
+check.  Only hermitian_inertia takes Gaussian-rational rows, and exterior
+coerces and checks them once.  The kernel pivots on the diagonal where it
+can, and when the remaining diagonal vanishes the basis change b_j += b_k
+exposes the diagonal entry 2a from a nonzero off-diagonal a.  Sylvester's
+law makes the count basis independent, so the result is exact.
 
 A form Q with Q(h) > 0 for some h has the Hodge-Riemann property when its
 signature is (1, n-1, 0); the weak variant with respect to h asks only for a
@@ -203,11 +204,14 @@ def combine(weights: Sequence, forms: Sequence[SymBilinearForm]) -> SymBilinearF
 def _congruence(rows: list[list[int]]) -> list[tuple]:
     """Congruence-diagonalise a symmetric integer matrix without fractions.
 
-    Symmetric Bareiss elimination: the pivot is the first nonzero diagonal
-    entry of the active block, and each update divides exactly by the previous
-    pivot, so every entry stays an integer minor of the input.  When the active
-    diagonal vanishes, the pair step b_j += b_k for a nonzero off-diagonal
-    entry a = A[j][k] exposes the diagonal entry 2a.
+    Symmetric Bareiss elimination on the active upper triangle: row i holds
+    A[i][i:] for the rows still active.  The pivot is the first nonzero
+    diagonal entry, its column is read off the triangle (A[i][t] from row i
+    above it, from the pivot row's tail below it), and each row updates only
+    its own tail, dividing exactly by the previous pivot, so every entry stays
+    an integer minor of the input.  When the active diagonal vanishes, the
+    pair step b_j += b_k for the first nonzero off-diagonal entry
+    a = A[j][k] (j < k) exposes the diagonal entry 2a.
 
     Returns (index, minor, pair, column) per pivot, in pivot order.  The minor
     is the leading principal minor on the pivots so far, so the LDL pivot is
@@ -217,36 +221,39 @@ def _congruence(rows: list[list[int]]) -> list[tuple]:
     b_r: the LDL multiplier.
     """
     active = list(range(len(rows)))
-    block = [list(row) for row in rows]
+    up = [list(row[i:]) for i, row in enumerate(rows)]
     pivots = []
     prev = 1
-    while block:
+    while up:
         pair = None
-        t = next((i for i, row in enumerate(block) if row[i]), None)
+        t = next((i for i, row in enumerate(up) if row[0]), None)
         if t is None:
+            # The diagonal is zero, so the first nonzero entry lies right of it.
             found = next(
-                ((j, k) for j, row in enumerate(block) for k, x in enumerate(row) if x and j != k),
-                None,
+                ((j, j + o) for j, row in enumerate(up) for o, x in enumerate(row) if x), None
             )
             if found is None:
                 break
             t, k = found
-            block[t] = [x + y for x, y in zip(block[t], block[k])]
-            for row in block:
-                row[t] += row[k]
+            # Row t += row k over the columns t.., then column t += column k,
+            # which reaches the diagonal through the entry at column k.  The
+            # rows above t are zero, so their entries in column t stay 0.
+            tail_k = [up[m][k - m] for m in range(t, k)] + up[k]
+            up[t] = [x + y for x, y in zip(up[t], tail_k)]
+            up[t][0] += up[t][k - t]
             pair = (active[k], 1)
-        p = block[t][t]
-        pivot_row = block.pop(t)
-        del pivot_row[t]
+        pivot_row = up.pop(t)
+        p = pivot_row[0]
+        pcol = [row.pop(t - i) for i, row in enumerate(up[:t])] + pivot_row[1:]
         q = active.pop(t)
         column = []
-        for i, row in enumerate(block):
-            f = row.pop(t)
+        for i, row in enumerate(up):
+            f = pcol[i]
             if f:
                 column.append((active[i], f))
-                block[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                up[i] = [(p * x - f * y) // prev for x, y in zip(row, pcol[i:])]
             elif p != prev:
-                block[i] = [p * x // prev for x in row]
+                up[i] = [p * x // prev for x in row]
         pivots.append((q, p, pair, column))
         prev = p
     return pivots

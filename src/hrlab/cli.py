@@ -43,13 +43,16 @@ from .augmentation import (
 )
 from .bilinear import combine, gram, is_hr_wrt, signature
 from .exterior import Form, form_to_hermitian
-from .gaussian import fraction_to_str
+from .gaussian import fraction_from_str, fraction_to_str
 from .positivity import is_positive_definite_11
 from .sampling import derive_seed, random_positive_form
 from .symfunc import Partition, partitions, schur
 
 SCHEMA_VERSION = 1
 SUPPORTED_D = range(2, 9)
+# A task holds e forms; d^2 at the largest supported d bounds --e before its
+# list is built.
+SUPPORTED_E = range(1, SUPPORTED_D[-1] ** 2 + 1)
 
 
 class UsageError(Exception):
@@ -87,9 +90,9 @@ def parse_partition(text: str) -> Partition:
 
 def parse_t_samples(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed t-sample list {text!r}") from None
+        return tuple(fraction_from_str(tok.strip()) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise UsageError(f"malformed t-sample list {text!r}: {exc}") from None
 
 
 def parse_index_list(text: str, d: int) -> list[int]:
@@ -297,7 +300,7 @@ def _campaign(ns: argparse.Namespace):
     (d, e, lam, trial), lam the explicit partition or each admissible one.
     """
     dlist = parse_range(ns.d, "--d", SUPPORTED_D)
-    elist = parse_range(ns.e, "--e")
+    elist = parse_range(ns.e, "--e", SUPPORTED_E)
     forms = _load_forms(ns)
     if forms is not None:
         dlist, elist = [forms[0].d], [len(forms)]
@@ -488,7 +491,7 @@ def _builtin_minkowski() -> dict:
 
 def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
     dlist = parse_range(ns.d, "--d", SUPPORTED_D)
-    elist = parse_range(ns.e, "--e")
+    elist = parse_range(ns.e, "--e", SUPPORTED_E)
     if len(dlist) != 1 or len(elist) != 1:
         raise UsageError("gamma-scan needs a single --d and --e")
     d, e = dlist[0], elist[0]

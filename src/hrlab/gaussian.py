@@ -25,11 +25,15 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
-    """The rational a JSON field holds, a string such as "-3/7" or an int.
-    ValueError on a malformed string or a zero denominator; TypeError on any
-    other type, so a float or a bool is never read as a rational."""
+    """The rational a JSON field holds, a string such as "-3/7" or "0.1" or an
+    int.  ValueError on a malformed string, a zero denominator or exponent
+    notation, whose value ("1e1000000000") can take unbounded time and memory
+    to build; TypeError on any other type, so a float or a bool is never read
+    as a rational."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise TypeError(f"expected a rational string or an int, got {type(s).__name__}")
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ValueError(f"exponent notation in {s!r}; write p/q or a decimal")
     try:
         return Fraction(s)
     except ZeroDivisionError:

@@ -4,8 +4,10 @@ Nothing here shares code with the package, except the last section, whose
 comment says what it reuses: the exterior algebra is replayed over generator
 tuples with insertion-sort sign counting, determinants are expanded by
 cofactors or by plain elimination, inertia is read off the characteristic
-polynomial or found by rational congruence, elementary symmetric functions
-come from explicit subsets, the mixed discriminant from the double
+polynomial (by cofactors, or by Berkowitz's division-free recurrence) or
+found by rational congruence, the congruence kernel's pivot list is redone
+by Bareiss elimination on the full active block, elementary symmetric
+functions come from explicit subsets, the mixed discriminant from the double
 permutation sum, UniPoly is a plain polynomial ring in one central
 variable, and symmetric-form arithmetic (combinations, Horner and both defect
 matrices) is redone entry by entry on Fraction rows.
@@ -235,7 +237,13 @@ def descartes_inertia(rows) -> Signature:
     char = oracle_cofactor_det(
         [[(x if i == j else Poly(1)) - Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
     )
-    coeffs = [char.terms.get((k,), Fraction(0)) for k in range(n + 1)]
+    return _descartes([char.terms.get((k,), Fraction(0)) for k in range(n + 1)])
+
+
+def _descartes(coeffs) -> Signature:
+    """Inertia from the coefficients of a real-rooted det(xI - M), lowest
+    degree first: sign changes of p(x) count the positive roots, those of
+    p(-x) the negative ones."""
 
     def sign_changes(cs):
         signs = [c > 0 for c in cs if c != 0]
@@ -243,7 +251,40 @@ def descartes_inertia(rows) -> Signature:
 
     plus = sign_changes(coeffs)
     minus = sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
-    return Signature(plus, minus, n - plus - minus)
+    return Signature(plus, minus, len(coeffs) - 1 - plus - minus)
+
+
+def berkowitz_charpoly(rows) -> list:
+    """Coefficients of det(xI - M), highest degree first, without division.
+
+    Berkowitz's recurrence: with M_r the leading r x r block, R the row and S
+    the column that border it and a the new diagonal entry, the polynomial of
+    M_(r+1) is the lower-triangular Toeplitz matrix of
+    (1, -a, -R S, -R M_r S, ..., -R M_r^(r-1) S) times that of M_r.  Only
+    ring operations are used, so int rows give int coefficients.
+    """
+    poly = [1]
+    for r, row in enumerate(rows):
+        col = [rows[i][r] for i in range(r)]
+        vector = [1, -row[r]]
+        for _ in range(r):
+            vector.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(rows[i], col)) for i in range(r)]
+        poly = [
+            sum(vector[i - j] * poly[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return poly
+
+
+def berkowitz_inertia(rows) -> Signature:
+    """Inertia of a real symmetric matrix from its Berkowitz characteristic
+    polynomial and Descartes' rule of signs, as descartes_inertia reads it.
+
+    No elimination and no division: it reaches the 49 x 49 Gram matrices of
+    d = 7, where the cofactor expansion of descartes_inertia cannot.
+    """
+    return _descartes(berkowitz_charpoly(rows)[::-1])
 
 
 def realified(rows) -> list:
@@ -304,6 +345,60 @@ def fraction_congruence_inertia(rows) -> Signature:
                     rows[r][c] -= f * pivot_row[c]
     plus = sum(1 for p in values if p > 0)
     return Signature(plus, len(values) - plus, n - len(values))
+
+
+def full_block_congruence(rows: list[list[int]]) -> list[tuple]:
+    """Congruence-diagonalise a symmetric integer matrix without fractions,
+    updating the whole active block: the oracle of bilinear._congruence,
+    which must return the identical pivot list from the upper triangle alone.
+
+    Symmetric Bareiss elimination: the pivot is the first nonzero diagonal
+    entry of the active block, and each update divides exactly by the previous
+    pivot, so every entry stays an integer minor of the input.  When the active
+    diagonal vanishes, the pair step b_j += b_k for a nonzero off-diagonal
+    entry a = A[j][k] exposes the diagonal entry 2a.
+
+    Returns (index, minor, pair, column) per pivot, in pivot order.  The minor
+    is the leading principal minor on the pivots so far, so the LDL pivot is
+    minor / previous minor.  pair is (k, 1) when the pair step b_index += b_k
+    came just before, else None.  column lists (r, A[r][index]) for the rows r
+    still active, so A[r][index] / minor is the multiple of b_index taken off
+    b_r: the LDL multiplier.
+    """
+    active = list(range(len(rows)))
+    block = [list(row) for row in rows]
+    pivots = []
+    prev = 1
+    while block:
+        pair = None
+        t = next((i for i, row in enumerate(block) if row[i]), None)
+        if t is None:
+            found = next(
+                ((j, k) for j, row in enumerate(block) for k, x in enumerate(row) if x and j != k),
+                None,
+            )
+            if found is None:
+                break
+            t, k = found
+            block[t] = [x + y for x, y in zip(block[t], block[k])]
+            for row in block:
+                row[t] += row[k]
+            pair = (active[k], 1)
+        p = block[t][t]
+        pivot_row = block.pop(t)
+        del pivot_row[t]
+        q = active.pop(t)
+        column = []
+        for i, row in enumerate(block):
+            f = row.pop(t)
+            if f:
+                column.append((active[i], f))
+                block[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                block[i] = [p * x // prev for x in row]
+        pivots.append((q, p, pair, column))
+        prev = p
+    return pivots
 
 
 # -- Sylvester's criterion -----------------------------------------------------

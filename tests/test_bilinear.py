@@ -36,11 +36,13 @@ from hrlab.sampling import random_hermitian, random_positive_form
 from hrlab.symfunc import partitions, schur
 
 from oracles import (
+    berkowitz_inertia,
     descartes_inertia,
     fraction_combination,
     fraction_congruence_inertia,
     fraction_derivative_inequality_defect,
     fraction_hodge_index_defect,
+    full_block_congruence,
     in_lowest_terms,
     mixed_vector,
     naive_product_of_forms,
@@ -50,6 +52,7 @@ from oracles import (
     rational_rows,
     realified,
 )
+from hrlab.augmentation import AugmentedSpace, twist_family
 from hrlab.exterior import basis_11_real
 
 
@@ -593,6 +596,76 @@ def test_integer_kernel_matches_oracle_on_d7_gram():
     g = gram(omega)
     assert g.n == 49
     assert signature(g) == fraction_congruence_inertia(g.matrix) == Signature(1, 48, 0)
+
+
+# -- the triangle kernel against the full-block kernel and Berkowitz ------------
+
+
+def assert_full_block_pivots(A):
+    """_congruence on A returns the full-block oracle's pivot list exactly."""
+    pivots = _congruence(A)
+    assert pivots == full_block_congruence(A)
+    return pivots
+
+
+@pytest.fixture(scope="module")
+def family_matrices():
+    """A d = 5 family member R_t (26 x 26) and both of its defect matrices."""
+    rng = random.Random(89)
+    space = AugmentedSpace([random_positive_form(rng, 5) for _ in range(2)])
+    fam = twist_family(space, (2, 1), 5)
+    t = Fraction(1, 100)
+    r_t, rp_t = fam.at(t), fam.derivative().at(t)
+    h = space.h_coords
+    return [r_t, hodge_index_defect(r_t, h), derivative_inequality_defect(r_t, rp_t, h)]
+
+
+@pytest.fixture(scope="module")
+def gram_matrices():
+    """Gram matrices of Schur forms at d = 5, 6 and 7: 25, 36 and 49 rows."""
+    rng = random.Random(97)
+    lams = {5: (2, 1), 6: (2, 1, 1), 7: (2, 1, 1, 1)}
+    return [
+        gram(schur(lam, [random_positive_form(rng, d) for _ in range(2)])) for d, lam in lams.items()
+    ]
+
+
+def test_triangle_kernel_matches_full_block_oracle(family_matrices, gram_matrices):
+    rng = random.Random(101)
+    for n in (1, 2, 3, 6, 13, 26):
+        for _ in range(3 if n < 26 else 1):
+            assert_full_block_pivots(SymBilinearForm(hermitian_rows(rng, n, False))._ints)
+            assert_full_block_pivots(_realified(HermitianMatrix(hermitian_rows(rng, n, True))._rows))
+    # Zero diagonals: the first nonzero diagonal entry lies past row 0, so the
+    # rows above the pivot are updated through the triangle's columns, and
+    # where the active diagonal vanishes a pair step runs.
+    late_pivots = pair_steps = 0
+    for n in (2, 3, 6, 13, 26):
+        for _ in range(6 if n < 26 else 2):
+            zeros = set(range(rng.randint(1, n))) | set(rng.sample(range(n), n // 3))
+            rows = SymBilinearForm(hermitian_rows(rng, n, False, zero_diagonal=zeros))._ints
+            pivots = assert_full_block_pivots(rows)
+            late_pivots += bool(pivots) and pivots[0][0] > 0 and pivots[0][2] is None
+            pair_steps += sum(pair is not None for _, _, pair, _ in pivots)
+    assert late_pivots and pair_steps
+    for n, rank in ((1, 1), (4, 2), (6, 5), (13, 4), (26, 3)):
+        assert_full_block_pivots(SymBilinearForm(hermitian_rows(rng, n, False, rank=rank))._ints)
+    for n in (1, 5, 26):
+        assert assert_full_block_pivots([[0] * n for _ in range(n)]) == []
+    for x in (3, -7, 0):
+        assert_full_block_pivots([[x]])
+    for Q in family_matrices + gram_matrices[-1:]:
+        assert_full_block_pivots(Q._ints)
+
+
+def test_signature_matches_berkowitz_past_descartes_range(family_matrices, gram_matrices):
+    # Division-free characteristic polynomials: no elimination on either side
+    # of the comparison shares a step with the kernel.
+    assert [Q.n for Q in family_matrices] == [26] * 3
+    assert [Q.n for Q in gram_matrices] == [25, 36, 49]
+    for Q in family_matrices + gram_matrices:
+        assert signature(Q) == berkowitz_inertia(Q._ints)
+    assert all(signature(Q) == Signature(1, Q.n - 1, 0) for Q in gram_matrices)
 
 
 # -- the int matrix over one denominator, against Fraction rows ---------------------

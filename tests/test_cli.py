@@ -58,6 +58,12 @@ def test_parse_partition():
 
 def test_parse_t_samples():
     assert parse_t_samples("1/100,-1/100") == (Fraction(1, 100), Fraction(-1, 100))
+    assert parse_t_samples("0.1, -2") == (Fraction(1, 10), Fraction(-2))
+    from hrlab.cli import UsageError
+
+    for bad in ("1e3", "1/100,2E-1", "1/0", "x"):
+        with pytest.raises(UsageError, match="malformed t-sample list"):
+            parse_t_samples(bad)
 
 
 def test_simplex_lattice_count():
@@ -260,6 +266,24 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
+def run_capped_usage_error(args, timeout):
+    """Run hrlab under the 2 GiB cap; it must exit 2 with an error line and
+    no traceback within `timeout` seconds.  Returns its stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrlab", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=timeout,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+    return proc.stderr
+
+
 HUGE_DIMENSION_FORM = {
     "dimension": 40_000_000_000,
     "terms": [{"monomial": {"dz": [1], "dzbar": [1]}, "coeff": {"re": "0/1", "im": "1/1"}}],
@@ -279,18 +303,28 @@ HUGE_DIMENSION_FORM = {
 def test_out_of_range_dimension_is_a_usage_error_before_allocation(tmp_path, args):
     ff = tmp_path / "forms.json"
     ff.write_text(json.dumps({"omegas": [HUGE_DIMENSION_FORM]}))
-    src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "hrlab", *(str(ff) if a == "FORMS" else a for a in args)],
-        capture_output=True,
-        text=True,
-        preexec_fn=_cap_address_space,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
+    run_capped_usage_error([str(ff) if a == "FORMS" else a for a in args], timeout=120)
+
+
+@pytest.mark.parametrize("command", ["verify-hr", "gamma-scan"])
+def test_out_of_range_e_is_a_usage_error_before_allocation(command):
+    args = [command, "--d", "3", "--e", "1..99999999999", "--seed", "1"]
+    err = run_capped_usage_error(args, timeout=120)
+    assert "error: --e 99999999999 outside the supported range 1..64" in err
+
+
+def test_exponent_notation_is_a_usage_error(tmp_path):
+    # Fraction("1e1000000000") would build a billion-digit numerator: both
+    # exact inputs refuse the exponent before any rational is built.
+    form = random_positive_form(random.Random(3), 3).to_json()
+    form["terms"][0]["coeff"]["re"] = "1e1000000000"
+    ff = tmp_path / "forms.json"
+    ff.write_text(json.dumps({"omegas": [form]}))
+    err = run_capped_usage_error(["verify-hr", "--forms", str(ff)], timeout=20)
+    assert "exponent notation" in err
+    family = ["family", "--check", "A", "--d", "4", "--e", "1", "--seed", "1"]
+    err = run_capped_usage_error(family + ["--t-samples", "1/10,1e1000000000"], timeout=20)
+    assert "exponent notation" in err
 
 
 def test_gamma_scan_needs_single_d():

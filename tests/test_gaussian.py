@@ -60,6 +60,13 @@ def test_fraction_strings():
         fraction_from_str("1/0")
     with pytest.raises(ValueError):
         fraction_from_str("1/x")
+    # Decimals are exact and stay; an exponent could ask for a numerator of
+    # unbounded size, so it is refused before Fraction sees it.
+    assert fraction_from_str("0.1") == Fraction(1, 10)
+    assert fraction_from_str("-2.50") == Fraction(-5, 2)
+    for bad in ("1e1000000000", "1E5", "2.5e-3", "1/1e3", "-e"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            fraction_from_str(bad)
     # A float is inexact and a bool is no number: neither is read as a rational.
     for bad in (0.1, 1.0, True, None, Fraction(1, 2)):
         with pytest.raises(TypeError):
