@@ -77,14 +77,10 @@ from .sampling import (
 )
 from .symfunc import (
     Partition,
-    WeightVector,
     derived_schur,
     derived_schur_all,
-    elementary,
     partitions,
     schur,
-    schur_combination,
-    twisted_chern,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,17 +16,22 @@ every operation here is pure.  The wedge product, the hot loop of Schur
 evaluation, multiplies the stored Gaussian integers (pairs of Python ints)
 directly, and so do the split by holomorphic degree and the passage between
 a real (1,1)-form and its Hermitian matrix, a rotation by i.  Hermitian
-symmetry is checked by _check_hermitian alone, once per matrix: where
-Gaussian-rational rows come in, and in form_to_hermitian.  Every matrix of
-top-degree pairings (a, b) -> top_coefficient(a ^ omega ^ b) comes from
-top_pairings, which reads omega's coefficients at complements instead of
-wedging and returns Gaussian integers over one denominator.
+symmetry is checked by _is_hermitian alone, once per matrix: where
+Gaussian-rational rows come in, and where a form's matrix is read, in
+form_to_hermitian and pencil_power_sum.  Every matrix of top-degree pairings
+(a, b) -> top_coefficient(a ^ omega ^ b) comes from top_pairings, which reads
+omega's coefficients at complements instead of wedging and returns Gaussian
+integers over one denominator.  pencil_power_sum gives the Schur forms of
+strictly positive (1,1)-forms without a wedge: it sums divided powers of a
+pencil of them at lattice points, each read off the minors of one Hermitian
+matrix by fraction-free elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -425,15 +430,11 @@ def top_ratio(a: Form) -> Fraction:
     return r.re
 
 
-def _check_hermitian(rows: Sequence[Sequence[tuple[int, int]]], message: str) -> None:
-    """Raise ValueError(message) unless rows[j][k] == conj(rows[k][j]) for
-    all j, k: the one Hermitian symmetry check of the package."""
+def _is_hermitian(rows: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """Whether rows[j][k] == conj(rows[k][j]) for all j, k: the one Hermitian
+    symmetry check of the package."""
     n = len(rows)
-    for j in range(n):
-        for k in range(j, n):
-            re, im = rows[k][j]
-            if rows[j][k] != (re, -im):
-                raise ValueError(message)
+    return all(rows[j][k] == (rows[k][j][0], -rows[k][j][1]) for j in range(n) for k in range(j, n))
 
 
 def _hermitian_ints(entries) -> tuple[list[list[tuple[int, int]]], int]:
@@ -446,7 +447,8 @@ def _hermitian_ints(entries) -> tuple[list[list[tuple[int, int]]], int]:
     # Scaling by the lcm of the denominators leaves the rows in lowest terms.
     den = lcm(*(x.denominator for row in rows for z in row for x in (z.re, z.im)))
     ints = [[(int(z.re * den), int(z.im * den)) for z in row] for row in rows]
-    _check_hermitian(ints, "matrix is not Hermitian")
+    if not _is_hermitian(ints):
+        raise ValueError("matrix is not Hermitian")
     return ints, den
 
 
@@ -539,17 +541,192 @@ def hermitian_to_form(H: HermitianMatrix) -> Form:
     return Form._of(d, H._den, coeffs)
 
 
-def form_to_hermitian(a: Form) -> HermitianMatrix:
-    """Inverse of hermitian_to_form; rejects non-(1,1) and non-real input."""
-    if not a.is_homogeneous(1, 1):
-        raise ValueError("expected a (1,1)-form")
+def _rows_11(a: Form) -> list[list[tuple[int, int]]]:
+    """The rows H with a = i * sum_{j,k} H[j][k] dz_j^dzb_k / a._den, for a
+    (1,1)-form a; Hermitian exactly when a is real."""
     d = a.d
     full = (1 << d) - 1
     rows = [[(0, 0)] * d for _ in range(d)]
     for m, (re, im) in a._coeffs.items():
         rows[(m & full).bit_length() - 1][(m >> d).bit_length() - 1] = (im, -re)  # (re + im*i) / i
-    _check_hermitian(rows, "form is not real")
+    return rows
+
+
+def form_to_hermitian(a: Form) -> HermitianMatrix:
+    """Inverse of hermitian_to_form; rejects non-(1,1) and non-real input."""
+    if not a.is_homogeneous(1, 1):
+        raise ValueError("expected a (1,1)-form")
+    rows = _rows_11(a)
+    if not _is_hermitian(rows):
+        raise ValueError("form is not real")
     return HermitianMatrix._of(a._den, rows)
+
+
+def _adjugate(re: list[list[int]], im: list[list[int]]) -> tuple[int, list, list] | None:
+    """(det M, Re adj M, Im adj M) for the Hermitian matrix M = re + i*im of
+    Gaussian integers, or None unless M is positive definite.
+
+    Fraction-free Gauss-Jordan elimination without row exchanges on a copy
+    of M, in one d x d array: once column k is eliminated its storage holds
+    column k of the adjugate.
+    The k-th pivot is the k-th leading principal minor, a real int, so M is
+    positive definite exactly when every pivot is positive (Sylvester's
+    criterion), and the division of each component by the previous pivot is
+    exact.
+    """
+    d = len(re)
+    re, im = [r[:] for r in re], [r[:] for r in im]
+    prev = 1
+    for k in range(d):
+        p = re[k][k]
+        if p <= 0:
+            return None
+        rk, ik = re[k], im[k]
+        for i in range(d):
+            if i == k:
+                continue
+            ri, ii = re[i], im[i]
+            fr, fi = ri[k], ii[k]
+            re[i] = [(p * a - fr * c + fi * s) // prev for a, c, s in zip(ri, rk, ik)]
+            im[i] = [(p * b - fr * s - fi * c) // prev for b, c, s in zip(ii, rk, ik)]
+            re[i][k], im[i][k] = -fr, -fi
+        rk[k] = prev
+        prev = p
+    return prev, re, im
+
+
+@lru_cache(maxsize=None)
+def _minor_plan(d: int, p: int):
+    """How to read det M[I, J], for p-subsets I, J of 0..d-1 and a positive
+    definite Hermitian d x d matrix M, off q-minors, q = min(p, d - p): those
+    of M for 2p <= d, else those of adj(M), by Jacobi's identity
+    det M[I, J] = (-1)^(sum I + sum J) det adj(M)[J', I'] / det(M)^(d-p-1),
+    with ' the complement.
+
+    Returns (levels, out).  Level s lists the s-minors [R, C], each as its
+    Laplace expansion along the first row of R: terms (i, j, negate, k) with
+    k the position of the (s-1)-minor in the level below.  The last level
+    keeps only R <= C (as bitmasks): the matrices are Hermitian, so
+    [C, R] is the conjugate of [R, C].  out[n] = (key, mirror, negate) says
+    where the n-th minor of the last level goes, I | J << d, where its
+    conjugate goes, and whether Jacobi's sign flips both.
+    """
+    q, full = min(p, d - p), (1 << d) - 1
+    levels = []
+    below = {(0, 0): 0}
+    for s in range(1, q + 1):
+        level, index = [], {}
+        for rows in combinations(range(d), s):
+            r = sum(1 << i for i in rows)
+            for cols in combinations(range(d), s):
+                c = sum(1 << j for j in cols)
+                if s == q and r > c:
+                    continue
+                terms = tuple(
+                    (rows[0], j, pos & 1 == 1, below[(r & ~(1 << rows[0]), c & ~(1 << j))])
+                    for pos, j in enumerate(cols)
+                )
+                index[(r, c)] = len(level)
+                level.append(terms)
+        levels.append(tuple(level))
+        below = index
+    out = []
+    odd = sum(1 << i for i in range(1, d, 2))
+    for r, c in below:
+        if 2 * p <= d:
+            out.append((r | c << d, c | r << d, False))
+        else:
+            rows, cols = full ^ c, full ^ r
+            negate = ((rows & odd).bit_count() + (cols & odd).bit_count()) & 1 == 1
+            out.append((rows | cols << d, cols | rows << d, negate))
+    return tuple(levels), tuple(out)
+
+
+def _last_minors(levels, re: list[list[int]], im: list[list[int]]) -> list[tuple[int, int]]:
+    """The minors of M = re + i*im on the last level of a _minor_plan."""
+    vals = [(1, 0)]
+    for level in levels:
+        nxt = []
+        for terms in level:
+            sr = si = 0
+            for i, j, negate, k in terms:
+                ar, ai = re[i][j], im[i][j]
+                mr, mi = vals[k]
+                tr, ti = ar * mr - ai * mi, ar * mi + ai * mr
+                if negate:
+                    sr, si = sr - tr, si - ti
+                else:
+                    sr, si = sr + tr, si + ti
+            nxt.append((sr, si))
+        vals = nxt
+    return vals
+
+
+def pencil_power_sum(
+    forms: Sequence[Form], p: int, weights: Mapping[tuple[int, ...], Fraction]
+) -> Form | None:
+    """sum_t weights[t] * (omega_1 + t_1 omega_2 + ... + t_(e-1) omega_e)^p / p!
+    over the points t of weights, each of length e - 1; None unless every
+    omega_k is a strictly positive real (1,1)-form.
+
+    No wedge is formed.  For omega = i sum H[j][k] dz_j^dzb_k the coefficient
+    of omega^p / p! at dz_I^dzb_J is i^(p*p) det H[I, J] (the sign
+    (-1)^(p(p-1)/2) of moving the dzb factors right is folded in), so each
+    point needs only the p-minors of one Hermitian matrix, which is positive
+    definite because every H_k is and t >= 0; _minor_plan reads them off
+    min(p, d - p)-minors.  Positivity of each H_k is decided by Sylvester's
+    criterion on the pivots of its elimination.
+    """
+    d = forms[0].d
+    if any(f.d != d for f in forms):
+        raise ValueError("dimension mismatch")
+    if any(len(t) != len(forms) - 1 for t in weights):
+        raise ValueError("each point needs one coordinate per form after the first")
+    mats = []
+    for f in forms:
+        if not f.is_homogeneous(1, 1):
+            return None
+        rows = _rows_11(f)
+        if not _is_hermitian(rows):
+            return None
+        re, im = [[z[0] for z in row] for row in rows], [[z[1] for z in row] for row in rows]
+        if _adjugate(re, im) is None:
+            return None
+        mats.append((f._den, re, im))
+    # One denominator: H(1, t) = M(t) / den, so det H[I, J] = det M[I, J] / den^p.
+    den = lcm(*(fden for fden, _, _ in mats))
+    mats = [
+        ([[x * (den // fden) for x in r] for r in re], [[x * (den // fden) for x in r] for r in im])
+        for fden, re, im in mats
+    ]
+    wden = lcm(*(w.denominator for w in weights.values()))
+    levels, out = _minor_plan(d, p)
+    acc_re, acc_im = [0] * len(out), [0] * len(out)
+    for t, w in weights.items():
+        re, im = mats[0]
+        for x, (re_k, im_k) in zip(t, mats[1:]):
+            if x:
+                re = [[a + x * b for a, b in zip(row, row_k)] for row, row_k in zip(re, re_k)]
+                im = [[a + x * b for a, b in zip(row, row_k)] for row, row_k in zip(im, im_k)]
+        scale, div = w.numerator * (wden // w.denominator), 1
+        if 2 * p > d:
+            det, re, im = _adjugate(re, im)
+            if p == d:
+                scale *= det
+            else:
+                div = det ** (d - p - 1)
+        for n, (mr, mi) in enumerate(_last_minors(levels, re, im)):
+            acc_re[n] += scale * mr // div
+            acc_im[n] += scale * mi // div
+    coeffs = {}
+    for (key, mirror, negate), sr, si in zip(out, acc_re, acc_im):
+        if negate:
+            sr, si = -sr, -si
+        if sr or si:
+            # i^(p*p) is i for odd p: i * (sr + si*i) = -si + sr*i.
+            coeffs[key] = (-si, sr) if p & 1 else (sr, si)
+            coeffs[mirror] = (si, sr) if p & 1 else (sr, -si)
+    return Form._of(d, wden * den**p, coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,25 @@
 """Partitions and Schur polynomials evaluated in the algebra of real (p,p)-forms.
 
-Elementary, Schur and twisted-class evaluation each have two layers: a
-generic one that works in any commutative ring given via duck typing (elements
-need +, * and multiplication by ints), and a thin wrapper specialized to
-forms.  The generic layer is what lets the test suite replay the same
-determinants over plain commuting scalar variables.  Derived Schur
-coefficients live in the form layer only: they are the bidegree slices of one
-Schur evaluation at the arguments shifted by the unit form.
+Elementary, Schur and twisted-class evaluation each have a generic layer that
+works in any commutative ring given via duck typing (elements need +, * and
+multiplication by ints); it lets the test suite replay the same determinants
+over plain commuting scalar variables.  Derived Schur coefficients live in
+the form layer only: they are the bidegree slices of one Schur evaluation at
+the arguments shifted by the unit form.
+
+`schur` has two routes, chosen by the input alone.  When every form is a
+strictly positive real (1,1)-form and e <= |lam| (e forms), it takes the
+pencil route: in the linear setting, the (I,J) coefficient of s_lam is
+i^(p*p) sum_a f_a a! [x^a] det H(x)[I,J], with p = |lam|, H(x) = sum_k x_k H_k
+the pencil of the forms' Hermitian matrices and f = sum_a f_a x^a lam's
+Schur polynomial in e scalar variables.  The functional is a fixed weighted
+sum of values at the points x = (1, t), t in N^(e-1), |t| <= p, whose
+weights come in closed form from Newton forward differences and are cached
+per (lam, e); exterior.pencil_power_sum reads the minors at each point,
+with no wedge.  The lattice has binom(p+e-1, e-1) points, so for e > |lam|
+(and for any other input) `schur` and `derived_schur_all` take the wedge
+route: the Jacobi-Trudi determinant in the elementary functions, expanded
+over wedges.
 
 The Schur determinant convention is: for a partition (l_1 >= ... >= l_N) the
 entry in row i, column j (1-based) is c_{l_i - i + j}, with c_0 = 1 and c_k = 0
@@ -20,11 +33,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Sequence
+from itertools import product
+from math import comb, factorial, prod
+from operator import add
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
-from .exterior import Form, holomorphic_slices
-from .gaussian import as_fraction, fraction_from_str, fraction_to_str
+from .exterior import Form, holomorphic_slices, pencil_power_sum
 
 
 @dataclass(frozen=True)
@@ -96,36 +111,6 @@ def partitions(b: int, e: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Non-negative rational weights summing to one, indexed like partitions(b, e)."""
-
-    x: tuple[Fraction, ...]
-
-    def __init__(self, x):
-        vals = tuple(as_fraction(v) for v in x)
-        if not vals:
-            raise ValueError("weight vector cannot be empty")
-        if any(v < 0 for v in vals):
-            raise ValueError("weights must be non-negative")
-        if sum(vals) != 1:
-            raise ValueError("weights must sum to one exactly")
-        object.__setattr__(self, "x", vals)
-
-    def __iter__(self):
-        return iter(self.x)
-
-    def __len__(self):
-        return len(self.x)
-
-    def to_json(self) -> list[str]:
-        return [fraction_to_str(v) for v in self.x]
-
-    @staticmethod
-    def from_json(obj) -> "WeightVector":
-        return WeightVector([fraction_from_str(s) for s in obj])
-
-
 # -- generic ring layer ----------------------------------------------------
 
 
@@ -193,6 +178,84 @@ def twisted_chern_elements(cs: Sequence, e: int, delta, p: int, one):
     return total
 
 
+# -- lattice weights of the pencil route --------------------------------------
+
+
+class _Poly(dict):
+    """Polynomial with int coefficients as {exponent tuple: coefficient}, no
+    zero entries: the ring in which schur_elements expands f_lam."""
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for k, c in other.items():
+            c += out.get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return out
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Poly({k: c * other for k, c in self.items()} if other else {})
+        out: dict[tuple[int, ...], int] = {}
+        for k1, c1 in self.items():
+            for k2, c2 in other.items():
+                k = tuple(map(add, k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
+        return _Poly({k: c for k, c in out.items() if c})
+
+
+@lru_cache(maxsize=None)
+def _stirling1(n: int, k: int) -> int:
+    """Signed Stirling number of the first kind: t(t-1)...(t-n+1) = sum_k s(n, k) t^k."""
+    if n == 0:
+        return int(k == 0)
+    return (_stirling1(n - 1, k - 1) if k else 0) - (n - 1) * _stirling1(n - 1, k)
+
+
+@lru_cache(maxsize=None)
+def _simplex(m: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The points of N^m with coordinate sum at most r."""
+    if m == 0:
+        return ((),)
+    return tuple((a,) + rest for a in range(r + 1) for rest in _simplex(m - 1, r - a))
+
+
+@lru_cache(maxsize=None)
+def _lattice_weights(lam: Partition, e: int) -> Mapping[tuple[int, ...], Fraction]:
+    """Weights w_t, t in N^(e-1) with |t| <= p = |lam|, such that
+    sum_t w_t g(1, t) = sum_a f_a a! g_a for every form g of degree p in e
+    variables, where f = sum_a f_a x^a is lam's Schur polynomial in x.
+
+    Closed form, no solve.  Write q(t) = g(1, t).  Newton's forward-difference
+    expansion q(t) = sum_b (D^b q)(0) prod_i binom(t_i, b_i), with the Stirling
+    numbers s(b, c) taking b! binom(t, b) to monomials, gives
+    sum_a f_a a! g_a = sum_b u_b (D^b q)(0) with
+    u_b = sum_c f_(p-|c|, c) (p-|c|)! c! prod_i s(b_i, c_i) / b!, and
+    (D^b q)(0) = sum_(t <= b) (-1)^|b-t| prod_i binom(b_i, t_i) q(t).
+    """
+    p, m = lam.weight, e - 1
+    xs = [_Poly({tuple(int(i == k) for i in range(e)): 1}) for k in range(e)]
+    f = schur_elements(lam, xs, _Poly({(0,) * e: 1}))
+    # Integers throughout: p!/b! is one, and the weights come out over p!.
+    u: dict[tuple[int, ...], int] = {}
+    for a, fa in f.items():
+        c = a[1:]
+        fa *= prod(map(factorial, a))
+        for step in _simplex(m, p - sum(c)):
+            b = tuple(map(add, c, step))
+            term = fa * prod(map(_stirling1, b, c)) * (factorial(p) // prod(map(factorial, b)))
+            u[b] = u.get(b, 0) + term
+    w: dict[tuple[int, ...], int] = {}
+    for b, ub in u.items():
+        for t in product(*(range(x + 1) for x in b)):
+            term = ub * prod(map(comb, b, t))
+            w[t] = w.get(t, 0) + (-term if (sum(b) - sum(t)) & 1 else term)
+    # Read-only: the cache hands the same mapping to every caller.
+    return MappingProxyType({t: Fraction(x, factorial(p)) for t, x in w.items() if x})
+
+
 # -- form layer -------------------------------------------------------------
 
 
@@ -208,14 +271,11 @@ def _common_dimension(forms: Sequence[Form]) -> int:
     return d
 
 
-def elementary(k: int, forms: Sequence[Form]) -> Form:
-    """k-th elementary symmetric function of (1,1)-forms under wedge."""
-    d = _common_dimension(forms)
-    return elementary_elements(k, list(forms), Form.scalar(d, 1))
-
-
 def schur(lam, forms: Sequence[Form]) -> Form:
-    """Schur polynomial of (1,1)-forms; a real form of bidegree (|lam|, |lam|)."""
+    """Schur polynomial of (1,1)-forms; a real form of bidegree (|lam|, |lam|).
+
+    The pencil route when every form is strictly positive and
+    len(forms) <= |lam|, else the wedge route; both give the same form."""
     lam = Partition(lam)
     d = _common_dimension(forms)
     if lam.largest > len(forms):
@@ -225,6 +285,10 @@ def schur(lam, forms: Sequence[Form]) -> Form:
             RuntimeWarning,
             stacklevel=2,
         )
+    if len(forms) <= lam.weight:
+        out = pencil_power_sum(forms, lam.weight, _lattice_weights(lam, len(forms)))
+        if out is not None:
+            return out
     return schur_elements(lam, list(forms), Form.scalar(d, 1))
 
 
@@ -249,25 +313,3 @@ def derived_schur(lam, forms: Sequence[Form], j: int) -> Form:
     """Coefficient of the j-th power of a uniform (1,1) shift of the arguments."""
     coeffs = derived_schur_all(lam, forms)
     return coeffs[j] if 0 <= j < len(coeffs) else Form.zero(forms[0].d)
-
-
-def twisted_chern(cs: Sequence[Form], e: int, delta: Form, p: int) -> Form:
-    """Twist of a Chern-class list by a (1,1)-form delta."""
-    d = _common_dimension(cs)
-    return twisted_chern_elements(list(cs), e, delta, p, Form.scalar(d, 1))
-
-
-def schur_combination(weights: WeightVector, b: int, e: int, forms: Sequence[Form]) -> Form:
-    """Convex combination of the Schur forms indexed by partitions(b, e)."""
-    lams = partitions(b, e)
-    if len(weights) != len(lams):
-        raise ValueError(
-            f"weight vector has {len(weights)} entries but there are "
-            f"{len(lams)} partitions of {b} with parts at most {e}"
-        )
-    d = _common_dimension(forms)
-    total = Form.zero(d)
-    for w, lam in zip(weights, lams):
-        if w:
-            total = total + schur(lam, forms).scale(w)
-    return total

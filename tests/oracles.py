@@ -1,28 +1,37 @@
 """Independent brute-force implementations used only as test oracles.
 
-Nothing here shares code with the package, except the last section, whose
-comment says what it reuses: the exterior algebra is replayed over generator
-tuples with insertion-sort sign counting, determinants are expanded by
-cofactors or by plain elimination, inertia is read off the characteristic
-polynomial (by cofactors, or by Berkowitz's division-free recurrence) or
-found by rational congruence, the congruence kernel's pivot list is redone
-by Bareiss elimination on the full active block, elementary symmetric
-functions come from explicit subsets, the mixed discriminant from the double
-permutation sum, UniPoly is a plain polynomial ring in one central
-variable, and symmetric-form arithmetic (combinations, Horner and both defect
+Nothing here shares code with the package, except the last two sections,
+whose comments say what they reuse: the exterior algebra is replayed over
+generator tuples with insertion-sort sign counting, determinants are
+expanded by cofactors or by plain elimination, inertia is read off the
+characteristic polynomial (by cofactors, or by Berkowitz's division-free
+recurrence) or found by rational congruence, the congruence kernel's pivot
+list is redone by Bareiss elimination on the full active block, elementary
+symmetric functions come from explicit subsets, the mixed discriminant from
+the double permutation sum, the pencil route's lattice weights from one
+dense solve, UniPoly is a plain polynomial ring in one central variable,
+and symmetric-form arithmetic (combinations, Horner and both defect
 matrices) is redone entry by entry on Fraction rows.
 """
 
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, gcd
 
 from hrlab.augmentation import _check_weight
 from hrlab.bilinear import Signature, SymBilinearForm
 from hrlab.exterior import Form, HermitianMatrix, indices_of, wedge
-from hrlab.gaussian import GaussianRational
-from hrlab.symfunc import Partition, elementary_elements, schur_elements
+from hrlab.gaussian import GaussianRational, as_fraction, fraction_from_str, fraction_to_str
+from hrlab.symfunc import (
+    Partition,
+    elementary_elements,
+    partitions,
+    schur,
+    schur_elements,
+    twisted_chern_elements,
+)
 
 # -- naive exterior algebra over generator tuples ---------------------------
 # Generators are coded 1..d for the holomorphic ones and d+1..2d for the
@@ -223,6 +232,45 @@ def oracle_schur(parts: tuple, nvars: int) -> object:
 
     rows = [[entry(i, j) for j in range(size)] for i in range(size)]
     return oracle_cofactor_det(rows)
+
+
+def lattice_weights_by_solve(lams, e: int) -> list:
+    """The pencil route's lattice weights by one dense exact solve, for
+    partitions lams of one weight p.
+
+    Unknowns w_t at the points t in N^(e-1) with |t| <= p; one equation per
+    monomial t^c: sum_t w_t t^c = f_a a!, where a = (p - |c|, c) and f is
+    oracle_schur of the partition.  The points are unisolvent for degree p,
+    so the square system has one solution; all partitions share its matrix,
+    each adds a right-hand side.  Returns the nonzero entries per partition.
+    """
+    (p,) = {sum(lam) for lam in lams}
+    fs = [oracle_schur(tuple(lam), e).terms for lam in lams]
+    points = [t for t in product(range(p + 1), repeat=e - 1) if sum(t) <= p]
+    rows = []
+    for c in points:
+        a = (p - sum(c),) + c
+        scale = 1
+        for x in a:
+            scale *= factorial(x)
+        row = []
+        for t in points:
+            value = Fraction(1)
+            for x, y in zip(t, c):
+                value *= x**y
+            row.append(value)
+        rows.append(row + [f.get(a, Fraction(0)) * scale for f in fs])
+    n = len(points)
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        inv = 1 / rows[k][k]
+        rows[k] = [x * inv for x in rows[k]]
+        for r in range(n):
+            if r != k and rows[r][k]:
+                factor = rows[r][k]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[k])]
+    return [{t: rows[i][n + j] for i, t in enumerate(points) if rows[i][n + j]} for j in range(len(lams))]
 
 
 def descartes_inertia(rows) -> Signature:
@@ -781,3 +829,68 @@ def intersection_form_by_product(space, lam, i: int) -> SymBilinearForm:
     if any(not x.is_real() for row in rows for x in row):
         raise ValueError("the pairing of real forms came out complex")
     return SymBilinearForm([[x.re for x in row] for row in rows])
+
+
+
+# -- form-level helpers reached by no CLI path ---------------------------------
+# Convex combinations of Schur forms and the form-level elementary and twisted
+# classes, kept for the tests that exercise them; they reuse the package's
+# ring-level evaluators and schur.
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Non-negative rational weights summing to one, indexed like partitions(b, e)."""
+
+    x: tuple[Fraction, ...]
+
+    def __init__(self, x):
+        vals = tuple(as_fraction(v) for v in x)
+        if not vals:
+            raise ValueError("weight vector cannot be empty")
+        if any(v < 0 for v in vals):
+            raise ValueError("weights must be non-negative")
+        if sum(vals) != 1:
+            raise ValueError("weights must sum to one exactly")
+        object.__setattr__(self, "x", vals)
+
+    def __iter__(self):
+        return iter(self.x)
+
+    def __len__(self):
+        return len(self.x)
+
+    def to_json(self) -> list[str]:
+        return [fraction_to_str(v) for v in self.x]
+
+    @staticmethod
+    def from_json(obj) -> "WeightVector":
+        return WeightVector([fraction_from_str(s) for s in obj])
+
+
+def elementary(k: int, forms) -> Form:
+    """k-th elementary symmetric function of (1,1)-forms under wedge."""
+    d = forms[0].d
+    if any(f.d != d for f in forms):
+        raise ValueError("mixed dimensions")
+    return elementary_elements(k, list(forms), Form.scalar(d, 1))
+
+
+def twisted_chern(cs, e: int, delta: Form, p: int) -> Form:
+    """Twist of a Chern-class list by a (1,1)-form delta."""
+    return twisted_chern_elements(list(cs), e, delta, p, Form.scalar(delta.d, 1))
+
+
+def schur_combination(weights: WeightVector, b: int, e: int, forms) -> Form:
+    """Convex combination of the Schur forms indexed by partitions(b, e)."""
+    lams = partitions(b, e)
+    if len(weights) != len(lams):
+        raise ValueError(
+            f"weight vector has {len(weights)} entries but there are "
+            f"{len(lams)} partitions of {b} with parts at most {e}"
+        )
+    total = Form.zero(forms[0].d)
+    for w, lam in zip(weights, lams):
+        if w:
+            total = total + schur(lam, forms).scale(w)
+    return total

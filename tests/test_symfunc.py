@@ -4,31 +4,34 @@ from fractions import Fraction
 
 import pytest
 
-from hrlab.exterior import Form, identity_form, wedge
+import hrlab.symfunc
+from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_form, pencil_power_sum, wedge
 from hrlab.sampling import random_positive_form
 from hrlab.symfunc import (
     Partition,
-    WeightVector,
+    _lattice_weights,
     derived_schur,
     derived_schur_all,
-    elementary,
     elementary_elements,
     partitions,
     schur,
-    schur_combination,
     schur_elements,
-    twisted_chern,
     twisted_chern_elements,
 )
 
 from oracles import (
     Poly,
     UniPoly,
+    WeightVector,
     brute_partitions,
     derived_schur_all_elements,
+    elementary,
+    lattice_weights_by_solve,
     oracle_elementary,
     oracle_schur,
     schur_by_permutations,
+    schur_combination,
+    twisted_chern,
 )
 
 
@@ -171,6 +174,102 @@ def test_schur_matches_permutation_oracle_on_forms():
             for lam in partitions(d - 2, d - 2):
                 want = schur_by_permutations(lam.parts, forms, one)
                 assert schur_elements(lam, forms, one) == want, (d, e, lam)
+
+
+# -- the pencil route ----------------------------------------------------------------
+# schur takes it when every form is strictly positive and e <= |lam|; the wedge
+# route, schur_elements over forms, is its oracle.
+
+
+def wedge_route(lam, forms):
+    return schur_elements(lam, forms, Form.scalar(forms[0].d, 1))
+
+
+def positive_forms(d, e, seed):
+    rng = random.Random(seed)
+    return [random_positive_form(rng, d) for _ in range(e)]
+
+
+def test_pencil_route_equals_wedge_route_at_weight_d_minus_2():
+    for d in range(2, 8):
+        for e in range(1, 4):
+            forms = positive_forms(d, e, 300 * d + e)
+            for lam in partitions(d - 2, max(d - 2, 1)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    assert schur(lam, forms) == wedge_route(lam, forms), (d, e, lam)
+
+
+def test_pencil_route_on_both_sides_of_half_the_dimension():
+    # At d = 5, weights 1 and 2 read p-minors of the pencil, weights 3..5
+    # (d - p)-minors of its adjugate.
+    d = 5
+    for e in range(1, 4):
+        forms = positive_forms(d, e, 400 + e)
+        for p in (1, 2, d - 1, d):
+            for lam in partitions(p, p):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    assert schur(lam, forms) == wedge_route(lam, forms), (e, lam)
+
+
+def test_pencil_route_at_d_8():
+    for e, lam in ((2, (1,) * 6), (3, (2, 2, 1, 1))):
+        forms = positive_forms(8, e, 500 + e)
+        assert schur(lam, forms) == wedge_route(lam, forms), (e, lam)
+
+
+def test_route_boundary_is_e_equal_to_weight(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1])
+        return pencil_power_sum(*args)
+
+    monkeypatch.setattr(hrlab.symfunc, "pencil_power_sum", recording)
+    lam = (1, 1, 1, 1)
+    for e, routed in ((4, [4]), (5, [])):
+        calls.clear()
+        forms = positive_forms(6, e, 600 + e)
+        assert schur(lam, forms) == wedge_route(lam, forms), e
+        assert calls == routed, e
+
+
+def test_forms_off_the_route_give_the_wedge_result():
+    d = 4
+    w = positive_forms(d, 1, 700)[0]
+    rank_one = hermitian_to_form(HermitianMatrix([[1, 1, 0, 0], [1, 1, 0, 0], [0] * 4, [0] * 4]))
+    indefinite = hermitian_to_form(HermitianMatrix.diagonal([1, -1, 2, 3]))
+    not_real = Form.term(d, [1], [2])
+    not_11 = wedge(w, w)
+    for bad in (rank_one, indefinite, not_real, not_11, Form.zero(d)):
+        forms = [w, bad]
+        assert pencil_power_sum(forms, 2, _lattice_weights(Partition((1, 1)), 2)) is None
+        for lam in ((1, 1), (2,), (2, 1), (1, 1, 1)):
+            assert schur(lam, forms) == wedge_route(lam, forms), (bad, lam)
+
+
+def test_empty_partition_gives_the_unit_form():
+    for e in range(1, 4):
+        forms = positive_forms(4, e, 800 + e)
+        assert schur((), forms) == Form.scalar(4, 1)
+
+
+def test_part_above_e_gives_zero_and_warns_on_the_pencil_route():
+    for e, lam in ((1, (2, 1)), (2, (3,)), (2, (3, 1))):
+        forms = positive_forms(5, e, 900 + e)
+        with pytest.warns(RuntimeWarning):
+            out = schur(lam, forms)
+        assert out.is_zero()
+
+
+def test_lattice_weights_match_a_dense_solve():
+    for p in range(1, 6):
+        lams = partitions(p, p)
+        for e in range(1, p + 1):
+            want = lattice_weights_by_solve([lam.parts for lam in lams], e)
+            for lam, w in zip(lams, want):
+                assert _lattice_weights(lam, e) == w, (lam, e)
 
 
 # -- derived schur ------------------------------------------------------------------
