@@ -675,7 +675,8 @@ def pencil_power_sum(
     point needs only the p-minors of one Hermitian matrix, which is positive
     definite because every H_k is and t >= 0; _minor_plan reads them off
     min(p, d - p)-minors.  Positivity of each H_k is decided by Sylvester's
-    criterion on the pivots of its elimination.
+    criterion on the pivots of its elimination.  For p > d every power is
+    zero.
     """
     d = forms[0].d
     if any(f.d != d for f in forms):
@@ -693,6 +694,8 @@ def pencil_power_sum(
         if _adjugate(re, im) is None:
             return None
         mats.append((f._den, re, im))
+    if p > d:
+        return Form.zero(d)
     # One denominator: H(1, t) = M(t) / den, so det H[I, J] = det M[I, J] / den^p.
     den = lcm(*(fden for fden, _, _ in mats))
     mats = [

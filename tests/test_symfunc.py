@@ -177,8 +177,9 @@ def test_schur_matches_permutation_oracle_on_forms():
 
 
 # -- the pencil route ----------------------------------------------------------------
-# schur takes it when every form is strictly positive and e <= |lam|; the wedge
-# route, schur_elements over forms, is its oracle.
+# schur takes it when every form is strictly positive, 2 <= |lam| <= d and the
+# lattice has at most 4^(d-2) points; the wedge route, schur_elements over
+# forms, is its oracle.
 
 
 def wedge_route(lam, forms):
@@ -201,8 +202,8 @@ def test_pencil_route_equals_wedge_route_at_weight_d_minus_2():
 
 
 def test_pencil_route_on_both_sides_of_half_the_dimension():
-    # At d = 5, weights 1 and 2 read p-minors of the pencil, weights 3..5
-    # (d - p)-minors of its adjugate.
+    # At d = 5, weight 2 reads p-minors of the pencil, weights 4 and 5
+    # (d - p)-minors of its adjugate; weight 1 takes the wedge route.
     d = 5
     for e in range(1, 4):
         forms = positive_forms(d, e, 400 + e)
@@ -219,7 +220,7 @@ def test_pencil_route_at_d_8():
         assert schur(lam, forms) == wedge_route(lam, forms), (e, lam)
 
 
-def test_route_boundary_is_e_equal_to_weight(monkeypatch):
+def test_route_follows_weight_and_lattice_size(monkeypatch):
     calls = []
 
     def recording(*args):
@@ -227,12 +228,23 @@ def test_route_boundary_is_e_equal_to_weight(monkeypatch):
         return pencil_power_sum(*args)
 
     monkeypatch.setattr(hrlab.symfunc, "pencil_power_sum", recording)
-    lam = (1, 1, 1, 1)
-    for e, routed in ((4, [4]), (5, [])):
+    cases = (
+        (6, (1, 1, 1, 1), 4, True),  # e = |lam|
+        (6, (1, 1, 1, 1), 5, True),  # e = |lam| + 1
+        (6, (1, 1, 1, 1), 7, True),  # 210 points, 4^4 = 256
+        (6, (1, 1, 1, 1), 8, False),  # 330 points
+        (4, (1, 1), 5, True),  # 15 points, 4^2 = 16
+        (4, (1, 1), 6, False),  # 21 points
+        (2, (1, 1), 1, True),  # 1 point, 4^0 = 1
+        (2, (1, 1), 2, False),  # 3 points
+        (5, (1,), 1, False),  # weight 1
+        (3, (1, 1, 1, 1), 1, False),  # weight above d, 1 point
+    )
+    for d, lam, e, routed in cases:
         calls.clear()
-        forms = positive_forms(6, e, 600 + e)
-        assert schur(lam, forms) == wedge_route(lam, forms), e
-        assert calls == routed, e
+        forms = positive_forms(d, e, 600 + 10 * d + e)
+        assert schur(lam, forms) == wedge_route(lam, forms), (d, lam, e)
+        assert calls == ([sum(lam)] if routed else []), (d, lam, e)
 
 
 def test_forms_off_the_route_give_the_wedge_result():
@@ -247,6 +259,14 @@ def test_forms_off_the_route_give_the_wedge_result():
         assert pencil_power_sum(forms, 2, _lattice_weights(Partition((1, 1)), 2)) is None
         for lam in ((1, 1), (2,), (2, 1), (1, 1, 1)):
             assert schur(lam, forms) == wedge_route(lam, forms), (bad, lam)
+
+
+def test_weight_above_d_gives_the_zero_form():
+    # A (1,1)-form's p-th power vanishes for p > d, on both routes.
+    forms = positive_forms(2, 2, 750)
+    assert wedge_route((2, 1), forms).is_zero()
+    assert schur((2, 1), forms).is_zero()
+    assert pencil_power_sum(forms, 3, _lattice_weights(Partition((2, 1)), 2)) == Form.zero(2)
 
 
 def test_empty_partition_gives_the_unit_form():
@@ -264,9 +284,11 @@ def test_part_above_e_gives_zero_and_warns_on_the_pencil_route():
 
 
 def test_lattice_weights_match_a_dense_solve():
+    # e up to |lam| for every weight up to 5, and two more forms for weights
+    # 2 and 3: the pencil route also runs with more forms than |lam|.
     for p in range(1, 6):
         lams = partitions(p, p)
-        for e in range(1, p + 1):
+        for e in range(1, p + 1 + 2 * (p in (2, 3))):
             want = lattice_weights_by_solve([lam.parts for lam in lams], e)
             for lam, w in zip(lams, want):
                 assert _lattice_weights(lam, e) == w, (lam, e)
