@@ -15,7 +15,10 @@ check.  Only hermitian_inertia takes Gaussian-rational rows, and exterior
 coerces and checks them once.  The kernel pivots on the diagonal where it
 can, and when the remaining diagonal vanishes the basis change b_j += b_k
 exposes the diagonal entry 2a from a nonzero off-diagonal a.  Sylvester's
-law makes the count basis independent, so the result is exact.
+law makes the count basis independent, so the result is exact.  Positive
+definiteness of a Hermitian matrix needs no inertia and is decided
+elsewhere, in exterior, by Sylvester's criterion on the leading principal
+minors.
 
 A form Q with Q(h) > 0 for some h has the Hodge-Riemann property when its
 signature is (1, n-1, 0); the weak variant with respect to h asks only for a
@@ -94,8 +97,10 @@ class SymBilinearForm:
         if not ints:
             raise ValueError("matrix must be square and non-empty")
         g = gcd(den, *(x for row in ints for x in row))
+        if g > 1:
+            ints = [[x // g for x in row] for row in ints]
         form = object.__new__(cls)
-        object.__setattr__(form, "_ints", tuple(tuple(x // g for x in row) for row in ints))
+        object.__setattr__(form, "_ints", tuple(map(tuple, ints)))
         object.__setattr__(form, "_den", den // g)
         return form
 

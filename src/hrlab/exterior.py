@@ -18,13 +18,21 @@ directly, and so do the split by holomorphic degree and the passage between
 a real (1,1)-form and its Hermitian matrix, a rotation by i.  Hermitian
 symmetry is checked by _is_hermitian alone, once per matrix: where
 Gaussian-rational rows come in, and where a form's matrix is read, in
-form_to_hermitian and pencil_power_sum.  Every matrix of top-degree pairings
+form_to_hermitian and pencil_power_sum.  Form.from_json reads each
+coefficient component as an int pair in lowest terms and builds the form
+through Form._of.  Every matrix of top-degree pairings
 (a, b) -> top_coefficient(a ^ omega ^ b) comes from top_pairings, which reads
 omega's coefficients at complements instead of wedging and returns Gaussian
-integers over one denominator.  pencil_power_sum gives the Schur forms of
-strictly positive (1,1)-forms without a wedge: it sums divided powers of a
-pencil of them at lattice points, each read off the minors of one Hermitian
-matrix by fraction-free elimination.
+integers over one denominator; for one basis of even-degree forms on both
+sides, as in gram and the intersection forms, it computes the upper triangle
+and mirrors it.  Positive definiteness of Hermitian Gaussian-integer rows is
+decided by _is_positive_definite, Sylvester's criterion on forward
+fraction-free elimination of the upper triangle, for
+positivity.is_positive_definite_11 and for each form of pencil_power_sum.
+pencil_power_sum gives the Schur forms of strictly positive (1,1)-forms
+without a wedge: it sums divided powers of a pencil of them at lattice
+points, each read off the minors of one Hermitian matrix by fraction-free
+elimination.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .gaussian import GaussianRational, I, RationalLike, as_fraction
+from .gaussian import GaussianRational, I, RationalLike, _ratio_from_str, as_fraction
 
 MaskPair = tuple[int, int]
 
@@ -263,13 +271,20 @@ class Form:
     @staticmethod
     def from_json(obj: dict) -> "Form":
         d = int(obj["dimension"])
-        terms: dict[MaskPair, GaussianRational] = {}
+        parts: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
         for t in obj["terms"]:
-            key = (mask_of(t["monomial"]["dz"], d), mask_of(t["monomial"]["dzbar"], d))
-            if key in terms:
+            key = mask_of(t["monomial"]["dz"], d) | mask_of(t["monomial"]["dzbar"], d) << d
+            if key in parts:
                 raise ValueError("duplicate monomial in serialized form")
-            terms[key] = GaussianRational.from_json(t["coeff"])
-        return Form(d, terms)
+            parts[key] = (_ratio_from_str(t["coeff"]["re"]), _ratio_from_str(t["coeff"]["im"]))
+        if d < 1:
+            raise ValueError("dimension must be positive")
+        # The components are in lowest terms, so scaling by the lcm of the
+        # denominators of the nonzero coefficients leaves the form in lowest terms.
+        parts = {m: c for m, c in parts.items() if c[0][0] or c[1][0]}
+        den = lcm(*(q for re, im in parts.values() for _, q in (re, im)))
+        coeffs = {m: (re * (den // rq), im * (den // iq)) for m, ((re, rq), (im, iq)) in parts.items()}
+        return Form._of(d, den, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -329,10 +344,14 @@ def top_pairings(
     the lcm of the left denominators times omega's times the lcm of the right.
 
     No product is formed.  Monomials m1 of l and m2 of r reach top degree
-    only through omega's coefficient at the complement of m1 | m2, so each
-    entry is a signed sum of such coefficients; the Koszul signs come from
-    _parity_above.  Parts of omega of any other degree meet no complement and
-    add nothing.
+    only through omega's coefficient at the complement c of m1 | m2, so each
+    entry is a signed sum of such coefficients.  The Koszul sign moves c left
+    past m1, then m2 past m1 | c = top ^ m2: the first mask is read once per
+    left monomial, and the second sign, which depends on m2 alone, is folded
+    into the right coefficients.  Parts of omega of any other degree meet no
+    complement and add nothing.  When left and right are the same basis of
+    even-degree forms, which commute, l ^ omega ^ r = r ^ omega ^ l, so only
+    the entries on and above the diagonal are computed and the rest mirrored.
     """
     d = omega.d
     if any(f.d != d for f in (*left, *right)):
@@ -340,29 +359,47 @@ def top_pairings(
     top = (1 << (2 * d)) - 1
     omega_at = omega._coeffs
     den_l, den_r = lcm(*(f._den for f in left)), lcm(*(f._den for f in right))
-    right_rows = [(den_r // r._den, list(r._coeffs.items())) for r in right]
-    out = []
-    for l in left:
-        row = []
-        for scale_r, rows_r in right_rows:
+    left_rows = [
+        (den_l // l._den, [(m, _parity_above(m), re, im) for m, (re, im) in l._coeffs.items()])
+        for l in left
+    ]
+    right_rows = [
+        (
+            den_r // r._den,
+            [
+                (m, -re, -im) if (_parity_above(top ^ m) & m).bit_count() & 1 else (m, re, im)
+                for m, (re, im) in r._coeffs.items()
+            ],
+        )
+        for r in right
+    ]
+    half = tuple(left) == tuple(right) and not any(
+        m.bit_count() & 1 for f in left for m in f._coeffs
+    )
+    out = [[None] * len(right) for _ in left]
+    for j, (scale_l, rows_l) in enumerate(left_rows):
+        for k in range(j if half else 0, len(right_rows)):
+            scale_r, rows_r = right_rows[k]
             re = im = 0
-            for m1, (r1, i1) in l._coeffs.items():
-                for m2, (r2, i2) in rows_r:
-                    c = top ^ m1 ^ m2
-                    if m1 & m2 or c not in omega_at:
+            for m1, mask1, r1, i1 in rows_l:
+                for m2, r2, i2 in rows_r:
+                    if m1 & m2:
                         continue
-                    o_re, o_im = omega_at[c]
-                    a_re, a_im = r1 * o_re - i1 * o_im, r1 * o_im + i1 * o_re
-                    t_re, t_im = a_re * r2 - a_im * i2, a_re * i2 + a_im * r2
-                    # c moves left past m1, then m2 past m1 | c.
-                    if ((_parity_above(m1) & c).bit_count() + (_parity_above(m1 | c) & m2).bit_count()) & 1:
-                        t_re, t_im = -t_re, -t_im
-                    re += t_re
-                    im += t_im
-            s = (den_l // l._den) * scale_r
-            re, im = _per_vol_unit(d, re, im)
-            row.append((re * s, im * s))
-        out.append(row)
+                    c = top ^ m1 ^ m2
+                    o = omega_at.get(c)
+                    if o is None:
+                        continue
+                    a_re, a_im = r1 * o[0] - i1 * o[1], r1 * o[1] + i1 * o[0]
+                    if (mask1 & c).bit_count() & 1:
+                        re -= a_re * r2 - a_im * i2
+                        im -= a_re * i2 + a_im * r2
+                    else:
+                        re += a_re * r2 - a_im * i2
+                        im += a_re * i2 + a_im * r2
+            s = scale_l * scale_r
+            out[j][k] = _per_vol_unit(d, re * s, im * s)
+            if half:
+                out[k][j] = out[j][k]
     return out, den_l * omega._den * den_r
 
 
@@ -562,25 +599,52 @@ def form_to_hermitian(a: Form) -> HermitianMatrix:
     return HermitianMatrix._of(a._den, rows)
 
 
-def _adjugate(re: list[list[int]], im: list[list[int]]) -> tuple[int, list, list] | None:
-    """(det M, Re adj M, Im adj M) for the Hermitian matrix M = re + i*im of
-    Gaussian integers, or None unless M is positive definite.
+def _is_positive_definite(rows: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """Whether the Hermitian matrix of Gaussian-integer rows is positive
+    definite, by Sylvester's criterion: every leading principal minor is
+    positive.
+
+    Forward fraction-free elimination without row exchanges, on the upper
+    triangle alone: row i holds M[i][i:] as real and imaginary parts, and
+    M[i][k] below the diagonal is read as the conjugate of M[k][i].  The k-th
+    pivot is the k-th leading principal minor, a real int, and the division
+    by the previous pivot is exact.  The rows are trusted to be Hermitian.
+    """
+    n = len(rows)
+    re = [[z[0] for z in row[i:]] for i, row in enumerate(rows)]
+    im = [[z[1] for z in row[i:]] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = re[k][0]
+        if p <= 0:
+            return False
+        rk, ik = re[k], im[k]
+        for i in range(k + 1, n):
+            o = i - k
+            # f = M[i][k] = conj(M[k][i]); M[i][j] = (p M[i][j] - f M[k][j]) / prev.
+            fr, fi = rk[o], -ik[o]
+            re[i] = [(p * a - fr * c + fi * t) // prev for a, c, t in zip(re[i], rk[o:], ik[o:])]
+            im[i] = [(p * b - fr * t - fi * c) // prev for b, c, t in zip(im[i], rk[o:], ik[o:])]
+        prev = p
+    return True
+
+
+def _adjugate(re: list[list[int]], im: list[list[int]]) -> tuple[int, list, list]:
+    """(det M, Re adj M, Im adj M) for the positive definite Hermitian matrix
+    M = re + i*im of Gaussian integers.
 
     Fraction-free Gauss-Jordan elimination without row exchanges on a copy
     of M, in one d x d array: once column k is eliminated its storage holds
     column k of the adjugate.
-    The k-th pivot is the k-th leading principal minor, a real int, so M is
-    positive definite exactly when every pivot is positive (Sylvester's
-    criterion), and the division of each component by the previous pivot is
-    exact.
+    The k-th pivot is the k-th leading principal minor, a positive int since
+    M is positive definite, and the division of each component by the
+    previous pivot is exact.
     """
     d = len(re)
     re, im = [r[:] for r in re], [r[:] for r in im]
     prev = 1
     for k in range(d):
         p = re[k][k]
-        if p <= 0:
-            return None
         rk, ik = re[k], im[k]
         for i in range(d):
             if i == k:
@@ -674,9 +738,8 @@ def pencil_power_sum(
     (-1)^(p(p-1)/2) of moving the dzb factors right is folded in), so each
     point needs only the p-minors of one Hermitian matrix, which is positive
     definite because every H_k is and t >= 0; _minor_plan reads them off
-    min(p, d - p)-minors.  Positivity of each H_k is decided by Sylvester's
-    criterion on the pivots of its elimination.  For p > d every power is
-    zero.
+    min(p, d - p)-minors.  Positivity of each H_k is decided by
+    _is_positive_definite.  For p > d every power is zero.
     """
     d = forms[0].d
     if any(f.d != d for f in forms):
@@ -690,9 +753,9 @@ def pencil_power_sum(
         rows = _rows_11(f)
         if not _is_hermitian(rows):
             return None
-        re, im = [[z[0] for z in row] for row in rows], [[z[1] for z in row] for row in rows]
-        if _adjugate(re, im) is None:
+        if not _is_positive_definite(rows):
             return None
+        re, im = [[z[0] for z in row] for row in rows], [[z[1] for z in row] for row in rows]
         mats.append((f._den, re, im))
     if p > d:
         return Form.zero(d)

@@ -7,9 +7,13 @@ signature computations are proofs rather than estimates.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
 
 RationalLike = (int, Fraction)
+
+_PLAIN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(x) -> Fraction:
@@ -24,20 +28,38 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ratio_from_str(s) -> tuple[int, int]:
+    """(numerator, denominator > 0) in lowest terms for what fraction_from_str
+    accepts, with its errors.  The spellings to_json writes, "p/q" and
+    integers in ASCII digits, are read by int() alone; every other string goes
+    through Fraction(s), so the accepted spellings are Fraction's."""
+    if isinstance(s, str):
+        if "e" in s or "E" in s:
+            raise ValueError(f"exponent notation in {s!r}; write p/q or a decimal")
+        plain = _PLAIN_RATIO.fullmatch(s)
+        if plain is None:
+            try:
+                return Fraction(s).as_integer_ratio()
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {s!r}") from None
+        num, den = plain.groups()
+        p, q = int(num), int(den or "1")
+        if not q:
+            raise ValueError(f"zero denominator in {s!r}")
+        g = gcd(p, q)
+        return p // g, q // g
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
+    raise TypeError(f"expected a rational string or an int, got {type(s).__name__}")
+
+
 def fraction_from_str(s) -> Fraction:
     """The rational a JSON field holds, a string such as "-3/7" or "0.1" or an
     int.  ValueError on a malformed string, a zero denominator or exponent
     notation, whose value ("1e1000000000") can take unbounded time and memory
     to build; TypeError on any other type, so a float or a bool is never read
     as a rational."""
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise TypeError(f"expected a rational string or an int, got {type(s).__name__}")
-    if isinstance(s, str) and ("e" in s or "E" in s):
-        raise ValueError(f"exponent notation in {s!r}; write p/q or a decimal")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+    return Fraction(*_ratio_from_str(s))
 
 
 class GaussianRational:

@@ -1,17 +1,19 @@
 """Positivity tests for forms, at the levels where they are exactly decidable.
 
 Strict positivity of a (1,1)-form reduces to positive definiteness of its
-Hermitian matrix, decided by its exact inertia from the Gaussian integers the
-HermitianMatrix stores, whose symmetry was checked when it was built.
+Hermitian matrix, decided by Sylvester's criterion on the Gaussian integers
+the HermitianMatrix stores, whose symmetry was checked when it was built:
+exterior._is_positive_definite eliminates the upper triangle fraction-free
+and asks every leading principal minor to be positive.
 Positivity of a real (p,p)-form is decided by the exact inertia of the
 induced Hermitian pairing on the complementary space of holomorphic top
 fragments, whose matrix exterior.top_pairings reads off the form's
 coefficients as Gaussian integers over one denominator, a positive scale that
 changes neither the inertia nor the witness and is dropped; the volume unit
-1 or i is an int rotation of the rows.  Both inertias run
-the integer kernel of `bilinear` on the real form of the Hermitian matrix M; a
-refutation rebuilds the real basis vector (x, y) of the first negative pivot
-and takes v = x + iy, for which v^H M v < 0, as its witness.  Weak positivity
+1 or i is an int rotation of the rows.  That inertia runs the integer kernel
+of `bilinear` on the real form of the Hermitian matrix M; a refutation
+rebuilds the real basis vector (x, y) of the first negative pivot and takes
+v = x + iy, for which v^H M v < 0, as its witness.  Weak positivity
 is dual to the simple-form cone and only gets a sampling falsifier: a
 refutation carries a witness, absence of one proves nothing, and the verdict
 name says so.
@@ -25,7 +27,15 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .bilinear import _hermitian_reduction
-from .exterior import Form, HermitianMatrix, conjugate, top_pairings, top_ratio, wedge
+from .exterior import (
+    Form,
+    HermitianMatrix,
+    _is_positive_definite,
+    conjugate,
+    top_pairings,
+    top_ratio,
+    wedge,
+)
 from .gaussian import I
 from .sampling import derive_seed, random_one_form
 
@@ -53,8 +63,8 @@ class ConeVerdict:
 
 
 def is_positive_definite_11(H: HermitianMatrix) -> bool:
-    """Exact positive definiteness: inertia (d, 0, 0)."""
-    return _hermitian_reduction(H._rows)[0] == (H.d, 0, 0)
+    """Exact positive definiteness: every leading principal minor is positive."""
+    return _is_positive_definite(H._rows)
 
 
 def is_positive_pp(eta: Form) -> ConeVerdict:

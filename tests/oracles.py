@@ -1,6 +1,6 @@
 """Independent brute-force implementations used only as test oracles.
 
-Nothing here shares code with the package, except the last two sections,
+Nothing here shares code with the package, except the last three sections,
 whose comments say what they reuse: the exterior algebra is replayed over
 generator tuples with insertion-sort sign counting, determinants are
 expanded by cofactors or by plain elimination, inertia is read off the
@@ -22,7 +22,7 @@ from math import factorial, gcd
 
 from hrlab.augmentation import _check_weight
 from hrlab.bilinear import Signature, SymBilinearForm
-from hrlab.exterior import Form, HermitianMatrix, indices_of, wedge
+from hrlab.exterior import Form, HermitianMatrix, indices_of, mask_of, wedge
 from hrlab.gaussian import GaussianRational, as_fraction, fraction_from_str, fraction_to_str
 from hrlab.symfunc import (
     Partition,
@@ -830,6 +830,25 @@ def intersection_form_by_product(space, lam, i: int) -> SymBilinearForm:
         raise ValueError("the pairing of real forms came out complex")
     return SymBilinearForm([[x.re for x in row] for row in rows])
 
+
+
+# -- a second route from JSON to forms ------------------------------------------
+# It reuses the package's public constructors: one GaussianRational per
+# coefficient, and Form checks and scales them.
+
+
+def form_from_json_by_constructor(obj) -> Form:
+    """The Form a serialized form describes, through Form(d, terms) with every
+    coefficient read by GaussianRational.from_json.  The oracle of
+    Form.from_json."""
+    d = int(obj["dimension"])
+    terms = {}
+    for t in obj["terms"]:
+        key = (mask_of(t["monomial"]["dz"], d), mask_of(t["monomial"]["dzbar"], d))
+        if key in terms:
+            raise ValueError("duplicate monomial in serialized form")
+        terms[key] = GaussianRational.from_json(t["coeff"])
+    return Form(d, terms)
 
 
 # -- form-level helpers reached by no CLI path ---------------------------------

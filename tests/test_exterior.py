@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from hrlab.sampling import (
 from hrlab.symfunc import schur
 
 from oracles import (
+    form_from_json_by_constructor,
     form_in_lowest_terms,
     gaussian_matrix,
     hermitian_in_lowest_terms,
@@ -403,6 +405,53 @@ def test_top_pairings_ignore_off_degree_parts_of_omega(d):
     assert gaussian_matrix(top_pairings(basis, middle, basis)) == expected
 
 
+def parity_part(f, odd):
+    """The monomials of f of odd (or even) total degree."""
+    return Form(
+        f.d, {key: c for key, c in f.terms.items() if (key[0].bit_count() + key[1].bit_count()) & 1 == odd}
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_top_pairings_match_wedge_oracle_on_every_basis_shape(d):
+    # One basis on both sides of even-degree forms takes the half-triangle
+    # path, whether passed as one object or as equal copies; odd-degree forms
+    # anticommute, so their matrix is not symmetric and must not be mirrored.
+    rng = random.Random(700 + d)
+    density = 0.3 if d <= 3 else 0.02
+    forms = [random_positive_form(rng, d) for _ in range(2)]
+    schur_parts = [schur((1,) * k, forms) for k in range(max(d - 2, 0), d + 1)]
+    omega = sum(schur_parts, random_rational_form(rng, d, density))
+    augmented = basis_11_real(d) + (Form.scalar(d, 1),)
+
+    def coeff(*dens):
+        return Fraction(rng.randint(1, 5), rng.choice(dens))
+
+    rational = [
+        parity_part(random_rational_form(rng, d, density), 0)
+        + Form.term(d, [rng.randint(1, d)], [rng.randint(1, d)], coeff(7, 100))
+        for _ in range(4)
+    ]
+    # Degree-1 parts meet omega's (d-1,d-1) part, so the odd matrix is not zero.
+    one_forms = [Form(d, {(1 << j, 0): coeff(1, 3), (0, 1 << j): coeff(1, 3)}) for j in range(d) for _ in range(4)]
+    odd = [parity_part(random_rational_form(rng, d, density), 1) + f for f in rng.sample(one_forms, 4)]
+    cases = [
+        (augmented, augmented),
+        (list(augmented), [Form(d, f.terms) for f in augmented]),
+        (rational, rational),
+        (rational, list(rational)),
+        (odd, odd),
+        (rational, odd),
+    ]
+    for left, right in cases:
+        got = gaussian_matrix(top_pairings(left, omega, right))
+        assert got == pairing_by_wedge(left, omega, right)
+    got = gaussian_matrix(top_pairings(odd, omega, odd))
+    assert any(got[j][k] != got[k][j] for j in range(4) for k in range(4))
+    got = gaussian_matrix(top_pairings(rational, omega, rational))
+    assert any(x.re.denominator > 1 for row in got for x in row)
+
+
 def test_top_pairings_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         top_pairings([Form.scalar(2, 1)], Form.scalar(3, 1), [Form.scalar(3, 1)])
@@ -615,6 +664,64 @@ def test_form_json_round_trip():
         assert set(t["coeff"]) == {"re", "im"}
         assert "/" in t["coeff"]["re"]
     assert Form.from_json(obj) == f
+
+
+def outcome(read, obj):
+    """("form", the Form read) or ("error", exception type, message)."""
+    try:
+        return ("form", read(obj))
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+def test_form_from_json_matches_the_constructor_route():
+    rng = random.Random(19)
+    for d in (1, 2, 3, 5):
+        for _ in range(4):
+            f = random_rational_form(rng, d, 0.3, (1, 3, 100), (1, 7, 100**3))
+            obj = json.loads(json.dumps(f.to_json()))
+            got = Form.from_json(obj)
+            assert got == form_from_json_by_constructor(obj) == f
+            assert form_in_lowest_terms(got)
+    # Zero coefficients are dropped; unreduced and mixed spellings still give lowest terms.
+    obj = {
+        "dimension": 2,
+        "terms": [
+            {"monomial": {"dz": [1], "dzbar": [1]}, "coeff": {"re": "6/4", "im": "0/5"}},
+            {"monomial": {"dz": [2], "dzbar": [1]}, "coeff": {"re": "0/9", "im": "-0/3"}},
+            {"monomial": {"dz": [1, 2], "dzbar": []}, "coeff": {"re": 2, "im": "0.25"}},
+        ],
+    }
+    assert Form.from_json(obj) == form_from_json_by_constructor(obj)
+    assert form_in_lowest_terms(Form.from_json(obj))
+
+
+def test_form_from_json_accepts_and_refuses_what_the_constructor_route_does():
+    def form(d, *terms):
+        return {
+            "dimension": d,
+            "terms": [
+                {"monomial": {"dz": dz, "dzbar": dzb}, "coeff": {"re": re, "im": im}} for dz, dzb, re, im in terms
+            ],
+        }
+
+    spellings = ["1/0", "1e3", 0.5, True, "３/7", "+3/7", " 3/7 ", "3_0/7", "-0/5", "0.25", "7/0"]
+    spellings.append("1" * 5000 + "/7")  # past the int-string digit limit
+    inputs = [form(2, ([1], [2], s, "1/3")) for s in spellings]
+    inputs += [form(2, ([2], [1], "1/2", s)) for s in spellings]
+    inputs += [
+        form(3, ([1], [2], "1/2", "0/1"), ([1], [2], "1/3", "0/1")),  # duplicate monomial
+        form(3, ([1], [4], "1/2", "0/1")),  # index outside 1..d
+        form(3, ([0], [1], "1/2", "0/1")),
+        form(0),
+        form(2, ([1], [1], "1/2", "0/1"), ([1, 1], [2], "1", "0")),  # repeated index
+    ]
+    for obj in inputs:
+        want = outcome(form_from_json_by_constructor, obj)
+        assert outcome(Form.from_json, obj) == want, obj
+    kinds = [outcome(Form.from_json, obj)[:2] for obj in inputs]
+    assert ("error", ValueError) in kinds and ("error", TypeError) in kinds
+    assert sum(k[0] == "form" for k in kinds) >= 10
 
 
 def test_hermitian_json_round_trip():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrlab.gaussian import GaussianRational, I, fraction_from_str, fraction_to_str
+from hrlab.gaussian import GaussianRational, I, _ratio_from_str, fraction_from_str, fraction_to_str
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -71,6 +71,28 @@ def test_fraction_strings():
     for bad in (0.1, 1.0, True, None, Fraction(1, 2)):
         with pytest.raises(TypeError):
             fraction_from_str(bad)
+
+
+def test_fraction_strings_read_as_fraction_reads_them():
+    # "p/q" and integers in ASCII digits are read by int() alone; every other
+    # spelling goes through Fraction, with the same values and errors.
+    spellings = [
+        "３/7", "+3/7", " 3/7 ", "3_0/7", "-0/5", "0.25", "6/4", "-12", "007/3", "-0", "3/-7",
+        "1/x", "/3", "3/", "-", "", "1//2", "1/0", "0/0", " 1/0", "1" * 5000 + "/7", "7/" + "1" * 5000,
+    ]
+    for s in spellings:
+        try:
+            want = Fraction(s)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="zero denominator"):
+                fraction_from_str(s)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                fraction_from_str(s)
+            assert str(got.value) == str(exc)
+        else:
+            assert fraction_from_str(s) == want
+            assert _ratio_from_str(s) == want.as_integer_ratio()
 
 
 def test_immutability_and_hash():

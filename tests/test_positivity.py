@@ -117,6 +117,37 @@ def test_pd_and_inertia_of_rational_matrices_match_oracles(n):
             assert (want == (n, 0, 0)) == (kind == "definite")
 
 
+def sylvester_cases(rng):
+    """Hermitian rows of each kind the Sylvester test must tell apart: 1 x 1,
+    zero leading entries, definite, rank-deficient and negative definite,
+    over non-integer denominators."""
+    zero, one = GaussianRational(0), GaussianRational(1)
+    cases = [[[GaussianRational(x)]] for x in (1, 0, -1, Fraction(2, 7), Fraction(-1, 100))]
+    cases += [
+        [[zero, one], [one, zero]],
+        [[zero, zero], [zero, one]],
+        [[zero, I], [-I, GaussianRational(5)]],
+        [[one, zero, zero], [zero, zero, one], [zero, one, GaussianRational(Fraction(1, 3))]],
+    ]
+    for n in (2, 3, 4, 6):
+        for _ in range(3):
+            cases.append([list(row) for row in random_positive_hermitian(rng, n).entries])
+            for kind in ("definite", "semidefinite", "zero-diagonal"):
+                rows = rational_hermitian(rng, n, kind)
+                cases += [rows, [[-x for x in row] for row in rows]]
+    return cases
+
+
+def test_sylvester_test_agrees_with_inertia():
+    verdicts = []
+    for rows in sylvester_cases(random.Random(47)):
+        n = len(rows)
+        want = hermitian_inertia(rows) == (n, 0, 0)
+        assert is_positive_definite_11(HermitianMatrix(rows)) == want, rows
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
 def test_hermitian_det_small():
     i = GaussianRational(0, 1)
     m = [[GaussianRational(2), i], [-i, GaussianRational(3)]]
