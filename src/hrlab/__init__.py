@@ -30,9 +30,11 @@ from .bilinear import (
     SymBilinearForm,
     combine,
     derivative_inequality_defect,
+    derivative_inequality_inertia,
     gram,
     hermitian_inertia,
     hodge_index_defect,
+    hodge_index_inertia,
     is_hr,
     is_hr_wrt,
     is_psd,

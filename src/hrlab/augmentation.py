@@ -20,8 +20,8 @@ support two verification routes to the Hodge-Riemann property: a first-order
 route (property A: five conditions on R, its derivative and zeta) driving a
 recursion in i, and a second-order route (property B) whose conclusion is the
 restriction to W.  Each check here is exact: the quantified inequalities are
-decided by positive semidefiniteness of the defect matrices bilinear builds,
-never by sampling vectors.
+decided by positive semidefiniteness of the defect matrices, whose
+signatures bilinear reads off bordered matrices, never by sampling vectors.
 
 Each check evaluates R_t (and R'_t for B) once per sampled t, over ints as
 one bilinear.combine with weights t^k, and signs it once; t = 0 is always the
@@ -42,10 +42,9 @@ from .bilinear import (
     Signature,
     SymBilinearForm,
     combine,
-    derivative_inequality_defect,
-    hodge_index_defect,
+    derivative_inequality_inertia,
+    hodge_index_inertia,
     is_hr_wrt,
-    is_psd,
     pairing_form,
     signature,
 )
@@ -249,7 +248,7 @@ def _weak_hr_sample(t: Fraction, qt: SymBilinearForm, h) -> dict:
     sig = signature(qt)
     qh = qt.quad(h)
     weak = qh > 0 and sig.n_plus == 1
-    defect_psd = is_psd(hodge_index_defect(qt, h))
+    defect_psd = hodge_index_inertia(qt, h).n_minus == 0
     # Spectral characterization and Hodge-index characterization must agree
     # whenever Q(h) > 0; a mismatch is an implementation bug.
     if qh > 0 and weak != defect_psd:
@@ -413,7 +412,7 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
     return PropertyAReport(
         a1=r0_h > 0 and r0p_h > 0,
         a2=all(entry["weak_hr"] for entry in per_t),
-        a3=is_psd(derivative_inequality_defect(r0, r0p, h)),
+        a3=derivative_inequality_inertia(r0, r0p, h).n_minus == 0,
         a4=a4,
         a5=r0_zeta_h > 0,
         constant=constant,
@@ -441,8 +440,8 @@ def check_property_b(family: FormFamily, h, zeta, t_samples=None) -> PropertyBRe
     for t in ts:
         qt = family.at(t)
         entry = _weak_hr_sample(t, qt, h)
-        entry["derivative_inequality_psd"] = is_psd(
-            derivative_inequality_defect(qt, deriv.at(t), h)
+        entry["derivative_inequality_psd"] = (
+            derivative_inequality_inertia(qt, deriv.at(t), h).n_minus == 0
         )
         per_t.append(entry)
 

@@ -4,19 +4,30 @@ A SymBilinearForm is an int matrix over one positive denominator in lowest
 terms, read only here.  combine (R_t included), the restrictions and the
 defect matrices build their results over ints and skip the public checks.
 
-Every inertia in the package comes from one congruence kernel, fraction-free
-symmetric Bareiss elimination over Python ints that keeps only the active
-upper triangle, so each pivot updates about half the entries a full block
-would.  A form enters as its int matrix, and a Hermitian one M = A + iB,
-given as the Gaussian-integer rows a HermitianMatrix stores or top_pairings
-returns, as its real form [[A, -B], [B, A]], whose inertia is twice that of
-M; those rows are taken as they are, with no coercion and no second symmetry
-check.  Only hermitian_inertia takes Gaussian-rational rows, and exterior
-coerces and checks them once.  The kernel pivots on the diagonal where it
-can, and when the remaining diagonal vanishes the basis change b_j += b_k
-exposes the diagonal entry 2a from a nonzero off-diagonal a.  Sylvester's
-law makes the count basis independent, so the result is exact.  Positive
-definiteness of a Hermitian matrix needs no inertia and is decided
+Inertias come from two exact routes.  The congruence kernel is
+fraction-free symmetric Bareiss elimination over Python ints that keeps only
+the active upper triangle, so each pivot updates about half the entries a
+full block would.  A form enters it as its int matrix, and a Hermitian one
+M = A + iB, given as the Gaussian-integer rows a HermitianMatrix stores or
+top_pairings returns, as its real form [[A, -B], [B, A]], whose inertia is
+twice that of M; those rows are taken as they are, with no coercion and no
+second symmetry check.  Only hermitian_inertia takes Gaussian-rational rows,
+and exterior coerces and checks them once.  The kernel pivots on the
+diagonal where it can, and when the remaining diagonal vanishes the basis
+change b_j += b_k exposes the diagonal entry 2a from a nonzero off-diagonal
+a.  Sylvester's law makes the count basis independent, so the result is
+exact.
+
+From ROUNDED_FROM_N rows on, signature first tries a rounded congruence: a
+fixed-point LDL^T proposes a triangular P, C = P A P^T is formed exactly,
+and when every row of C is strictly diagonally dominant the signs of its
+diagonal are the inertia, by Sylvester's law and Gershgorin's theorem (the
+certify-then-fall-back pattern of S. M. Rump, "Verification of positive
+definiteness", BIT 46, 2006, here over ints).  A singular matrix is never
+dominant.  The kernel signs it, every smaller matrix, every refused
+certificate, the Hermitian reductions, whose witness replays its pivots, and
+the bordered matrices whose inertia gives that of a defect matrix.
+Positive definiteness of a Hermitian matrix needs no inertia and is decided
 elsewhere, in exterior, by Sylvester's criterion on the leading principal
 minors.
 
@@ -25,13 +36,15 @@ signature is (1, n-1, 0); the weak variant with respect to h asks only for a
 single positive direction plus Q(h) > 0.  The quantified Hodge-index
 inequality Q(v)Q(h) <= Q(v,h)^2 for all v is decided exactly by testing
 positive semidefiniteness of the assembled quadratic form
-T(v) = Q(v,h)^2 - Q(v)Q(h).
+T(v) = Q(v,h)^2 - Q(v)Q(h), whose inertia hodge_index_inertia reads off
+the matrix T borders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .exterior import Form, _hermitian_ints, basis_11_real, top_pairings, wedge  # wedge unused: perfbench's rebind test reads it
@@ -294,9 +307,99 @@ def _count_signs(pivots, n: int) -> Signature:
     return Signature(plus, len(pivots) - plus, n - len(pivots))
 
 
+# Matrices with at least this many rows try the rounded congruence before
+# _congruence.  Read off CPU times of both routes (in CHANGES): they tie on
+# the d = 6 Gram matrices (n = 36), the d = 6 family matrices (n = 37) are
+# singular, so an attempt there is wasted, and from n = 40 on the rounded
+# route was the faster on every nonsingular matrix swept.
+ROUNDED_FROM_N = 40
+# Fixed-point bits of the proposal.  A pivot below 2^(_SCALE_BITS // 2) on
+# that scale, 2^-16 of the largest entry, ends it: the input is singular or
+# nearly so.
+_SCALE_BITS = 32
+
+
+def _rounded_congruence(rows) -> tuple[list[int], list[list[int]]] | None:
+    """Propose a congruence for a symmetric int matrix, or None.
+
+    An approximate LDL^T in fixed point on the active upper triangle, laid
+    out as in _congruence: the matrix is shifted so that its largest entry
+    has _SCALE_BITS bits, each pivot is the largest |diagonal| of the
+    remaining block, and every product is floored back to the scale.
+    Returns (order, P): order lists the rows in pivot order, and row i of P,
+    of length i + 1, holds the multiples of the rows order[0..i] that make
+    the i-th new basis vector, 2^_SCALE_BITS on its own row.  Nothing here is
+    trusted; _dominant_inertia checks the proposal exactly.
+    """
+    s = _SCALE_BITS
+    shift = max(abs(x) for row in rows for x in row).bit_length() - s
+    up = [[x >> shift if shift > 0 else x << -shift for x in row[i:]] for i, row in enumerate(rows)]
+    active = list(range(len(rows)))
+    partial = [[] for _ in rows]  # the P row of each active index, on the pivots so far
+    order, P = [], []
+    while up:
+        t = max(range(len(up)), key=lambda i: abs(up[i][0]))
+        pivot_row = up.pop(t)
+        d = pivot_row[0]
+        if abs(d) < 1 << (s // 2):
+            return None
+        pcol = [row.pop(t - i) for i, row in enumerate(up[:t])] + pivot_row[1:]
+        k = active.pop(t)
+        row_k = partial[k] + [1 << s]
+        order.append(k)
+        P.append(row_k)
+        for i, row in enumerate(up):
+            own = partial[active[i]]
+            own.append(0)
+            m = (pcol[i] << s) // d
+            if m:
+                up[i] = [x - (m * y >> s) for x, y in zip(row, pcol[i:])]
+                partial[active[i]] = [x - (m * y >> s) for x, y in zip(own, row_k)]
+    return order, P
+
+
+def _dominant_inertia(rows, order, P) -> Signature | None:
+    """The inertia of a symmetric int matrix A from any int matrix P, or None.
+
+    C = P B P^T is computed exactly, B being A with its rows and columns in
+    `order`, and a row of P shorter than n reads as zeros past its end, so a
+    lower-triangular P costs about 5n^3/6 products.  If every row of C is
+    strictly diagonally dominant, C is nonsingular, and so are P and A; by
+    Sylvester's law A has the inertia of C, and by Gershgorin's theorem,
+    along the path from diag(C) to C, which stays dominant, C has that of its
+    diagonal.  Otherwise returns None.
+    """
+    b = [[rows[i][j] for j in order] for i in order]
+    n = len(b)
+    diag, off = [], [0] * n
+    for i, p in enumerate(P):
+        pb = [sum(map(mul, p, col)) for col in b]  # row i of P B, B being symmetric
+        diag.append(sum(map(mul, p, pb)))
+        for j in range(i + 1, n):
+            c = abs(sum(map(mul, P[j], pb)))
+            off[i] += c
+            off[j] += c
+    if any(abs(c) <= r for c, r in zip(diag, off)):
+        return None
+    plus = sum(c > 0 for c in diag)
+    return Signature(plus, n - plus, 0)
+
+
 def signature(Q: SymBilinearForm) -> Signature:
-    """Exact inertia (n_plus, n_minus, n_zero) via integer congruence."""
-    return _count_signs(_congruence(Q._ints), Q.n)
+    """Exact inertia (n_plus, n_minus, n_zero).
+
+    From ROUNDED_FROM_N rows on, a rounded congruence checked exactly when it
+    certifies; otherwise, and for every smaller or singular matrix, integer
+    congruence by _congruence.
+    """
+    rows = Q._ints
+    if Q.n >= ROUNDED_FROM_N:
+        proposal = _rounded_congruence(rows)
+        if proposal is not None:
+            certified = _dominant_inertia(rows, *proposal)
+            if certified is not None:
+                return certified
+    return _count_signs(_congruence(rows), Q.n)
 
 
 def is_psd(Q: SymBilinearForm) -> bool:
@@ -348,6 +451,54 @@ def derivative_inequality_defect(
         for ua, wa, row in zip(u, w, qp._ints)
     ]
     return SymBilinearForm._of(rows, q._den * qp._den * s * s)
+
+
+def _bordered(border, A) -> list[list[int]]:
+    """[[D, V^T], [V, A]] for the k x k block D given as `border`, k rows of
+    length k + n, and the n x n block A: the column V is read off the rows."""
+    k = len(border)
+    return [list(row) for row in border] + [
+        [b[k + i] for b in border] + list(row) for i, row in enumerate(A)
+    ]
+
+
+def hodge_index_inertia(Q: SymBilinearForm, h: Vector) -> Signature:
+    """The signature of hodge_index_defect(Q, h), from a bordered matrix.
+
+    With W, q as there and q > 0, B = [[q, W^T], [W, A]] has the inertia
+    (1, 0, 0) + inertia(-T/q) by Haynsworth's additivity, q being its first
+    pivot and A - W W^T / q its Schur complement.  Elimination on B divides
+    out the factor q^(k-1) the k-th minor of T carries.  B is singular by
+    construction, with kernel (1, -h), so it goes to _congruence and never
+    to the rounded route.  For q <= 0 the defect matrix itself is signed.
+    """
+    x, w, _ = Q._image(h)
+    q = _dot(x, w)
+    if q <= 0:
+        return _count_signs(_congruence(hodge_index_defect(Q, h)._ints), Q.n)
+    plus, minus, zero = _count_signs(_congruence(_bordered([[q, *w]], Q._ints)), Q.n + 1)
+    return Signature(minus, plus - 1, zero)
+
+
+def derivative_inequality_inertia(q: SymBilinearForm, qp: SymBilinearForm, h: Vector) -> Signature:
+    """The signature of derivative_inequality_defect(q, qp, h), from a
+    bordered matrix.
+
+    With U, W, q as there, P = U + W, M = U - W and q > 0,
+    B = [[2q, 0, P^T], [0, -2q, M^T], [P, M, A']] has the inertia
+    (1, 1, 0) + inertia(-S/q): the Schur complement of its leading block is
+    A' - (P P^T - M M^T) / 2q = A' - (U W^T + W U^T) / q.  B is singular
+    whenever S is, so it goes to _congruence.  For q <= 0 the defect matrix
+    itself is signed.
+    """
+    x, w, _ = q._image(h)
+    _, u, _ = qp._image(h)
+    qh = _dot(x, w)
+    if qh <= 0:
+        return _count_signs(_congruence(derivative_inequality_defect(q, qp, h)._ints), q.n)
+    border = [[2 * qh, 0, *(a + b for a, b in zip(u, w))], [0, -2 * qh, *(a - b for a, b in zip(u, w))]]
+    plus, minus, zero = _count_signs(_congruence(_bordered(border, qp._ints)), q.n + 2)
+    return Signature(minus - 1, plus - 1, zero)
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

@@ -59,6 +59,10 @@ class UsageError(Exception):
     pass
 
 
+def _span(supported: range) -> str:
+    return f"{supported[0]}..{supported[-1]}"
+
+
 # -- flag parsing -----------------------------------------------------------
 
 
@@ -74,7 +78,7 @@ def parse_range(text: str, name: str, supported: range | None = None) -> list[in
         raise UsageError(f"cannot parse {name} range {text!r}; use N or LO..HI") from None
     for bound in (lo, hi) if supported is not None else ():
         if bound not in supported:
-            raise UsageError(f"{name} {bound} outside the supported range {supported[0]}..{supported[-1]}")
+            raise UsageError(f"{name} {bound} outside the supported range {_span(supported)}")
     return list(range(lo, hi + 1))
 
 
@@ -592,7 +596,7 @@ def _load_forms(ns: argparse.Namespace):
     for f in obj:
         d = f.get("dimension") if isinstance(f, dict) else None
         if not isinstance(d, int) or d not in SUPPORTED_D:
-            raise UsageError(f"forms file: dimension {d!r} outside the supported range 2..8")
+            raise UsageError(f"forms file: dimension {d!r} outside the supported range {_span(SUPPORTED_D)}")
     try:
         forms = [Form.from_json(f) for f in obj]
     except (KeyError, ValueError, TypeError) as exc:
@@ -658,7 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, with_lambda=True):
-        sp.add_argument("--d", default="2..4", help="dimension or range LO..HI (supported 2..8)")
+        sp.add_argument(
+            "--d", default="2..4", help=f"dimension or range LO..HI (supported {_span(SUPPORTED_D)})"
+        )
         sp.add_argument("--e", default="1..2", help="number of positive forms, or range")
         if with_lambda:
             sp.add_argument("--lambda", dest="lam", default=None,

@@ -449,6 +449,24 @@ def full_block_congruence(rows: list[list[int]]) -> list[tuple]:
     return pivots
 
 
+def dominant_inertia_by_product(rows, order, P):
+    """The oracle of bilinear._dominant_inertia: C = P B P^T entry by entry,
+    with B = rows in `order` and each row of P padded with zeros to n, then
+    the signs of diag(C) when every row is strictly diagonally dominant, else
+    None."""
+    n = len(order)
+    b = [[rows[i][j] for j in order] for i in order]
+    p = [list(row) + [0] * (n - len(row)) for row in P]
+    c = [
+        [sum(p[i][k] * b[k][m] * p[j][m] for k in range(n) for m in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    if any(abs(c[i][i]) <= sum(abs(x) for j, x in enumerate(c[i]) if j != i) for i in range(n)):
+        return None
+    plus = sum(c[i][i] > 0 for i in range(n))
+    return Signature(plus, n - plus, 0)
+
+
 # -- Sylvester's criterion -----------------------------------------------------
 
 

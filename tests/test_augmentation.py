@@ -10,7 +10,6 @@ from hrlab.augmentation import (
     FormFamily,
     check_property_a,
     check_property_b,
-    derivative_inequality_defect,
     intersection_form,
     rank_drop_family,
     twist_family,
@@ -18,7 +17,14 @@ from hrlab.augmentation import (
     verify_augmentation2,
     verify_recursion,
 )
-from hrlab.bilinear import Signature, SymBilinearForm, gram, is_hr_wrt, signature
+from hrlab.bilinear import (
+    Signature,
+    SymBilinearForm,
+    derivative_inequality_defect,
+    gram,
+    is_hr_wrt,
+    signature,
+)
 from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_form
 from hrlab.sampling import random_positive_form
 from hrlab.symfunc import Partition, derived_schur, schur

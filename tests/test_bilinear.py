@@ -1,19 +1,26 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from hrlab import bilinear
 from hrlab.bilinear import (
+    ROUNDED_FROM_N,
     Signature,
     SymBilinearForm,
     _congruence,
     _congruence_vector,
+    _count_signs,
+    _dominant_inertia,
     _realified,
     combine,
     derivative_inequality_defect,
+    derivative_inequality_inertia,
     gram,
     hermitian_inertia,
     hodge_index_defect,
+    hodge_index_inertia,
     is_hr,
     is_hr_wrt,
     is_psd,
@@ -38,6 +45,7 @@ from hrlab.symfunc import partitions, schur
 from oracles import (
     berkowitz_inertia,
     descartes_inertia,
+    dominant_inertia_by_product,
     fraction_combination,
     fraction_congruence_inertia,
     fraction_derivative_inequality_defect,
@@ -763,3 +771,183 @@ def test_defects_match_fraction_oracles():
 
 def test_hermitian_inertia_of_the_empty_matrix():
     assert hermitian_inertia([]) == Signature(0, 0, 0)
+
+
+# -- the rounded congruence, checked exactly --------------------------------------
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Each call into the two routes: ("verdict", n, certified) for
+    _dominant_inertia and ("kernel", n) for _congruence."""
+    calls = []
+
+    def verdict(rows, order, P):
+        out = _dominant_inertia(rows, order, P)
+        calls.append(("verdict", len(rows), out is not None))
+        return out
+
+    def kernel(rows):
+        calls.append(("kernel", len(rows)))
+        return _congruence(rows)
+
+    monkeypatch.setattr(bilinear, "_dominant_inertia", verdict)
+    monkeypatch.setattr(bilinear, "_congruence", kernel)
+    return calls
+
+
+def scaled_congruent_rows(rng, n, rank=None, spread=3):
+    """B^T D B over ints for an r x n matrix B with entries in -3..3 and
+    D = diag(+-10^k), k in 0..spread, so the eigenvalues span several orders
+    of magnitude; r = n unless a rank is given."""
+    r = n if rank is None else rank
+    d = [rng.choice((-1, 1)) * 10 ** rng.randint(0, spread) for _ in range(r)]
+    cols = list(zip(*([rng.randint(-3, 3) for _ in range(n)] for _ in range(r))))
+    return [[sum(x * dk * y for x, dk, y in zip(ci, d, cj)) for cj in cols] for ci in cols]
+
+
+def kernel_inertia(rows):
+    return _count_signs(_congruence(rows), len(rows))
+
+
+def test_rounded_route_matches_kernel_and_berkowitz_on_d7_and_d8_gram(gram_matrices, routes):
+    rng = random.Random(103)
+    g8 = gram(schur((2, 2, 1, 1), [random_positive_form(rng, 8) for _ in range(3)]))
+    for Q in (gram_matrices[-1], g8):
+        expected = Signature(1, Q.n - 1, 0)
+        assert signature(Q) == kernel_inertia(Q._ints) == berkowitz_inertia(Q._ints) == expected
+    assert [c for c in routes if c[0] == "verdict"] == [("verdict", 49, True), ("verdict", 64, True)]
+
+
+def test_rounded_route_on_random_nonsingular_matrices(routes):
+    rng = random.Random(107)
+    for n in (40, 47, 55, 64):
+        rows = scaled_congruent_rows(rng, n)
+        expected = kernel_inertia(rows)
+        assert expected.n_zero == 0
+        routes.clear()
+        assert signature(SymBilinearForm(rows)) == expected
+        assert routes == [("verdict", n, True)]
+
+
+def test_rounded_route_starts_at_its_size(routes):
+    rng = random.Random(109)
+    for n in (ROUNDED_FROM_N - 1, ROUNDED_FROM_N):
+        rows = scaled_congruent_rows(rng, n)
+        assert signature(SymBilinearForm(rows)) == kernel_inertia(rows)
+    assert routes == [("kernel", ROUNDED_FROM_N - 1), ("verdict", ROUNDED_FROM_N, True)]
+
+
+def test_singular_and_near_singular_inputs_fall_back(routes):
+    rng = random.Random(113)
+    cases = [scaled_congruent_rows(rng, n, rank=r) for n, r in ((40, 39), (49, 30), (64, 60))]
+    # One eigenvalue scale 10^-12 of the others: a pivot under the proposal's floor.
+    near = scaled_congruent_rows(rng, 45, rank=44, spread=0)
+    cases.append([[x * 10**12 + (i == j) for j, x in enumerate(row)] for i, row in enumerate(near)])
+    for rows in cases:
+        n = len(rows)
+        expected = kernel_inertia(rows)
+        routes.clear()
+        assert signature(SymBilinearForm(rows)) == expected
+        assert routes[-1] == ("kernel", n)
+        assert ("verdict", n, True) not in routes
+    assert [kernel_inertia(rows).n_zero for rows in cases] == [1, 19, 4, 0]
+
+
+def test_refused_certificate_falls_back(gram_matrices, routes, monkeypatch):
+    # At 12 bits the proposal passes its pivot floor but C is not dominant.
+    monkeypatch.setattr(bilinear, "_SCALE_BITS", 12)
+    Q = gram_matrices[-1]
+    assert signature(Q) == Signature(1, 48, 0)
+    assert routes == [("verdict", 49, False), ("kernel", 49)]
+
+
+def exact_triangular_congruence(b):
+    """Integer lower-triangular rows P with P b P^T diagonal, or None when a
+    leading minor of b vanishes: row elimination with Fraction multipliers."""
+    n = len(b)
+    work = [[Fraction(x) for x in row] for row in b]
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if work[k][k] == 0:
+            return None
+        for r in range(k + 1, n):
+            f = work[r][k] / work[k][k]
+            work[r] = [x - f * y for x, y in zip(work[r], work[k])]
+            t[r] = [x - f * y for x, y in zip(t[r], t[k])]
+    out = []
+    for i, row in enumerate(t):
+        den = lcm(*(x.denominator for x in row[: i + 1]))
+        out.append([int(x * den) for x in row[: i + 1]])
+    return out
+
+
+def test_verdict_refuses_hand_made_certificates():
+    # Equality in a row is not strict dominance: [[1, 1], [1, 1]] is singular.
+    assert _dominant_inertia([[1, 1], [1, 1]], [0, 1], [[1], [0, 1]]) is None
+    assert _dominant_inertia([[1, 1], [1, 1]], [0, 1], [[1, 0], [0, 1]]) is None
+    # P = I leaves [[2, 3], [3, 4]] undominated; P = [[1, 0], [-3, 2]] makes
+    # C = diag(2, -2), while P^T A P = [[20, -18], [-18, 16]] is not dominant.
+    a = [[2, 3], [3, 4]]
+    assert _dominant_inertia(a, [0, 1], [[1], [0, 1]]) is None
+    assert _dominant_inertia(a, [0, 1], [[1], [-3, 2]]) == Signature(1, 1, 0)
+    assert _dominant_inertia([[4, 3], [3, 2]], [1, 0], [[1], [-3, 2]]) == Signature(1, 1, 0)
+    assert _dominant_inertia([[-5]], [0], [[7]]) == Signature(0, 1, 0)
+
+
+def test_verdict_matches_the_product_oracle():
+    rng = random.Random(127)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [[int(x) for x in row] for row in random_symmetric_rows(rng, n)]
+        order = rng.sample(range(n), n)
+        kind = rng.randrange(3)
+        P = exact_triangular_congruence([[a[i][j] for j in order] for i in order]) if kind == 0 else None
+        if P is None:  # random entries, lower-triangular or full, nonzero diagonal
+            P = [[rng.randint(-4, 4) for _ in range(n if kind == 2 else i + 1)] for i in range(n)]
+            for i, row in enumerate(P):
+                row[i] = rng.choice((-3, -1, 1, 2, 5))
+        elif rng.random() < 0.7:
+            i = rng.randrange(n)
+            P[i][rng.randrange(i + 1)] += rng.choice((-1, 1))
+        expected = dominant_inertia_by_product(a, order, P)
+        assert _dominant_inertia(a, order, P) == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+# -- defect matrices signed on their borders --------------------------------------
+
+
+def test_bordered_inertias_match_the_direct_defects():
+    rng = random.Random(131)
+    for d in (3, 4, 5):
+        space = AugmentedSpace([random_positive_form(rng, d) for _ in range(2)])
+        fam = twist_family(space, (2,) + (1,) * (d - 4) if d > 3 else (1,), d)
+        h = space.h_coords
+        for t in (Fraction(0), Fraction(1, 100), Fraction(-7, 3)):
+            q, qp = fam.at(t), fam.derivative().at(t)
+            assert hodge_index_inertia(q, h) == signature(hodge_index_defect(q, h))
+            assert derivative_inequality_inertia(q, qp, h) == signature(derivative_inequality_defect(q, qp, h))
+    signs = set()
+    for n in (1, 2, 3, 6, 9):
+        for _ in range(12):
+            rows = hermitian_rows(rng, n, False, rank=rng.choice([None, max(1, n - 2)]))
+            zero = rng.randrange(n)
+            if rng.random() < 0.3:  # a zero row and column
+                rows = [[0 if zero in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            Q, Qp = SymBilinearForm(rows), SymBilinearForm(rational_rows(rng, n))
+            h = mixed_vector(rng, n)
+            signs.add((Q.quad(h) > 0) - (Q.quad(h) < 0))
+            assert hodge_index_inertia(Q, h) == signature(hodge_index_defect(Q, h))
+            assert derivative_inequality_inertia(Q, Qp, h) == signature(derivative_inequality_defect(Q, Qp, h))
+            assert derivative_inequality_inertia(Qp, Q, h) == signature(derivative_inequality_defect(Qp, Q, h))
+    assert signs == {-1, 0, 1}
+    # Q(h) = 0 with h != 0, and Q(h) < 0.
+    Q = diag(1, -1, 2)
+    for h in ((1, 1, 0), (0, 1, 0)):
+        assert hodge_index_inertia(Q, h) == signature(hodge_index_defect(Q, h))
+        assert derivative_inequality_inertia(Q, diag(3, 1, -1), h) == signature(
+            derivative_inequality_defect(Q, diag(3, 1, -1), h)
+        )

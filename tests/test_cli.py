@@ -254,9 +254,16 @@ def test_wrong_weight_lambda_exits_2():
     assert run_main(["verify-hr", "--d", "3", "--lambda", "2,1", "--seed", "1"]) == 2
 
 
-def test_unsupported_dimension_exits_2():
+def test_unsupported_dimension_exits_2(tmp_path, capsys):
     assert run_main(["verify-hr", "--d", "9", "--seed", "1"]) == 2
+    assert "--d 9 outside the supported range 2..8" in capsys.readouterr().err
     assert run_main(["verify-hr", "--d", "1..3", "--seed", "1"]) == 2
+    ff = write_forms_file(tmp_path / "forms.json", 29, 9, 1)
+    assert run_main(["verify-hr", "--forms", str(ff)]) == 2
+    assert "forms file: dimension 9 outside the supported range 2..8" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_main(["verify-hr", "--help"])
+    assert "(supported 2..8)" in capsys.readouterr().out
 
 
 def _cap_address_space():
