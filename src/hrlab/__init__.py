@@ -1,9 +1,10 @@
 """Exact-arithmetic laboratory for intersection forms of Schur polynomials.
 
-Everything runs over Gaussian rationals: exterior algebra of (p,q)-forms,
-Schur and derived Schur evaluations, exact signatures of the induced
-intersection forms, the one-parameter verification machinery on the space
-extended by one formal direction, and positivity cones of forms.
+Exterior algebra of (p,q)-forms, Schur and derived Schur evaluations, exact
+signatures of the induced intersection forms, the one-parameter verification
+machinery on the space extended by one formal direction, and positivity cones
+of forms, all computed over Python ints; GaussianRational is the edge type of
+the public constructors and views.
 """
 
 from .augmentation import (

@@ -20,8 +20,8 @@ support two verification routes to the Hodge-Riemann property: a first-order
 route (property A: five conditions on R, its derivative and zeta) driving a
 recursion in i, and a second-order route (property B) whose conclusion is the
 restriction to W.  Each check here is exact: the quantified inequalities are
-decided by positive semidefiniteness of the defect matrices, whose
-signatures bilinear reads off bordered matrices, never by sampling vectors.
+decided by positive semidefiniteness of the defect matrices, whose signatures
+bilinear reads off R_t's and off a border, never by sampling vectors.
 
 Each check evaluates R_t (and R'_t for B) once per sampled t, over ints as
 one bilinear.combine with weights t^k, and signs it once; t = 0 is always the
@@ -41,9 +41,9 @@ from typing import ClassVar, Optional, Sequence
 from .bilinear import (
     Signature,
     SymBilinearForm,
+    _hodge_index_inertia,
     combine,
     derivative_inequality_inertia,
-    hodge_index_inertia,
     is_hr_wrt,
     pairing_form,
     signature,
@@ -248,11 +248,7 @@ def _weak_hr_sample(t: Fraction, qt: SymBilinearForm, h) -> dict:
     sig = signature(qt)
     qh = qt.quad(h)
     weak = qh > 0 and sig.n_plus == 1
-    defect_psd = hodge_index_inertia(qt, h).n_minus == 0
-    # Spectral characterization and Hodge-index characterization must agree
-    # whenever Q(h) > 0; a mismatch is an implementation bug.
-    if qh > 0 and weak != defect_psd:
-        raise RuntimeError("weak HR characterizations disagree; implementation bug")
+    defect_psd = _hodge_index_inertia(qt, h, sig).n_minus == 0
     return {"t": t, "signature": sig, "q_h": qh, "weak_hr": weak, "hodge_index_psd": defect_psd}
 
 

@@ -26,7 +26,7 @@ certify-then-fall-back pattern of S. M. Rump, "Verification of positive
 definiteness", BIT 46, 2006, here over ints).  A singular matrix is never
 dominant.  The kernel signs it, every smaller matrix, every refused
 certificate, the Hermitian reductions, whose witness replays its pivots, and
-the bordered matrices whose inertia gives that of a defect matrix.
+the bordered matrix whose inertia gives that of the derivative defect.
 Positive definiteness of a Hermitian matrix needs no inertia and is decided
 elsewhere, in exterior, by Sylvester's criterion on the leading principal
 minors.
@@ -37,7 +37,7 @@ single positive direction plus Q(h) > 0.  The quantified Hodge-index
 inequality Q(v)Q(h) <= Q(v,h)^2 for all v is decided exactly by testing
 positive semidefiniteness of the assembled quadratic form
 T(v) = Q(v,h)^2 - Q(v)Q(h), whose inertia hodge_index_inertia reads off
-the matrix T borders.
+that of Q and the sign of Q(h) in closed form.
 """
 
 from __future__ import annotations
@@ -453,31 +453,28 @@ def derivative_inequality_defect(
     return SymBilinearForm._of(rows, q._den * qp._den * s * s)
 
 
-def _bordered(border, A) -> list[list[int]]:
-    """[[D, V^T], [V, A]] for the k x k block D given as `border`, k rows of
-    length k + n, and the n x n block A: the column V is read off the rows."""
-    k = len(border)
-    return [list(row) for row in border] + [
-        [b[k + i] for b in border] + list(row) for i, row in enumerate(A)
-    ]
+def _hodge_index_inertia(Q: SymBilinearForm, h: Vector, sig: Signature) -> Signature:
+    """The signature of hodge_index_defect(Q, h), given sig = signature(Q).
 
-
-def hodge_index_inertia(Q: SymBilinearForm, h: Vector) -> Signature:
-    """The signature of hodge_index_defect(Q, h), from a bordered matrix.
-
-    With W, q as there and q > 0, B = [[q, W^T], [W, A]] has the inertia
-    (1, 0, 0) + inertia(-T/q) by Haynsworth's additivity, q being its first
-    pivot and A - W W^T / q its Schur complement.  Elimination on B divides
-    out the factor q^(k-1) the k-th minor of T carries.  B is singular by
-    construction, with kernel (1, -h), so it goes to _congruence and never
-    to the rounded route.  For q <= 0 the defect matrix itself is signed.
+    With W, q as there, B = [[q, W^T], [W, A]] = [x | I]^T A [x | I] has,
+    by Sylvester's law, the inertia of A plus one zero.  For q != 0,
+    Haynsworth's additivity on the pivot q gives inertia(B) =
+    inertia(q) + inertia(A - W W^T / q), and T is -q times that Schur
+    complement: (n_minus, n_plus - 1, n_zero + 1) for q > 0 and
+    (n_plus, n_minus - 1, n_zero + 1) for q < 0.  For q = 0, T = W W^T.
     """
     x, w, _ = Q._image(h)
     q = _dot(x, w)
-    if q <= 0:
-        return _count_signs(_congruence(hodge_index_defect(Q, h)._ints), Q.n)
-    plus, minus, zero = _count_signs(_congruence(_bordered([[q, *w]], Q._ints)), Q.n + 1)
-    return Signature(minus, plus - 1, zero)
+    if q > 0:
+        return Signature(sig.n_minus, sig.n_plus - 1, sig.n_zero + 1)
+    if q < 0:
+        return Signature(sig.n_plus, sig.n_minus - 1, sig.n_zero + 1)
+    return Signature(1, 0, Q.n - 1) if any(w) else Signature(0, 0, Q.n)
+
+
+def hodge_index_inertia(Q: SymBilinearForm, h: Vector) -> Signature:
+    """The signature of hodge_index_defect(Q, h), read off signature(Q)."""
+    return _hodge_index_inertia(Q, h, signature(Q))
 
 
 def derivative_inequality_inertia(q: SymBilinearForm, qp: SymBilinearForm, h: Vector) -> Signature:
@@ -496,8 +493,10 @@ def derivative_inequality_inertia(q: SymBilinearForm, qp: SymBilinearForm, h: Ve
     qh = _dot(x, w)
     if qh <= 0:
         return _count_signs(_congruence(derivative_inequality_defect(q, qp, h)._ints), q.n)
-    border = [[2 * qh, 0, *(a + b for a, b in zip(u, w))], [0, -2 * qh, *(a - b for a, b in zip(u, w))]]
-    plus, minus, zero = _count_signs(_congruence(_bordered(border, qp._ints)), q.n + 2)
+    p = [a + b for a, b in zip(u, w)]
+    m = [a - b for a, b in zip(u, w)]
+    rows = [[2 * qh, 0, *p], [0, -2 * qh, *m]] + [[a, b, *row] for a, b, row in zip(p, m, qp._ints)]
+    plus, minus, zero = _count_signs(_congruence(rows), q.n + 2)
     return Signature(minus - 1, plus - 1, zero)
 
 

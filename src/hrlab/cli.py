@@ -685,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--i", default=None,
                     help="family index (int, 'd', 'd-1', comma list or LO..HI); for recursion this is the depth j")
     sp.add_argument("--t-samples", dest="t_samples", default=None,
-                    help="comma-separated rational sample points, e.g. '1/100,-1/100'")
+                    help="comma-separated rational sample points, e.g. '1/100,-1/100'; "
+                         "a list that starts with a minus sign needs '=': --t-samples=-1/10,1/10")
     sp.add_argument("--builtin", choices=["remark-3.7", "minkowski"], default=None,
                     help="run a built-in example family instead of sampled data")
     sp.set_defaults(func=cmd_family)

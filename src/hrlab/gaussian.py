@@ -1,8 +1,8 @@
 """Gaussian rationals: complex numbers with exact rational real and imaginary parts.
 
-All coefficient arithmetic in this package runs over this field.  No floating
-point is used anywhere; every operation is closed and exact, so downstream
-signature computations are proofs rather than estimates.
+The edge type of the package: public constructors take it and views return
+it, while the library computes over (Gaussian) integers over one denominator.
+Every operation is exact, so signatures are proofs rather than estimates.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ from oracles import (
     rational_rows,
     realified,
 )
-from hrlab.augmentation import AugmentedSpace, twist_family
+from hrlab.augmentation import AugmentedSpace, check_property_a, check_property_b, twist_family
 from hrlab.exterior import basis_11_real
 
 
@@ -854,6 +854,51 @@ def test_singular_and_near_singular_inputs_fall_back(routes):
     assert [kernel_inertia(rows).n_zero for rows in cases] == [1, 19, 4, 0]
 
 
+def hodge_index_case(rng, n, rank, y):
+    """Q = B^T D B over ints and an int vector h with B h = y.
+
+    B is rank x n with entries in -3..3 and D = diag(1, -1, +-10^k), k in
+    0..1.  h is 1 at 0 and +-1 at five other places, and column 0 of B is
+    set to y - sum_{j>0} h_j b_j, so Q(h) = y^T D y and Q h = B^T D y."""
+    d = [1, -1] + [rng.choice((-1, 1)) * 10 ** rng.randint(0, 1) for _ in range(rank - 2)]
+    h = [1] + [0] * (n - 1)
+    for j in rng.sample(range(1, n), 5):
+        h[j] = rng.choice((-1, 1))
+    cols = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+    cols[0] = [yk - sum(hj * c[k] for hj, c in zip(h[1:], cols[1:])) for k, yk in enumerate(y)]
+    rows = [[sum(x * dk * z for x, dk, z in zip(ci, d, cj)) for cj in cols] for ci in cols]
+    return SymBilinearForm(rows), h
+
+
+def test_hodge_index_inertia_on_the_rounded_route(routes):
+    # y = e_0, e_1 and e_0 + e_1 give Q(h) = 1, -1 and 0 with Q h != 0.
+    # y = 0 gives Q h = 0 but makes B, and so Q, singular: only at rank < n.
+    rng = random.Random(137)
+    seen = set()
+    for n, rank in ((40, 40), (50, 50), (44, 41), (48, 46)):
+        ys = [[int(k == 0) for k in range(rank)], [int(k == 1) for k in range(rank)]]
+        ys.append([int(k < 2) for k in range(rank)])
+        if rank < n:
+            ys.append([0] * rank)
+        for y in ys:
+            Q, h = hodge_index_case(rng, n, rank, y)
+            routes.clear()
+            got = hodge_index_inertia(Q, h)
+            if rank == n:
+                assert routes == [("verdict", n, True)]
+            else:
+                assert routes[-1] == ("kernel", n) and ("verdict", n, True) not in routes
+            routes.clear()
+            assert got == signature(hodge_index_defect(Q, h))
+            assert routes[-1] == ("kernel", n)
+            if n == 40 and y is ys[1]:
+                assert got == fraction_congruence_inertia(fraction_hodge_index_defect(Q.matrix, h))
+            q = Q.quad(h)
+            seen.add(((q > 0) - (q < 0), any(Q.pairing_vector(h)), rank == n))
+    assert seen == {(1, True, True), (-1, True, True), (0, True, True),
+                    (1, True, False), (-1, True, False), (0, True, False), (0, False, False)}
+
+
 def test_refused_certificate_falls_back(gram_matrices, routes, monkeypatch):
     # At 12 bits the proposal passes its pivot floor but C is not dominant.
     monkeypatch.setattr(bilinear, "_SCALE_BITS", 12)
@@ -917,19 +962,32 @@ def test_verdict_matches_the_product_oracle():
     assert verdicts == {True, False}
 
 
-# -- defect matrices signed on their borders --------------------------------------
+# -- defect matrices: the Hodge-index one in closed form, the derivative one on its border
 
 
 def test_bordered_inertias_match_the_direct_defects():
     rng = random.Random(131)
+    report_signs = set()
     for d in (3, 4, 5):
         space = AugmentedSpace([random_positive_form(rng, d) for _ in range(2)])
-        fam = twist_family(space, (2,) + (1,) * (d - 4) if d > 3 else (1,), d)
-        h = space.h_coords
+        lam = (2,) + (1,) * (d - 4) if d > 3 else (1,)
+        fam = twist_family(space, lam, d)
+        h, zeta = space.h_coords, space.zeta_coords
         for t in (Fraction(0), Fraction(1, 100), Fraction(-7, 3)):
             q, qp = fam.at(t), fam.derivative().at(t)
             assert hodge_index_inertia(q, h) == signature(hodge_index_defect(q, h))
             assert derivative_inequality_inertia(q, qp, h) == signature(derivative_inequality_defect(q, qp, h))
+        # The reports read hodge_index_psd off each sample's own signature;
+        # t = -100 gives R_{3,t}(h) < 0 at every d here.
+        ts = (Fraction(1, 100), Fraction(-7, 3), Fraction(-100))
+        for i in sorted({3, d}):
+            fam_i = twist_family(space, lam, i)
+            for report in (check_property_a(fam_i, h, zeta, ts), check_property_b(fam_i, h, zeta, ts)):
+                for entry in report.per_t:
+                    r_t = fam_i.at(entry["t"])
+                    assert entry["hodge_index_psd"] == (signature(hodge_index_defect(r_t, h)).n_minus == 0)
+                    report_signs.add((i, (r_t.quad(h) > 0) - (r_t.quad(h) < 0)))
+    assert (3, -1) in report_signs and (3, 1) in report_signs
     signs = set()
     for n in (1, 2, 3, 6, 9):
         for _ in range(12):
@@ -951,3 +1009,24 @@ def test_bordered_inertias_match_the_direct_defects():
         assert derivative_inequality_inertia(Q, diag(3, 1, -1), h) == signature(
             derivative_inequality_defect(Q, diag(3, 1, -1), h)
         )
+
+
+def test_family_checks_eliminate_no_hodge_index_border(monkeypatch):
+    # Each R_t is eliminated once (n rows), each derivative defect on its
+    # two-row border (n + 2); the Hodge-index defect needs no matrix.
+    sizes = []
+    for name in ("_congruence", "_rounded_congruence"):
+        def record(rows, real=getattr(bilinear, name)):
+            sizes.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(bilinear, name, record)
+    rng = random.Random(139)
+    space = AugmentedSpace([random_positive_form(rng, 4) for _ in range(2)])
+    h, zeta, n = space.h_coords, space.zeta_coords, space.dim_v
+    for i in (3, 4):
+        fam = twist_family(space, (2,), i)
+        check_property_a(fam, h, zeta)
+        check_property_b(fam, h, zeta)
+    # Five samples per check; A signs one derivative border, B one per sample.
+    assert sorted(sizes) == [n] * 20 + [n + 2] * 12

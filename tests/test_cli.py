@@ -520,6 +520,18 @@ def test_family_check_fails_outside_sample_radius(tmp_path):
     assert far["weak_hr"] is False
 
 
+def test_family_t_samples_starting_with_a_minus_sign(tmp_path):
+    # After a space, argparse reads "-1/10,1/10" as a flag and exits 2; the
+    # "=" spelling the help text gives passes it as the value.
+    argv = ["family", "--d", "3", "--e", "1", "--check", "A", "--seed", "4", "--t-samples=-1/10,1/10"]
+    ns = cli.build_parser().parse_args(argv)
+    assert parse_t_samples(ns.t_samples) == (Fraction(-1, 10), Fraction(1, 10))
+    out = tmp_path / "minus.json"
+    assert run_main(argv + ["--out", str(out)]) == 0
+    res = load(out)["results"][0]
+    assert res["report"]["t_samples"] == ["0/1", "-1/10", "1/10"]
+
+
 def test_family_builtin_rank_drop(tmp_path):
     out = tmp_path / "r.json"
     code = run_main(["family", "--builtin", "remark-3.7", "--out", str(out)])
