@@ -287,7 +287,9 @@ def _run_tasks(worker, tasks: list[dict], jobs: int) -> tuple[list[dict], list[f
     t0 = time.perf_counter()
     calls = [(worker, task) for task in tasks]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A pool may start all its workers on the first submit, so it is no
+        # wider than the task list.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             timed = list(pool.map(_timed_call, calls))
     else:
         timed = list(map(_timed_call, calls))
@@ -665,7 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--d", default="2..4", help=f"dimension or range LO..HI (supported {_span(SUPPORTED_D)})"
         )
-        sp.add_argument("--e", default="1..2", help="number of positive forms, or range")
+        sp.add_argument(
+            "--e", default="1..2", help=f"number of positive forms, or range (supported {_span(SUPPORTED_E)})"
+        )
         if with_lambda:
             sp.add_argument("--lambda", dest="lam", default=None,
                             help="explicit partition of d-2, comma separated; empty string for the empty partition")

@@ -25,14 +25,13 @@ through Form._of.  Every matrix of top-degree pairings
 omega's coefficients at complements instead of wedging and returns Gaussian
 integers over one denominator; for one basis of even-degree forms on both
 sides, as in gram and the intersection forms, it computes the upper triangle
-and mirrors it.  Positive definiteness of Hermitian Gaussian-integer rows is
-decided by _is_positive_definite, Sylvester's criterion on forward
-fraction-free elimination of the upper triangle, for
-positivity.is_positive_definite_11 and for each form of pencil_power_sum.
-pencil_power_sum gives the Schur forms of strictly positive (1,1)-forms
-without a wedge: it sums divided powers of a pencil of them at lattice
-points, each read off the minors of one Hermitian matrix by fraction-free
-elimination.
+and mirrors it.  _adjugate, fraction-free Gauss-Jordan elimination, is the
+one elimination of Hermitian Gaussian-integer rows; its pivots also decide
+positive definiteness, for positivity.is_positive_definite_11.
+pencil_power_sum gives the Schur forms of real (1,1)-forms without a wedge:
+it sums divided powers of a pencil of them at lattice points, each read off
+the minors of one Hermitian matrix or, where the pencil is positive
+definite, of its adjugate.  It does not check the forms' positivity.
 """
 
 from __future__ import annotations
@@ -599,52 +598,25 @@ def form_to_hermitian(a: Form) -> HermitianMatrix:
     return HermitianMatrix._of(a._den, rows)
 
 
-def _is_positive_definite(rows: Sequence[Sequence[tuple[int, int]]]) -> bool:
-    """Whether the Hermitian matrix of Gaussian-integer rows is positive
-    definite, by Sylvester's criterion: every leading principal minor is
-    positive.
-
-    Forward fraction-free elimination without row exchanges, on the upper
-    triangle alone: row i holds M[i][i:] as real and imaginary parts, and
-    M[i][k] below the diagonal is read as the conjugate of M[k][i].  The k-th
-    pivot is the k-th leading principal minor, a real int, and the division
-    by the previous pivot is exact.  The rows are trusted to be Hermitian.
-    """
-    n = len(rows)
-    re = [[z[0] for z in row[i:]] for i, row in enumerate(rows)]
-    im = [[z[1] for z in row[i:]] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        p = re[k][0]
-        if p <= 0:
-            return False
-        rk, ik = re[k], im[k]
-        for i in range(k + 1, n):
-            o = i - k
-            # f = M[i][k] = conj(M[k][i]); M[i][j] = (p M[i][j] - f M[k][j]) / prev.
-            fr, fi = rk[o], -ik[o]
-            re[i] = [(p * a - fr * c + fi * t) // prev for a, c, t in zip(re[i], rk[o:], ik[o:])]
-            im[i] = [(p * b - fr * t - fi * c) // prev for b, c, t in zip(im[i], rk[o:], ik[o:])]
-        prev = p
-    return True
-
-
-def _adjugate(re: list[list[int]], im: list[list[int]]) -> tuple[int, list, list]:
-    """(det M, Re adj M, Im adj M) for the positive definite Hermitian matrix
-    M = re + i*im of Gaussian integers.
+def _adjugate(re: list[list[int]], im: list[list[int]]) -> tuple[int, list, list] | None:
+    """(det M, Re adj M, Im adj M) for the Hermitian matrix M = re + i*im of
+    Gaussian integers when M is positive definite, else None.
 
     Fraction-free Gauss-Jordan elimination without row exchanges on a copy
     of M, in one d x d array: once column k is eliminated its storage holds
     column k of the adjugate.
-    The k-th pivot is the k-th leading principal minor, a positive int since
-    M is positive definite, and the division of each component by the
-    previous pivot is exact.
+    The k-th pivot is the k-th leading principal minor, a real int, so by
+    Sylvester's criterion M is positive definite exactly when every pivot is
+    positive; the elimination stops at the first that is not.  The division
+    of each component by the previous pivot is exact.
     """
     d = len(re)
     re, im = [r[:] for r in re], [r[:] for r in im]
     prev = 1
     for k in range(d):
         p = re[k][k]
+        if p <= 0:
+            return None
         rk, ik = re[k], im[k]
         for i in range(d):
             if i == k:
@@ -661,9 +633,9 @@ def _adjugate(re: list[list[int]], im: list[list[int]]) -> tuple[int, list, list
 
 @lru_cache(maxsize=None)
 def _minor_plan(d: int, p: int):
-    """How to read det M[I, J], for p-subsets I, J of 0..d-1 and a positive
-    definite Hermitian d x d matrix M, off q-minors, q = min(p, d - p): those
-    of M for 2p <= d, else those of adj(M), by Jacobi's identity
+    """How to read det M[I, J], for p-subsets I, J of 0..d-1 and a Hermitian
+    d x d matrix M, off q-minors, q = min(p, d - p): those of M for 2p <= d,
+    else those of adj(M) for positive definite M, by Jacobi's identity
     det M[I, J] = (-1)^(sum I + sum J) det adj(M)[J', I'] / det(M)^(d-p-1),
     with ' the complement.
 
@@ -731,15 +703,18 @@ def pencil_power_sum(
 ) -> Form | None:
     """sum_t weights[t] * (omega_1 + t_1 omega_2 + ... + t_(e-1) omega_e)^p / p!
     over the points t of weights, each of length e - 1; None unless every
-    omega_k is a strictly positive real (1,1)-form.
+    omega_k is a real (1,1)-form, or for 2p > d unless the pencil is
+    positive definite at every point.
 
     No wedge is formed.  For omega = i sum H[j][k] dz_j^dzb_k the coefficient
     of omega^p / p! at dz_I^dzb_J is i^(p*p) det H[I, J] (the sign
     (-1)^(p(p-1)/2) of moving the dzb factors right is folded in), so each
-    point needs only the p-minors of one Hermitian matrix, which is positive
-    definite because every H_k is and t >= 0; _minor_plan reads them off
-    min(p, d - p)-minors.  Positivity of each H_k is decided by
-    _is_positive_definite.  For p > d every power is zero.
+    point needs only the p-minors of one Hermitian matrix; _minor_plan reads
+    them off min(p, d - p)-minors.  The identity is polynomial in the H_k,
+    so for 2p <= d, where those are minors of the matrix itself, it holds
+    for any real (1,1)-forms.  For 2p > d they are minors of its adjugate,
+    which _adjugate gives for a positive definite matrix, as every point's
+    is when every H_k is, since t >= 0.  For p > d every power is zero.
     """
     d = forms[0].d
     if any(f.d != d for f in forms):
@@ -752,8 +727,6 @@ def pencil_power_sum(
             return None
         rows = _rows_11(f)
         if not _is_hermitian(rows):
-            return None
-        if not _is_positive_definite(rows):
             return None
         re, im = [[z[0] for z in row] for row in rows], [[z[1] for z in row] for row in rows]
         mats.append((f._den, re, im))
@@ -776,7 +749,10 @@ def pencil_power_sum(
                 im = [[a + x * b for a, b in zip(row, row_k)] for row, row_k in zip(im, im_k)]
         scale, div = w.numerator * (wden // w.denominator), 1
         if 2 * p > d:
-            det, re, im = _adjugate(re, im)
+            adj = _adjugate(re, im)
+            if adj is None:
+                return None
+            det, re, im = adj
             if p == d:
                 scale *= det
             else:

@@ -3,8 +3,10 @@
 Strict positivity of a (1,1)-form reduces to positive definiteness of its
 Hermitian matrix, decided by Sylvester's criterion on the Gaussian integers
 the HermitianMatrix stores, whose symmetry was checked when it was built:
-exterior._is_positive_definite eliminates the upper triangle fraction-free
-and asks every leading principal minor to be positive.
+the pivots of exterior._adjugate, fraction-free Gauss-Jordan elimination,
+are the leading principal minors, and it refuses the matrix at the first
+that is not positive.  The layers that receive forms (the CLI's forms file,
+AugmentedSpace) run this test once per form; Schur evaluation does not.
 Positivity of a real (p,p)-form is decided by the exact inertia of the
 induced Hermitian pairing on the complementary space of holomorphic top
 fragments, whose matrix exterior.top_pairings reads off the form's
@@ -30,7 +32,7 @@ from .bilinear import _hermitian_reduction
 from .exterior import (
     Form,
     HermitianMatrix,
-    _is_positive_definite,
+    _adjugate,
     conjugate,
     top_pairings,
     top_ratio,
@@ -64,7 +66,8 @@ class ConeVerdict:
 
 def is_positive_definite_11(H: HermitianMatrix) -> bool:
     """Exact positive definiteness: every leading principal minor is positive."""
-    return _is_positive_definite(H._rows)
+    re, im = [[z[0] for z in row] for row in H._rows], [[z[1] for z in row] for row in H._rows]
+    return _adjugate(re, im) is not None
 
 
 def is_positive_pp(eta: Form) -> ConeVerdict:

@@ -4,12 +4,13 @@ import random
 import resource
 import subprocess
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hrlab import cli
+from hrlab import cli, exterior, positivity, symfunc
 from hrlab.cli import (
     _compositions,
     admissible_partitions,
@@ -238,6 +239,61 @@ def test_forms_file_is_parsed_once_per_run(tmp_path, monkeypatch):
     assert written == []
 
 
+def test_positivity_is_decided_once_per_form(tmp_path, monkeypatch):
+    # At d = 4 and lambda = (1, 1) schur takes the pencil route, which reads
+    # minors of the pencil itself and decides no positivity: the forms file's
+    # check, one elimination per form, is the only one.
+    calls, routed = [], []
+    real_adjugate, real_pencil = exterior._adjugate, symfunc.pencil_power_sum
+
+    def counting(re, im):
+        calls.append("_load_forms" in {frame.name for frame in traceback.extract_stack()})
+        return real_adjugate(re, im)
+
+    monkeypatch.setattr(exterior, "_adjugate", counting)
+    monkeypatch.setattr(positivity, "_adjugate", counting)
+    monkeypatch.setattr(symfunc, "pencil_power_sum", lambda *args: routed.append(args[1]) or real_pencil(*args))
+    ff = write_forms_file(tmp_path / "forms.json", 23, 4, 2)
+    out = tmp_path / "r.json"
+    assert run_main(["verify-hr", "--forms", str(ff), "--lambda", "1,1", "--out", str(out)]) == 0
+    assert load(out)["summary"] == {"total": 1, "passed": 1, "failed": 0}
+    assert routed == [2]
+    assert calls == [True, True]
+
+
+def test_worker_pool_is_no_wider_than_the_task_list(tmp_path, monkeypatch):
+    # The pool is replaced by one that records its width and starts nothing.
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, calls):
+            return map(fn, calls)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    ff = write_forms_file(tmp_path / "forms.json", 19, 4, 2)
+    seeded = ["verify-hr", "--d", "2..3", "--e", "1..2", "--seed", "5"]
+    cases = (
+        (["verify-hr", "--forms", str(ff)], 64, 2, 2),
+        (seeded, 64, 4, 4),
+        (seeded, 3, 4, 3),
+    )
+    for args, jobs, tasks, width in cases:
+        widths.clear()
+        out = tmp_path / "r.json"
+        assert run_main(args + ["--jobs", str(jobs), "--out", str(out)]) == 0
+        assert load(out)["summary"]["total"] == tasks
+        assert widths == [width], (args, jobs)
+
+
 # -- usage errors ----------------------------------------------------------------
 
 
@@ -263,7 +319,9 @@ def test_unsupported_dimension_exits_2(tmp_path, capsys):
     assert "forms file: dimension 9 outside the supported range 2..8" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run_main(["verify-hr", "--help"])
-    assert "(supported 2..8)" in capsys.readouterr().out
+    help_text = capsys.readouterr().out
+    assert "(supported 2..8)" in help_text
+    assert "(supported 1..64)" in help_text
 
 
 def _cap_address_space():

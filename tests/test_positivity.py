@@ -8,6 +8,7 @@ from hrlab.bilinear import Signature, hermitian_inertia
 from hrlab.exterior import (
     Form,
     HermitianMatrix,
+    _adjugate,
     conjugate,
     hermitian_to_form,
     top_coefficient,
@@ -146,6 +147,30 @@ def test_sylvester_test_agrees_with_inertia():
         assert is_positive_definite_11(HermitianMatrix(rows)) == want, rows
         verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def test_adjugate_refuses_exactly_the_matrices_that_are_not_positive_definite():
+    refused = []
+    for rows in sylvester_cases(random.Random(53)):
+        H = HermitianMatrix(rows)
+        n = H.d
+        re, im = [[z[0] for z in row] for row in H._rows], [[z[1] for z in row] for row in H._rows]
+        out = _adjugate(re, im)
+        assert [list(zip(*rows)) for rows in zip(re, im)] == [list(row) for row in H._rows]  # input kept
+        refused.append(out is None)
+        assert refused[-1] == any(m <= 0 for m in leading_principal_minors(H)), rows
+        if out is None:
+            continue
+        det, adj_re, adj_im = out
+        int_rows = [[GaussianRational(*z) for z in row] for row in H._rows]
+        assert GaussianRational(det) == hermitian_det(int_rows)
+        # adj(M) M = det(M) I, over the Gaussian integers.
+        for j in range(n):
+            for k in range(n):
+                prod_re = sum(adj_re[j][l] * re[l][k] - adj_im[j][l] * im[l][k] for l in range(n))
+                prod_im = sum(adj_re[j][l] * im[l][k] + adj_im[j][l] * re[l][k] for l in range(n))
+                assert (prod_re, prod_im) == ((det if j == k else 0), 0), rows
+    assert True in refused and False in refused
 
 
 def test_hermitian_det_small():

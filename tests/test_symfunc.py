@@ -6,7 +6,7 @@ import pytest
 
 import hrlab.symfunc
 from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_form, pencil_power_sum, wedge
-from hrlab.sampling import random_positive_form
+from hrlab.sampling import random_hermitian, random_positive_form
 from hrlab.symfunc import (
     Partition,
     _lattice_weights,
@@ -177,8 +177,10 @@ def test_schur_matches_permutation_oracle_on_forms():
 
 
 # -- the pencil route ----------------------------------------------------------------
-# schur takes it when every form is strictly positive, 2 <= |lam| <= d and the
-# lattice has at most 4^(d-2) points; the wedge route, schur_elements over
+# schur takes it when 2 <= |lam| <= d, the lattice has at most 4^(d-2) points
+# and pencil_power_sum accepts the forms: real (1,1)-forms, whose pencil is
+# positive definite at every lattice point when 2|lam| > d.  Strict
+# positivity is not decided there.  The wedge route, schur_elements over
 # forms, is its oracle.
 
 
@@ -248,17 +250,59 @@ def test_route_follows_weight_and_lattice_size(monkeypatch):
 
 
 def test_forms_off_the_route_give_the_wedge_result():
+    # At 2p <= d the pencil reads minors of the matrices themselves, exact for
+    # any real (1,1)-forms.  At 2p > d it needs the adjugate of a positive
+    # definite pencil at every lattice point, and the first point is the first
+    # form's matrix.  Forms that are not real (1,1)-forms never take it.
     d = 4
     w = positive_forms(d, 1, 700)[0]
     rank_one = hermitian_to_form(HermitianMatrix([[1, 1, 0, 0], [1, 1, 0, 0], [0] * 4, [0] * 4]))
     indefinite = hermitian_to_form(HermitianMatrix.diagonal([1, -1, 2, 3]))
     not_real = Form.term(d, [1], [2])
     not_11 = wedge(w, w)
+    for p in (2, 3, 4):
+        for lam in partitions(p, 2):
+            weights = _lattice_weights(lam, 2)
+            for bad in (rank_one, indefinite, Form.zero(d)):
+                assert pencil_power_sum([w, bad], p, weights) == wedge_route(lam, [w, bad]), (bad, lam)
+                want = wedge_route(lam, [bad, w]) if 2 * p <= d else None
+                assert pencil_power_sum([bad, w], p, weights) == want, (bad, lam)
+            for bad in (not_real, not_11):
+                for forms in ([w, bad], [bad, w]):
+                    assert pencil_power_sum(forms, p, weights) is None, (bad, lam)
     for bad in (rank_one, indefinite, not_real, not_11, Form.zero(d)):
-        forms = [w, bad]
-        assert pencil_power_sum(forms, 2, _lattice_weights(Partition((1, 1)), 2)) is None
-        for lam in ((1, 1), (2,), (2, 1), (1, 1, 1)):
-            assert schur(lam, forms) == wedge_route(lam, forms), (bad, lam)
+        for forms in ([w, bad], [bad, w]):
+            for lam in ((1, 1), (2,), (2, 1), (1, 1, 1)):
+                assert schur(lam, forms) == wedge_route(lam, forms), (bad, lam)
+
+
+def test_pencil_route_on_hermitian_draws_mixed_with_positive_forms(monkeypatch):
+    # Indefinite, singular and definite draws of random_hermitian, in any
+    # position among positive forms: schur gives the wedge result whichever
+    # route it takes.
+    taken = []
+
+    def recording(*args):
+        out = pencil_power_sum(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(hrlab.symfunc, "pencil_power_sum", recording)
+    rng = random.Random(1000)
+    for d in range(2, 7):
+        for e in range(1, 4):
+            for _ in range(3):
+                forms = [
+                    hermitian_to_form(random_hermitian(rng, d)) if rng.random() < 0.5
+                    else random_positive_form(rng, d)
+                    for _ in range(e)
+                ]
+                for p in range(2, d + 1):
+                    for lam in partitions(p, p):
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore")
+                            assert schur(lam, forms) == wedge_route(lam, forms), (d, e, lam)
+    assert True in taken and False in taken
 
 
 def test_weight_above_d_gives_the_zero_form():
