@@ -26,9 +26,10 @@ bilinear reads off R_t's and off a border, never by sampling vectors.
 Each check evaluates R_t (and R'_t for B) once per sampled t, over ints as
 one bilinear.combine with weights t^k, and signs it once; t = 0 is always the
 first sample and is R_0 itself, so the reported r0_signature is that
-sample's.  The verdicts read "R_0 is Hodge-Riemann with respect to h" off the
-report instead of signing R_0 again.  Both reports share one shape: the
-per-t serialiser, passed and max_passing_radius.
+sample's.  The verdicts read "R_0 is Hodge-Riemann with respect to h", and
+aug2 its restriction to W, off the report instead of signing R_0 again, and
+take R_{i,0} as the cached Q_i.  Both reports share one shape: the per-t
+serialiser, passed and max_passing_radius.
 """
 
 from __future__ import annotations
@@ -533,8 +534,7 @@ def verify_recursion(space: AugmentedSpace, lam, j: int, t_samples=None) -> Theo
         raise ValueError(f"need 2 <= j <= d-1, got j={j}, d={d}")
     h = space.h_coords
     zeta = space.zeta_coords
-    fams = {i: twist_family(space, lam, i) for i in range(1, j + 1)}
-    reports = {i: check_property_a(fams[i], h, zeta, t_samples) for i in range(2, j + 1)}
+    reports = {i: check_property_a(twist_family(space, lam, i), h, zeta, t_samples) for i in range(2, j + 1)}
 
     per_i_ok = {}
     for i in range(2, j + 1):
@@ -546,12 +546,12 @@ def verify_recursion(space: AugmentedSpace, lam, j: int, t_samples=None) -> Theo
     hyp1 = all(per_i_ok.values())
 
     hyp2 = all(
-        reports[i].r0p == (d - i + 1) * fams[i - 1].at(0)
+        reports[i].r0p == (d - i + 1) * intersection_form(space, lam, i - 1)
         for i in range(2, j + 1)
     )
     w_idx = list(space.w_indices())
-    hyp3 = fams[1].at(0).restrict_indices(w_idx).is_zero()
-    hyp4 = is_hr_wrt(fams[2].at(0).restrict_indices(w_idx), space.h_coords_w())
+    hyp3 = intersection_form(space, lam, 1).restrict_indices(w_idx).is_zero()
+    hyp4 = is_hr_wrt(intersection_form(space, lam, 2).restrict_indices(w_idx), space.h_coords_w())
     c2 = reports[2].constant
     hyp5 = c2 is not None and c2 != 0
 
@@ -579,29 +579,27 @@ def verify_augmentation2(space: AugmentedSpace, lam, t_samples=None) -> TheoremV
     R''_{d,0} = 2 R_{d-2,0}, and that this second derivative is Hodge-Riemann
     with respect to h.  Conclusion: R_{d,0} restricted to W is Hodge-Riemann
     with respect to h, which is exactly the signature statement for the
-    intersection form of s_lam(omega).
+    intersection form of s_lam(omega).  R_{d,0} = Q_d pairs zeta with
+    nothing (its integrand is the (d-2,d-2) slice alone), so it is its W
+    block plus a zero row and column: the conclusion reads property B's t = 0
+    sample, with one zero fewer and R_{d,0}(h) as the block's value at h.
     """
     lam = Partition(lam)
     d = space.d
-    fam = twist_family(space, lam, d)
     h = space.h_coords
-    zeta = space.zeta_coords
-    rep = check_property_b(fam, h, zeta, t_samples)
+    rep = check_property_b(twist_family(space, lam, d), h, space.zeta_coords, t_samples)
     rpp0 = rep.rpp0
-    identity_ok = rpp0 == 2 * twist_family(space, lam, d - 2).at(0)
     hyps = {
         "property_B": rep.passed,
-        "second_derivative_identity": identity_ok,
+        "second_derivative_identity": rpp0 == 2 * intersection_form(space, lam, d - 2),
         "second_derivative_hr_wrt_h": is_hr_wrt(rpp0, h),
     }
-    restricted = fam.at(0).restrict_indices(list(space.w_indices()))
-    restricted_sig = signature(restricted)
-    conclusion = restricted.quad(space.h_coords_w()) > 0 and restricted_sig.is_hr
+    restricted_sig = rep.r0_signature._replace(n_zero=rep.r0_signature.n_zero - 1)
     details = {
         "property_B": rep.to_json(),
         "restricted_signature": restricted_sig.to_json(),
     }
-    return _verdict("augmentation2", hyps, conclusion, details)
+    return _verdict("augmentation2", hyps, rep.r0_h > 0 and restricted_sig.is_hr, details)
 
 
 def rank_drop_family(n: int = 3) -> FormFamily:

@@ -266,8 +266,8 @@ def _compositions(total: int, k: int) -> list[tuple[int, ...]]:
 def _timed_call(call: tuple) -> tuple[dict, float]:
     """The task's result and seconds; an exception becomes an error result.
 
-    An error result names the task by its grid coordinates and holds
-    "error": "<Type>: <message>"; the traceback goes to stderr.  The
+    An error result names the task by its grid coordinates or its builtin
+    and holds "error": "<Type>: <message>"; the traceback goes to stderr.  The
     subcommands count it as failed, so one broken task costs the campaign
     neither its report nor its other results.
     """
@@ -277,7 +277,7 @@ def _timed_call(call: tuple) -> tuple[dict, float]:
         result = worker(task)
     except Exception as exc:
         traceback.print_exc()
-        result = {key: task[key] for key in ("d", "e", "lambda", "trial", "check", "i") if key in task}
+        result = {key: task[key] for key in ("d", "e", "lambda", "trial", "check", "i", "builtin") if key in task}
         result["error"] = f"{type(exc).__name__}: {exc}"
     return result, time.perf_counter() - t0
 
@@ -425,28 +425,28 @@ def _cmd_family_builtin(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.forms is not None:
         # The builtins bring their own data; a forms file would go unread.
         raise UsageError("--builtin takes no --forms file")
-    t0 = time.perf_counter()
-    if ns.builtin == "remark-3.7":
-        result = _builtin_rank_drop(ns)
-    elif ns.builtin == "minkowski":
-        result = _builtin_minkowski()
-    else:
-        raise UsageError(f"unknown builtin {ns.builtin!r}")
+    # An empty list ("--t-samples=,") means no samples; no flag, the defaults.
+    task = {"builtin": ns.builtin, "t_samples": parse_t_samples(ns.t_samples) if ns.t_samples else None}
+    results, durations, elapsed = _run_tasks(_builtin_task, [task], ns.jobs)
+    failed = [r for r in results if "error" in r or r["status"] == "FAIL"]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "family",
         "config": _config_json(ns),
-        "results": [result],
-        "summary": {"total": 1, "passed": int(result["status"] == "PASS"), "failed": int(result["status"] == "FAIL")},
+        "results": results,
+        "summary": {"total": 1, "passed": len(results) - len(failed), "failed": len(failed)},
     }
-    elapsed = time.perf_counter() - t0
-    return _with_timing(report, [elapsed], elapsed), (0 if result["status"] == "PASS" else 1)
+    return _with_timing(report, durations, elapsed), (1 if failed else 0)
 
 
-def _builtin_rank_drop(ns: argparse.Namespace) -> dict:
+def _builtin_task(task: dict) -> dict:
+    return _builtin_minkowski() if task["builtin"] == "minkowski" else _builtin_rank_drop(task["t_samples"])
+
+
+def _builtin_rank_drop(ts: tuple[Fraction, ...] | None) -> dict:
     fam = rank_drop_family(3)
     h = (Fraction(1), Fraction(0), Fraction(0))
-    ts = parse_t_samples(ns.t_samples) if ns.t_samples else (Fraction(1, 10), Fraction(-1, 10))
+    ts = (Fraction(1, 10), Fraction(-1, 10)) if ts is None else ts
     q0 = fam.at(0)
     sig0 = signature(q0)
     deriv = fam.derivative().at(0)
@@ -590,8 +590,7 @@ def _load_forms(ns: argparse.Namespace):
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read forms file {ns.forms}: {exc}") from None
     ns.forms_sha256 = hashlib.sha256(raw).hexdigest()
-    if isinstance(obj, dict):
-        obj = obj.get("omegas", obj.get("forms"))
+    obj = obj.get("omegas") if isinstance(obj, dict) else None
     if not isinstance(obj, list) or not obj:
         raise UsageError("forms file must hold a non-empty list under 'omegas'")
     # Checked before Form.from_json, which allocates by the dimension.

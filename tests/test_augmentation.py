@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hrlab import augmentation, bilinear
 from hrlab.augmentation import (
     CONSISTENT,
     NOT_APPLICABLE,
@@ -22,12 +23,13 @@ from hrlab.bilinear import (
     SymBilinearForm,
     derivative_inequality_defect,
     gram,
+    hodge_index_defect,
     is_hr_wrt,
     signature,
 )
 from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_form
 from hrlab.sampling import random_positive_form
-from hrlab.symfunc import Partition, derived_schur, schur
+from hrlab.symfunc import Partition, derived_schur, partitions, schur
 
 from oracles import (
     fraction_horner,
@@ -89,13 +91,33 @@ def test_qi_zero_outside_range():
 
 
 def test_qi_at_top_index_restricts_to_gram():
-    for d, e, lam in [(3, 1, (1,)), (4, 2, (2,))]:
-        sp = make_space(d, e, d * 10 + e)
-        q = intersection_form(sp, lam, d)
-        block = q.restrict_indices(range(d * d))
-        assert block == gram(schur(lam, sp.omegas))
-        # zeta row and column vanish at i = d
-        assert all(x == 0 for x in q.pairing_vector(sp.zeta_coords))
+    # R_{d,0} = Q_d is its W block plus a zero zeta row and column, which is
+    # what aug2's conclusion rests on.  The block comes from the derived-Schur
+    # wedge route and gram(schur) from the pencil route wherever 2 <= |lam|.
+    for d in range(3, 6):
+        for e in range(1, 4):
+            for lam in partitions(d - 2, e):
+                sp = make_space(d, e, d * 10 + e, random_h=True)
+                q = intersection_form(sp, lam, d)
+                assert all(x == 0 for x in q.pairing_vector(sp.zeta_coords)), (d, e, lam)
+                assert q.restrict_indices(sp.w_indices()) == gram(schur(lam, sp.omegas)), (d, e, lam)
+
+
+def test_top_family_kernel_is_zeta_minus_t_h():
+    # R_{d,t} (zeta - t h) = 0 for every t; differentiating, R'_t (zeta - t h)
+    # = R_t h, so both defect matrices annihilate zeta - t h as well.
+    for d in range(3, 6):
+        for e in range(1, 4):
+            for lam in partitions(d - 2, e):
+                sp = make_space(d, e, 300 + d * 10 + e, random_h=True)
+                h = sp.h_coords
+                fam = twist_family(sp, lam, d)
+                deriv = fam.derivative()
+                for t in (Fraction(0), Fraction(1, 7), Fraction(-3, 2)):
+                    v = [z - t * x for z, x in zip(sp.zeta_coords, h)]
+                    rt = fam.at(t)
+                    for m in (rt, hodge_index_defect(rt, h), derivative_inequality_defect(rt, deriv.at(t), h)):
+                        assert not any(m.pairing_vector(v)), (d, e, lam, t)
 
 
 def test_q_top_minkowski_case():
@@ -512,8 +534,11 @@ def test_verdict_conclusions_equal_direct_hr_checks(d, e, lam, seed):
 
 
 def test_verdict_conclusions_equal_direct_hr_checks_aug2():
-    for d, e, lam, seed in REUSE_SPACES[1:] + [(5, 2, (2, 1), 54)]:
-        sp = make_space(d, e, seed)
+    # The conclusion is read off property B's t = 0 sample; the directly
+    # signed W block of R_{d,0} is the oracle.
+    cases = REUSE_SPACES + [(5, 2, (2, 1), 54), (6, 2, (2, 2), 55), (6, 3, (3, 1), 56)]
+    for d, e, lam, seed in cases:
+        sp = make_space(d, e, seed, random_h=d == 6)
         v = verify_augmentation2(sp, lam)
         restricted = twist_family(sp, lam, d).at(0).restrict_indices(sp.w_indices())
         assert v.conclusion == is_hr_wrt(restricted, sp.h_coords_w())
@@ -553,3 +578,33 @@ def test_verdicts_build_each_derivative_family_once(monkeypatch):
     calls.clear()
     verify_recursion(sp, lam, d - 1)
     assert len(calls) == d - 2  # R'_i for i = 2..j
+
+
+def test_verdicts_build_only_the_families_they_check(monkeypatch):
+    # R_{i,0} is read as the cached Q_i, so no family is built for its
+    # constant term alone.
+    built = []
+    original = augmentation.twist_family
+    monkeypatch.setattr(augmentation, "twist_family", lambda sp, lam, i: built.append(i) or original(sp, lam, i))
+    for d, e, lam, seed in REUSE_SPACES + [(5, 2, (2, 1), 54)]:
+        sp = make_space(d, e, seed)
+        verify_augmentation2(sp, lam)
+        assert built == [d]
+        built.clear()
+        for j in range(2, d):
+            verify_recursion(sp, lam, j)
+            assert built == list(range(2, j + 1))
+            built.clear()
+
+
+def test_augmentation2_signs_no_w_block(monkeypatch):
+    # Every matrix aug2 eliminates, by its row count: the five R_t and R''_0
+    # (17 rows) and the five derivative borders (19); the 16-row W block of
+    # R_{d,0} is not signed a second time.
+    rows_signed = []
+    for name in ("_congruence", "_rounded_congruence"):
+        real = getattr(bilinear, name)
+        monkeypatch.setattr(bilinear, name, lambda rows, real=real: rows_signed.append(len(rows)) or real(rows))
+    sp = make_space(4, 2, 53)
+    assert verify_augmentation2(sp, (1, 1)).status == CONSISTENT
+    assert sorted(rows_signed) == [17] * 6 + [19] * 5

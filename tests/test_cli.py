@@ -163,6 +163,15 @@ def test_forms_file_rejects_non_positive(tmp_path):
     assert run_main(["verify-hr", "--forms", str(ff)]) == 2
 
 
+@pytest.mark.parametrize("layout", ["forms-key", "bare-list"])
+def test_forms_file_holds_its_list_under_omegas_only(tmp_path, capsys, layout):
+    forms = [identity_form(3).to_json()]
+    ff = tmp_path / "forms.json"
+    ff.write_text(json.dumps({"forms": forms} if layout == "forms-key" else forms))
+    assert run_main(["verify-hr", "--forms", str(ff)]) == 2
+    assert "forms file must hold a non-empty list under 'omegas'" in capsys.readouterr().err
+
+
 def outer_products_over_3(rng, d, count, shift):
     """The (1,1)-form of sum_m b_m^H b_m / 3 + shift * I, b_m Gaussian-integer rows."""
     b = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)] for _ in range(count)]
@@ -482,6 +491,18 @@ def test_worker_exception_becomes_error_result(tmp_path, monkeypatch, capsys):
     assert rep["summary"]["failed"] == rep["summary"]["total"] == 1
     assert rep["results"][0]["error"] == "ValueError: bad family"
 
+    # A builtin runs as one task too.
+    def failing_minkowski():
+        raise RuntimeError("bad builtin")
+
+    monkeypatch.setattr(cli, "_builtin_minkowski", failing_minkowski)
+    out = tmp_path / "b.json"
+    assert run_main(["family", "--builtin", "minkowski", "--out", str(out)]) == 1
+    rep = load(out)
+    assert rep["results"] == [{"builtin": "minkowski", "error": "RuntimeError: bad builtin"}]
+    assert rep["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "RuntimeError: bad builtin" in capsys.readouterr().err
+
 
 # -- family ------------------------------------------------------------------------
 
@@ -601,6 +622,14 @@ def test_family_builtin_rank_drop(tmp_path):
     assert res["checks"]["t0_kernel_dimension_1"]
     assert res["checks"]["derivative_hr"]
     assert res["embedded_verdict"]["status"] == "NOT-APPLICABLE"
+
+
+@pytest.mark.parametrize("flag, samples", [([], ["1/10", "-1/10"]), (["--t-samples=,"], [])])
+def test_family_builtin_rank_drop_samples(tmp_path, flag, samples):
+    # No flag runs the builtin's own samples; an empty list runs none.
+    out = tmp_path / "r.json"
+    assert run_main(["family", "--builtin", "remark-3.7", *flag, "--out", str(out)]) == 0
+    assert [entry["t"] for entry in load(out)["results"][0]["per_t"]] == samples
 
 
 def test_family_builtin_minkowski(tmp_path):
