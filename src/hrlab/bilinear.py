@@ -19,14 +19,15 @@ a.  Sylvester's law makes the count basis independent, so the result is
 exact.
 
 From ROUNDED_FROM_N rows on, signature first tries a rounded congruence: a
-fixed-point LDL^T proposes a triangular P, C = P A P^T is formed exactly,
-and when every row of C is strictly diagonally dominant the signs of its
-diagonal are the inertia, by Sylvester's law and Gershgorin's theorem (the
-certify-then-fall-back pattern of S. M. Rump, "Verification of positive
-definiteness", BIT 46, 2006, here over ints).  A singular matrix is never
-dominant.  The kernel signs it, every smaller matrix, every refused
-certificate, the Hermitian reductions, whose witness replays its pivots, and
-the bordered matrix whose inertia gives that of the derivative defect.
+binary64 LDL^T proposes a triangular int P, C = P A P^T is formed exactly,
+each row of it one int of packed slots, and when every row of C is strictly
+diagonally dominant the signs of its diagonal are the inertia, by
+Sylvester's law and Gershgorin's theorem (the certify-then-fall-back pattern
+of S. M. Rump, "Verification of positive definiteness", BIT 46, 2006).
+Floats only choose P.  A singular matrix is never dominant.  The kernel
+signs it, every smaller matrix, every refused certificate, the Hermitian
+reductions, whose witness replays its pivots, and the bordered matrix whose
+inertia gives that of the derivative defect.
 Positive definiteness of a Hermitian matrix needs no inertia and is decided
 elsewhere, in exterior, by Sylvester's criterion on the leading principal
 minors.
@@ -43,8 +44,11 @@ that of Q and the sign of Q(h) in closed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from functools import partial
+from itertools import chain, repeat
+from math import frexp, gcd, inf, lcm, ldexp
+from operator import add, mul, sub
+from struct import Struct
 from typing import NamedTuple, Sequence
 
 from .exterior import Form, _hermitian_ints, basis_11_real, top_pairings, wedge  # wedge unused: perfbench's rebind test reads it
@@ -308,80 +312,88 @@ def _count_signs(pivots, n: int) -> Signature:
 
 
 # Matrices with at least this many rows try the rounded congruence before
-# _congruence.  Read off CPU times of both routes (in CHANGES): they tie on
-# the d = 6 Gram matrices (n = 36), the d = 6 family matrices (n = 37) are
-# singular, so an attempt there is wasted, and from n = 40 on the rounded
-# route was the faster on every nonsingular matrix swept.
-ROUNDED_FROM_N = 40
-# Fixed-point bits of the proposal.  A pivot below 2^(_SCALE_BITS // 2) on
-# that scale, 2^-16 of the largest entry, ends it: the input is singular or
-# nearly so.
+# _congruence.  Read off CPU times of both routes (in CHANGES): they tie at
+# n = 25-26, where a singular matrix also wastes its proposal, the rounded
+# one is twice as fast at n = 36-37 and six times or more from n = 49 on.
+ROUNDED_FROM_N = 30
+# Bits of the proposal's row of largest pivot.  A pivot at or below 2^-40 of
+# the largest diagonal entry ends it: the input is singular or nearly so.
 _SCALE_BITS = 32
 
 
 def _rounded_congruence(rows) -> tuple[list[int], list[list[int]]] | None:
     """Propose a congruence for a symmetric int matrix, or None.
 
-    An approximate LDL^T in fixed point on the active upper triangle, laid
-    out as in _congruence: the matrix is shifted so that its largest entry
-    has _SCALE_BITS bits, each pivot is the largest |diagonal| of the
-    remaining block, and every product is floored back to the scale.
-    Returns (order, P): order lists the rows in pivot order, and row i of P,
-    of length i + 1, holds the multiples of the rows order[0..i] that make
-    the i-th new basis vector, 2^_SCALE_BITS on its own row.  Nothing here is
-    trusted; _dominant_inertia checks the proposal exactly.
+    A left-looking LDL^T in binary64 on the matrix shifted to at most 60
+    bits, each pivot the largest |diagonal| of the remaining block; each
+    entry of L and of L^-1 is one dot product.  Returns (order, P): order
+    lists the rows in pivot order, and row i of P, of length i + 1, is row i
+    of L^-1 times 2^(e_i + g), rounded.  e_i = -floor(exponent(|D_i|) / 2)
+    balances the diagonal of C = P A P^T, and g gives each row at least
+    _SCALE_BITS bits.  None at a small pivot or a value out of range.
+    Nothing here is trusted; _dominant_inertia checks the proposal exactly.
     """
-    s = _SCALE_BITS
-    shift = max(abs(x) for row in rows for x in row).bit_length() - s
-    up = [[x >> shift if shift > 0 else x << -shift for x in row[i:]] for i, row in enumerate(rows)]
-    active = list(range(len(rows)))
-    partial = [[] for _ in rows]  # the P row of each active index, on the pivots so far
-    order, P = [], []
-    while up:
-        t = max(range(len(up)), key=lambda i: abs(up[i][0]))
-        pivot_row = up.pop(t)
-        d = pivot_row[0]
-        if abs(d) < 1 << (s // 2):
+    shift = max(0, max(map(abs, chain.from_iterable(rows)), default=0).bit_length() - 60)
+    left = [float(row[i] >> shift) for i, row in enumerate(rows)]  # the diagonal of the remaining block
+    floor = 2.0**-40 * max(map(abs, left), default=0.0)
+    active, L = list(range(len(rows))), [[] for _ in rows]  # the L row of each active index
+    order, D, cols = [], [], []  # cols: the columns of L^-1 on the pivots so far
+    while active:
+        mags = list(map(abs, left))
+        t = mags.index(max(mags))
+        k, d, lk = active.pop(t), left.pop(t), L.pop(t)
+        if not floor < abs(d) < inf:
             return None
-        pcol = [row.pop(t - i) for i, row in enumerate(up[:t])] + pivot_row[1:]
-        k = active.pop(t)
-        row_k = partial[k] + [1 << s]
         order.append(k)
-        P.append(row_k)
-        for i, row in enumerate(up):
-            own = partial[active[i]]
-            own.append(0)
-            m = (pcol[i] << s) // d
-            if m:
-                up[i] = [x - (m * y >> s) for x, y in zip(row, pcol[i:])]
-                partial[active[i]] = [x - (m * y >> s) for x, y in zip(own, row_k)]
-    return order, P
+        w = list(map(mul, lk, D))
+        D.append(d)
+        m = [(float(rows[k][j] >> shift) - sum(map(mul, r, w))) / d for j, r in zip(active, L)]
+        for r, x in zip(L, m):
+            r.append(x)
+        left = [x - y * y * d for x, y in zip(left, m)]
+        for j, c in enumerate(cols):  # row k of L^-1, from L^-1 L = I
+            c.append(-sum(map(mul, lk[j:], c)))
+        cols.append([1.0])
+    e = [-(frexp(d)[1] // 2) for d in D]
+    g = _SCALE_BITS - min(e, default=0)
+    try:  # round raises OverflowError on an infinity, ValueError on a NaN
+        return order, [[round(ldexp(cols[j][i - j], s + g)) for j in range(i + 1)] for i, s in enumerate(e)]
+    except (OverflowError, ValueError):
+        return None
 
 
 def _dominant_inertia(rows, order, P) -> Signature | None:
     """The inertia of a symmetric int matrix A from any int matrix P, or None.
 
     C = P B P^T is computed exactly, B being A with its rows and columns in
-    `order`, and a row of P shorter than n reads as zeros past its end, so a
-    lower-triangular P costs about 5n^3/6 products.  If every row of C is
-    strictly diagonally dominant, C is nonsingular, and so are P and A; by
-    Sylvester's law A has the inertia of C, and by Gershgorin's theorem,
-    along the path from diag(C) to C, which stays dominant, C has that of its
-    diagonal.  Otherwise returns None.
+    `order`, and a row of P shorter than n reads as zeros past its end.  Each
+    row of C is one int of W-bit slots: with Pcol_l packing column l of P,
+    N_k = sum_l B_kl Pcol_l and C_i = sum_k P_ik N_k has C_ij in slot j.
+    Every |C_ij| <= n^2 max|P|^2 max|B| < 2^(W-2), so with 2^(W-1) added to
+    each slot the slots are the base-2^W digits, read off the bytes.  If
+    every row of C is strictly diagonally dominant, C is nonsingular, and so
+    are P and A; by Sylvester's law A has the inertia of C, and by
+    Gershgorin's theorem, along the path from diag(C) to C, which stays
+    dominant, C has that of its diagonal.  Otherwise returns None.
     """
-    b = [[rows[i][j] for j in order] for i in order]
-    n = len(b)
-    diag, off = [], [0] * n
-    for i, p in enumerate(P):
-        pb = [sum(map(mul, p, col)) for col in b]  # row i of P B, B being symmetric
-        diag.append(sum(map(mul, p, pb)))
-        for j in range(i + 1, n):
-            c = abs(sum(map(mul, P[j], pb)))
-            off[i] += c
-            off[j] += c
-    if any(abs(c) <= r for c, r in zip(diag, off)):
+    n = len(order)
+    if len(P) != n:  # C needs a row of P for each row of A
         return None
-    plus = sum(c > 0 for c in diag)
+    bp, bb = (max(map(abs, chain.from_iterable(m)), default=0).bit_length() for m in (P, rows))
+    size = (2 * bp + bb + 2 * n.bit_length() + 9) // 8  # bytes a slot: W = 8 size
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    encode = partial(int.to_bytes, length=size, byteorder="little")
+    columns = zip(*(list(p) + [0] * (n - len(p)) for p in P))
+    pcols = [int.from_bytes(b"".join(map(encode, map(add, col, repeat(half)))), "little") - bias for col in columns]
+    N = [sum(map(mul, map(row.__getitem__, order), pcols)) for row in map(rows.__getitem__, order)]
+    split, plus = Struct(f"{size}s" * n).unpack, 0
+    for i, p in enumerate(P):
+        c = split((sum(map(mul, p, N)) + bias).to_bytes(n * size, "little"))
+        c = list(map(sub, map(int.from_bytes, c, repeat("little")), repeat(half)))
+        if 2 * abs(c[i]) <= sum(map(abs, c)):
+            return None
+        plus += c[i] > 0
     return Signature(plus, n - plus, 0)
 
 

@@ -393,6 +393,8 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
 def _index_list_for(ns: argparse.Namespace, d: int) -> list[int | None]:
     check = ns.check
     if check == "aug2":
+        if ns.i is not None:
+            raise UsageError("the aug2 check takes no --i")
         return [None]
     if check == "recursion":
         if ns.i is not None:
@@ -422,9 +424,13 @@ def _index_list_for(ns: argparse.Namespace, d: int) -> list[int | None]:
 
 
 def _cmd_family_builtin(ns: argparse.Namespace) -> tuple[dict, int]:
-    if ns.forms is not None:
-        # The builtins bring their own data; a forms file would go unread.
-        raise UsageError("--builtin takes no --forms file")
+    # The builtins bring their own data: a flag a bare --builtin run leaves at
+    # its default would go unread, yet be echoed in the config.
+    bare = build_parser().parse_args(["family", "--builtin", ns.builtin])
+    keys = ["d", "e", "lam", "trials", "seed", "forms", "check", "i"] + ["t_samples"] * (ns.builtin == "minkowski")
+    if given := [k for k in keys if getattr(ns, k) != getattr(bare, k)]:
+        names = ", ".join("--" + {"lam": "lambda", "t_samples": "t-samples"}.get(k, k) for k in given)
+        raise UsageError(f"--builtin {ns.builtin} takes no {names}")
     # An empty list ("--t-samples=,") means no samples; no flag, the defaults.
     task = {"builtin": ns.builtin, "t_samples": parse_t_samples(ns.t_samples) if ns.t_samples else None}
     results, durations, elapsed = _run_tasks(_builtin_task, [task], ns.jobs)

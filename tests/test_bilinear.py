@@ -14,6 +14,7 @@ from hrlab.bilinear import (
     _count_signs,
     _dominant_inertia,
     _realified,
+    _rounded_congruence,
     combine,
     derivative_inequality_defect,
     derivative_inequality_inertia,
@@ -854,6 +855,34 @@ def test_singular_and_near_singular_inputs_fall_back(routes):
     assert [kernel_inertia(rows).n_zero for rows in cases] == [1, 19, 4, 0]
 
 
+def test_row_scaled_matrices_stay_on_the_rounded_route(routes):
+    # S A S with S = diag(1, s, ..., s): row 0 is s times smaller than the
+    # rest, which the power-of-two row scales of the proposal balance.
+    for seed in (149, 151, 157):
+        a = scaled_congruent_rows(random.Random(seed), 40, spread=1)
+        for s in (10, 10**2, 10**3, 10**4):
+            rows = [[x * (s if i else 1) * (s if j else 1) for j, x in enumerate(row)] for i, row in enumerate(a)]
+            routes.clear()
+            assert signature(SymBilinearForm(rows)) == kernel_inertia(rows)
+            assert routes == [("verdict", 40, True)]
+
+
+def test_proposal_on_hard_inputs_is_none_or_checked(monkeypatch):
+    rng = random.Random(163)
+    a = scaled_congruent_rows(rng, 40)
+    huge = [[x << 1100 for x in row] for row in a]
+    assert _dominant_inertia(huge, *_rounded_congruence(huge)) == kernel_inertia(a)
+    for rows in (scaled_congruent_rows(rng, 40, rank=39), [[0] * 40 for _ in range(40)]):
+        proposal = _rounded_congruence(rows)
+        assert proposal is None or _dominant_inertia(rows, *proposal) is None
+    # A pivot at 2^-40 of the largest diagonal entry ends the proposal; one at twice that does not.
+    assert _rounded_congruence([[1 << 40, 0], [0, 1]]) is None
+    assert _rounded_congruence([[1 << 40, 0], [0, 2]]) == ([0, 1], [[1 << 32], [0, 1 << 51]])
+    # A row scale past the binary64 range.
+    monkeypatch.setattr(bilinear, "_SCALE_BITS", 1100)
+    assert _rounded_congruence(a) is None
+
+
 def hodge_index_case(rng, n, rank, y):
     """Q = B^T D B over ints and an int vector h with B h = y.
 
@@ -900,8 +929,11 @@ def test_hodge_index_inertia_on_the_rounded_route(routes):
 
 
 def test_refused_certificate_falls_back(gram_matrices, routes, monkeypatch):
-    # At 12 bits the proposal passes its pivot floor but C is not dominant.
-    monkeypatch.setattr(bilinear, "_SCALE_BITS", 12)
+    # Identity rows propose C = A, which is not diagonally dominant.
+    def identity(rows):
+        return list(range(len(rows))), [[int(i == j) for j in range(i + 1)] for i in range(len(rows))]
+
+    monkeypatch.setattr(bilinear, "_rounded_congruence", identity)
     Q = gram_matrices[-1]
     assert signature(Q) == Signature(1, 48, 0)
     assert routes == [("verdict", 49, False), ("kernel", 49)]
@@ -938,28 +970,57 @@ def test_verdict_refuses_hand_made_certificates():
     assert _dominant_inertia(a, [0, 1], [[1], [-3, 2]]) == Signature(1, 1, 0)
     assert _dominant_inertia([[4, 3], [3, 2]], [1, 0], [[1], [-3, 2]]) == Signature(1, 1, 0)
     assert _dominant_inertia([[-5]], [0], [[7]]) == Signature(0, 1, 0)
+    # A P with fewer rows than A forms only part of C: no verdict.
+    assert _dominant_inertia([[1, 0], [0, 1]], [0, 1], [[1]]) is None
+    assert _dominant_inertia([[1, 0], [0, 1]], [0, 1], []) is None
 
 
 def test_verdict_matches_the_product_oracle():
+    # P triangular, full, ragged (rows of any length up to n, empty ones
+    # included) or with zero rows, its entries of mixed signs and of 1 to 80
+    # bits, so a slot spans from one byte to dozens.
     rng = random.Random(127)
-    verdicts = set()
+    verdicts, kinds = set(), set()
     for _ in range(300):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 12)
         a = [[int(x) for x in row] for row in random_symmetric_rows(rng, n)]
         order = rng.sample(range(n), n)
-        kind = rng.randrange(3)
+        kind = rng.randrange(4)
         P = exact_triangular_congruence([[a[i][j] for j in order] for i in order]) if kind == 0 else None
-        if P is None:  # random entries, lower-triangular or full, nonzero diagonal
-            P = [[rng.randint(-4, 4) for _ in range(n if kind == 2 else i + 1)] for i in range(n)]
+        if P is None:  # random entries, nonzero on the diagonal where a row reaches it
+            box = 1 << rng.randint(2, 80)
+            if kind == 3:
+                lengths = [rng.randint(0, n) for _ in range(n)]
+            else:
+                lengths = [n if kind == 2 else i + 1 for i in range(n)]
+            P = [[rng.randint(-box, box) for _ in range(m)] for m in lengths]
             for i, row in enumerate(P):
-                row[i] = rng.choice((-3, -1, 1, 2, 5))
+                if i < len(row):
+                    row[i] = rng.choice((-3, -1, 1, 2, 5)) * rng.randint(1, box)
         elif rng.random() < 0.7:
             i = rng.randrange(n)
             P[i][rng.randrange(i + 1)] += rng.choice((-1, 1))
+        if rng.random() < 0.1:
+            P[rng.randrange(n)] = [0] * rng.randint(0, n)
         expected = dominant_inertia_by_product(a, order, P)
         assert _dominant_inertia(a, order, P) == expected
         verdicts.add(expected is None)
-    assert verdicts == {True, False}
+        kinds.add(kind)
+    assert verdicts == {True, False} and kinds == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("n, pbits, bbits", [(1, 31, 62), (3, 8, 2), (7, 8, 8), (12, 31, 64)])
+def test_verdict_at_the_slot_bound(n, pbits, bbits):
+    # Every |C_ij| = n^2 pmax^2 bmax, just under 2^(W-2), with W =
+    # 2 bits(pmax) + bits(bmax) + 2 bits(n) + 2 a whole number of bytes.
+    assert (2 * pbits + bbits + 2 * n.bit_length() + 2) % 8 == 0
+    pmax, bmax = (1 << pbits) - 1, (1 << bbits) - 1
+    P = [[pmax] * n for _ in range(n)]
+    for sign in (1, -1):
+        b = [[sign * bmax] * n for _ in range(n)]
+        expected = dominant_inertia_by_product(b, list(range(n)), P)
+        assert expected == (Signature((1 + sign) // 2, (1 - sign) // 2, 0) if n == 1 else None)
+        assert _dominant_inertia(b, list(range(n)), P) == expected
 
 
 # -- defect matrices: the Hodge-index one in closed form, the derivative one on its border

@@ -413,6 +413,11 @@ def test_family_b_check_index_restriction():
     assert run_main(["family", "--d", "4", "--e", "1", "--check", "B", "--i", "2", "--seed", "1"]) == 2
 
 
+def test_family_aug2_takes_no_index(capsys):
+    assert run_main(["family", "--d", "4", "--e", "2", "--check", "aug2", "--i", "2..3", "--seed", "1"]) == 2
+    assert "the aug2 check takes no --i" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -649,6 +654,23 @@ def test_family_builtin_with_forms_exits_2(tmp_path, capsys, builtin):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "--builtin" in err and "--forms" in err
+
+
+@pytest.mark.parametrize(
+    "builtin, flags, named",
+    [
+        ("minkowski", ["--trials", "3", "--seed", "9", "--lambda", "5"], "--lambda, --trials, --seed"),
+        ("minkowski", ["--t-samples", "1/2"], "--t-samples"),
+        ("remark-3.7", ["--d", "5", "--e", "3"], "--d, --e"),
+        ("remark-3.7", ["--check", "A", "--i", "2"], "--check, --i"),
+    ],
+)
+def test_family_builtin_with_unread_flags_exits_2(tmp_path, capsys, builtin, flags, named):
+    # A builtin reads none of these, so echoing them in the config would mislead.
+    out = tmp_path / "b.json"
+    assert run_main(["family", "--builtin", builtin, *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"--builtin {builtin} takes no {named}" in capsys.readouterr().err
 
 
 # -- gamma scan ---------------------------------------------------------------------
