@@ -210,7 +210,9 @@ class SymBilinearForm:
 
 def combine(weights: Sequence, forms: Sequence[SymBilinearForm]) -> SymBilinearForm:
     """sum_k w_k Q_k for exact rational weights, over ints with one lcm denominator.
-    Raises ValueError on forms of different sizes or a count mismatch."""
+    Raises ValueError on no forms, forms of different sizes or a count mismatch."""
+    if not forms:
+        raise ValueError("no forms to combine")
     n = forms[0].n
     if any(f.n != n for f in forms):
         raise ValueError("size mismatch")

@@ -11,7 +11,11 @@ Reports are JSON with a stable schema; all wall-clock data lives in the
 separate "timing" field so identical configs and seeds produce byte-identical
 reports otherwise.  Exit codes: 0 all assertions pass, 1 assertion failure
 (including any INCONSISTENT verdict, and a task that raised, which the report
-records as an error result), 2 usage or configuration error.
+records as an error result), 2 usage or configuration error, found before any
+task runs and with no report written.  Among those: a flag the run does not
+read that is not at its default (with --builtin, aug2's --i, and --trials,
+--seed or a --d/--e other than the file's with --forms), and a campaign whose
+report would hold more than MAX_RESULTS results.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 from .augmentation import (
     AugmentedSpace,
@@ -53,6 +59,23 @@ SUPPORTED_D = range(2, 9)
 # A task holds e forms; d^2 at the largest supported d bounds --e before its
 # list is built.
 SUPPORTED_E = range(1, SUPPORTED_D[-1] ** 2 + 1)
+# A campaign whose report would hold more results is refused before any task
+# list is built; the largest README campaign holds 85.
+MAX_RESULTS = 10**5
+
+# The flags a run may leave unread, by dest: spelling and default.  The parser
+# takes its defaults from here, and _refuse_unread compares against them.
+FLAGS = {
+    "d": ("--d", "2..4"),
+    "e": ("--e", "1..2"),
+    "lam": ("--lambda", None),
+    "trials": ("--trials", 1),
+    "seed": ("--seed", None),
+    "forms": ("--forms", None),
+    "check": ("--check", None),
+    "i": ("--i", None),
+    "t_samples": ("--t-samples", None),
+}
 
 
 class UsageError(Exception):
@@ -184,7 +207,7 @@ def _status_from_expectations(actual: dict, expected: dict) -> tuple[str, list[s
 
 
 def _family_task(args: dict) -> dict:
-    d, parts, check = args["d"], tuple(args["lambda"]), args["check"]
+    d, parts, check, i = args["d"], tuple(args["lambda"]), args["check"], args["i"]
     t_samples = args["t_samples"]
     omegas, task_seed = _task_forms(args, "family", d, args["e"], parts, args["trial"])
     space = AugmentedSpace(omegas)
@@ -197,35 +220,23 @@ def _family_task(args: dict) -> dict:
         "task_seed": task_seed,
         "check": check,
     }
-
-    if check == "A":
-        i = args["i"]
-        rep = check_property_a(
-            twist_family(space, lam, i), space.h_coords, space.zeta_coords, t_samples
-        )
-        status, noted = _status_from_expectations(rep.checks, _a_expectations(d, i))
+    if check in ("A", "B", "aug1"):
+        family = (twist_family(space, lam, i), space.h_coords, space.zeta_coords, t_samples)
+    if check in ("A", "B"):
+        rep = (check_property_a if check == "A" else check_property_b)(*family)
+        expected = _a_expectations(d, i) if check == "A" else {k: True for k in rep.checks}
+        status, noted = _status_from_expectations(rep.checks, expected)
         base.update({"i": i, "report": rep.to_json(), "status": status, "expected_failures": noted})
-    elif check == "B":
-        i = args["i"]
-        rep = check_property_b(
-            twist_family(space, lam, i), space.h_coords, space.zeta_coords, t_samples
-        )
-        status, noted = _status_from_expectations(rep.checks, {k: True for k in rep.checks})
-        base.update({"i": i, "report": rep.to_json(), "status": status, "expected_failures": noted})
-    elif check == "aug1":
-        i = args["i"]
-        verdict = verify_augmentation1(
-            twist_family(space, lam, i), space.h_coords, space.zeta_coords, t_samples
-        )
-        base.update({"i": i, "verdict": verdict.to_json(), "status": _verdict_status(verdict.status)})
+        return base
+    if check == "aug1":
+        verdict = verify_augmentation1(*family)
+        base["i"] = i
     elif check == "recursion":
-        verdict = verify_recursion(space, lam, args["i"], t_samples)
-        base.update({"j": args["i"], "verdict": verdict.to_json(), "status": _verdict_status(verdict.status)})
-    elif check == "aug2":
-        verdict = verify_augmentation2(space, lam, t_samples)
-        base.update({"verdict": verdict.to_json(), "status": _verdict_status(verdict.status)})
+        verdict = verify_recursion(space, lam, i, t_samples)
+        base["j"] = i
     else:
-        raise ValueError(f"unknown check {check}")
+        verdict = verify_augmentation2(space, lam, t_samples)
+    base.update({"verdict": verdict.to_json(), "status": _verdict_status(verdict.status)})
     return base
 
 
@@ -282,8 +293,10 @@ def _timed_call(call: tuple) -> tuple[dict, float]:
     return result, time.perf_counter() - t0
 
 
-def _run_tasks(worker, tasks: list[dict], jobs: int) -> tuple[list[dict], list[float], float]:
-    """Results, the seconds each task took, and the run's wall time."""
+def _run_tasks(worker, tasks: list[dict], jobs: int) -> tuple[list[dict], dict]:
+    """Results, and the report's timing field: when, and how long each task and
+    the whole run took.  All wall-clock data lives there and only there, so
+    reports stay byte-identical across reruns once that field is dropped."""
     t0 = time.perf_counter()
     calls = [(worker, task) for task in tasks]
     if jobs > 1 and len(tasks) > 1:
@@ -293,60 +306,82 @@ def _run_tasks(worker, tasks: list[dict], jobs: int) -> tuple[list[dict], list[f
             timed = list(pool.map(_timed_call, calls))
     else:
         timed = list(map(_timed_call, calls))
-    return [r for r, _ in timed], [s for _, s in timed], time.perf_counter() - t0
+    timing = {
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "elapsed_seconds": round(time.perf_counter() - t0, 6),
+        "per_task_seconds": [round(s, 6) for _, s in timed],
+    }
+    return [r for r, _ in timed], timing
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def _campaign(ns: argparse.Namespace):
-    """Ranges, forms file, seed check and task grid shared by verify-hr and family.
+class Inputs(NamedTuple):
+    """A campaign's dimensions and form counts, and its forms file's Forms."""
 
-    Returns (d list, e list, explicit partition or None, tasks): one task per
-    (d, e, lam, trial), lam the explicit partition or each admissible one.
+    d: list[int]
+    e: list[int]
+    forms: list[Form] | None
+
+
+def _resolve(ns: argparse.Namespace, results_per_draw) -> Inputs:
+    """The --d/--e ranges and the --forms file, checked, and the campaign bounded.
+
+    A forms file fixes d and e, which --d/--e may then only repeat; without one
+    --seed is required.  results_per_draw(d, e) counts the results of one draw
+    at (d, e); over ns.trials draws (1 under --forms) they may not pass
+    MAX_RESULTS, counted before any task list is built.
     """
     dlist = parse_range(ns.d, "--d", SUPPORTED_D)
     elist = parse_range(ns.e, "--e", SUPPORTED_E)
     forms = _load_forms(ns)
     if forms is not None:
-        dlist, elist = [forms[0].d], [len(forms)]
-    explicit_lam = parse_partition(ns.lam) if ns.lam is not None else None
-    _require_seed(ns, randomized=forms is None)
-    tasks = []
-    for d in dlist:
-        for e in elist:
-            if explicit_lam is None:
-                lams = admissible_partitions(d, e)
-            elif explicit_lam.weight != d - 2:
-                raise UsageError(
-                    f"--lambda {explicit_lam.parts} has weight {explicit_lam.weight}, "
-                    f"need {d - 2} for d={d}"
-                )
-            else:
-                lams = [explicit_lam]
-            tasks += [
-                {"d": d, "e": e, "lambda": list(lam.parts), "trial": trial, "seed": ns.seed, "forms": forms}
-                for lam in lams
-                for trial in range(ns.trials if forms is None else 1)
-            ]
-    return dlist, elist, explicit_lam, tasks
+        fixed_d, fixed_e = [forms[0].d], [len(forms)]
+        if (ns.d != FLAGS["d"][1] and dlist != fixed_d) or (ns.e != FLAGS["e"][1] and elist != fixed_e):
+            raise UsageError("forms file does not match --d/--e")
+        dlist, elist = fixed_d, fixed_e
+    elif ns.seed is None:
+        raise UsageError("--seed is mandatory for randomized commands")
+    count = ns.trials * sum(results_per_draw(d, e) for d in dlist for e in elist)
+    if count > MAX_RESULTS:
+        raise UsageError(f"the campaign would report {count} results, above the bound of {MAX_RESULTS}")
+    return Inputs(dlist, elist, forms)
+
+
+def _partitions_for(lam: Partition | None, d: int, e: int) -> tuple[Partition, ...]:
+    """The explicit --lambda, checked against d, or each admissible partition."""
+    if lam is None:
+        return admissible_partitions(d, e)
+    if lam.weight != d - 2:
+        raise UsageError(f"--lambda {lam.parts} has weight {lam.weight}, need {d - 2} for d={d}")
+    return (lam,)
+
+
+def _grid(ns: argparse.Namespace, inputs: Inputs, lam: Partition | None) -> list[dict]:
+    """One task per (d, e, partition, trial), for verify-hr and family."""
+    return [
+        {"d": d, "e": e, "lambda": list(p.parts), "trial": trial, "seed": ns.seed, "forms": inputs.forms}
+        for d in inputs.d
+        for e in inputs.e
+        for p in _partitions_for(lam, d, e)
+        for trial in range(ns.trials)
+    ]
 
 
 def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
-    dlist, elist, explicit_lam, tasks = _campaign(ns)
+    lam = parse_partition(ns.lam) if ns.lam is not None else None
+    inputs = _resolve(ns, lambda d, e: len(_partitions_for(lam, d, e)))
     warnings_out = [
-        f"lambda {explicit_lam.parts} has a part above e={e}; "
+        f"lambda {lam.parts} has a part above e={e}; "
         "the signature assertion is outside the guaranteed range"
-        for d in dlist
-        for e in elist
-        if explicit_lam is not None and explicit_lam.largest > e
+        for d in inputs.d
+        for e in inputs.e
+        if lam is not None and lam.largest > e
     ]
-    results, durations, elapsed = _run_tasks(_hr_task, tasks, ns.jobs)
+    results, timing = _run_tasks(_hr_task, _grid(ns, inputs, lam), ns.jobs)
     failed = [r for r in results if "error" in r or not r["pass"]]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-hr",
-        "config": _config_json(ns, d=dlist, e=elist),
+    body = {
         "results": results,
         "summary": {
             "total": len(results),
@@ -355,29 +390,32 @@ def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
         },
     }
     if warnings_out:
-        report["warnings"] = warnings_out
-    return _with_timing(report, durations, elapsed), (1 if failed else 0)
+        body["warnings"] = warnings_out
+    return _report(ns, inputs, timing, body), (1 if failed else 0)
 
 
 def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.builtin:
-        return _cmd_family_builtin(ns)
+        # An empty list ("--t-samples=,") means no samples; no flag, the defaults.
+        task = {"builtin": ns.builtin, "t_samples": parse_t_samples(ns.t_samples) if ns.t_samples else None}
+        results, timing = _run_tasks(_builtin_task, [task], ns.jobs)
+        failed = [r for r in results if "error" in r or r["status"] == "FAIL"]
+        summary = {"total": 1, "passed": len(results) - len(failed), "failed": len(failed)}
+        return _report(ns, None, timing, {"results": results, "summary": summary}), (1 if failed else 0)
     if not ns.check:
         raise UsageError("family needs --check or --builtin")
-    dlist, elist, _lam, grid = _campaign(ns)
+    lam = parse_partition(ns.lam) if ns.lam is not None else None
     t_samples = parse_t_samples(ns.t_samples or "") or None
-    ilists = {d: _index_list_for(ns, d) for d in dlist}
+    indices = functools.cache(lambda d: _indices(ns.check, ns.i, d))
+    inputs = _resolve(ns, lambda d, e: len(_partitions_for(lam, d, e)) * len(indices(d)))
     tasks = [
         dict(task, check=ns.check, i=i, t_samples=t_samples)
-        for task in grid
-        for i in ilists[task["d"]]
+        for task in _grid(ns, inputs, lam)
+        for i in indices(task["d"])
     ]
-    results, durations, elapsed = _run_tasks(_family_task, tasks, ns.jobs)
+    results, timing = _run_tasks(_family_task, tasks, ns.jobs)
     failed = [r for r in results if "error" in r or r["status"] == "FAIL"]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "family",
-        "config": _config_json(ns, d=dlist, e=elist),
+    body = {
         "results": results,
         "summary": {
             "total": len(results),
@@ -387,62 +425,32 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
             "failed": len(failed),
         },
     }
-    return _with_timing(report, durations, elapsed), (1 if failed else 0)
+    return _report(ns, inputs, timing, body), (1 if failed else 0)
 
 
-def _index_list_for(ns: argparse.Namespace, d: int) -> list[int | None]:
-    check = ns.check
-    if check == "aug2":
-        if ns.i is not None:
-            raise UsageError("the aug2 check takes no --i")
-        return [None]
-    if check == "recursion":
-        if ns.i is not None:
-            js = parse_index_list(ns.i, d)
-        else:
-            js = [d - 1]
-        for j in js:
-            if not 2 <= j <= d - 1:
-                raise UsageError(f"recursion needs 2 <= j <= d-1, got j={j} at d={d}")
-        return js
-    if ns.i is not None:
-        idx = parse_index_list(ns.i, d)
-    elif check == "A":
-        idx = list(range(2, d))
-    elif check == "B":
-        idx = [d]
-    elif check == "aug1":
-        idx = list(range(3, d))
+_TWIST_INDEX = "--i must lie in 2..d, got {i} at d={d}"
+# Per check: the indices run at d without --i, the indices --i may name at d,
+# and the refusal of any other.  The recursion's index is its depth j; aug2
+# reads no --i.
+FAMILY_INDICES = {
+    "A": (lambda d: range(2, d), lambda d: range(2, d + 1), _TWIST_INDEX),
+    "B": (lambda d: [d], lambda d: [d], "the second-order check runs at i = d only"),
+    "aug1": (lambda d: range(3, d), lambda d: range(2, d + 1), _TWIST_INDEX),
+    "recursion": (lambda d: [d - 1], lambda d: range(2, d), "recursion needs 2 <= j <= d-1, got j={i} at d={d}"),
+    "aug2": (lambda d: [None], lambda d: [None], None),
+}
+
+
+def _indices(check: str, text: str | None, d: int) -> list[int | None]:
+    """The family indices a check runs at d: --i's list (text) or the default."""
+    default, admissible, refusal = FAMILY_INDICES[check]
+    idx = list(default(d)) if text is None else parse_index_list(text, d)
     if not idx:
         raise UsageError(f"no applicable family index for check {check} at d={d}; pass --i")
     for i in idx:
-        if check in ("A", "aug1") and not 2 <= i <= d:
-            raise UsageError(f"--i must lie in 2..d, got {i} at d={d}")
-        if check == "B" and i != d:
-            raise UsageError("the second-order check runs at i = d only")
+        if i not in admissible(d):
+            raise UsageError(refusal.format(i=i, d=d))
     return idx
-
-
-def _cmd_family_builtin(ns: argparse.Namespace) -> tuple[dict, int]:
-    # The builtins bring their own data: a flag a bare --builtin run leaves at
-    # its default would go unread, yet be echoed in the config.
-    bare = build_parser().parse_args(["family", "--builtin", ns.builtin])
-    keys = ["d", "e", "lam", "trials", "seed", "forms", "check", "i"] + ["t_samples"] * (ns.builtin == "minkowski")
-    if given := [k for k in keys if getattr(ns, k) != getattr(bare, k)]:
-        names = ", ".join("--" + {"lam": "lambda", "t_samples": "t-samples"}.get(k, k) for k in given)
-        raise UsageError(f"--builtin {ns.builtin} takes no {names}")
-    # An empty list ("--t-samples=,") means no samples; no flag, the defaults.
-    task = {"builtin": ns.builtin, "t_samples": parse_t_samples(ns.t_samples) if ns.t_samples else None}
-    results, durations, elapsed = _run_tasks(_builtin_task, [task], ns.jobs)
-    failed = [r for r in results if "error" in r or r["status"] == "FAIL"]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "family",
-        "config": _config_json(ns),
-        "results": results,
-        "summary": {"total": 1, "passed": len(results) - len(failed), "failed": len(failed)},
-    }
-    return _with_timing(report, durations, elapsed), (1 if failed else 0)
 
 
 def _builtin_task(task: dict) -> dict:
@@ -502,85 +510,81 @@ def _builtin_minkowski() -> dict:
 
 
 def cmd_gamma_scan(ns: argparse.Namespace) -> tuple[dict, int]:
-    dlist = parse_range(ns.d, "--d", SUPPORTED_D)
-    elist = parse_range(ns.e, "--e", SUPPORTED_E)
-    if len(dlist) != 1 or len(elist) != 1:
-        raise UsageError("gamma-scan needs a single --d and --e")
-    d, e = dlist[0], elist[0]
     if ns.grid < 1:
         raise UsageError("--grid must be at least 1")
-    forms = _load_forms(ns)
-    if forms is not None and (forms[0].d != d or len(forms) != e):
-        raise UsageError("forms file does not match --d/--e")
-    _require_seed(ns, randomized=forms is None)
+    # A draw reports each point of the simplex grid: binom(grid + k - 1, grid)
+    # for k partitions.
+    inputs = _resolve(ns, lambda d, e: comb(ns.grid + len(admissible_partitions(d, e)) - 1, ns.grid))
+    if len(inputs.d) != 1 or len(inputs.e) != 1:
+        raise UsageError("gamma-scan needs a single --d and --e")
+    [d], [e] = inputs.d, inputs.e
 
     lams = admissible_partitions(d, e)
     k = len(lams)
     comps = _compositions(ns.grid, k)
-    trials = ns.trials if forms is None else 1
     tasks = [
         {
             "d": d,
             "e": e,
             "trial": trial,
             "seed": ns.seed,
-            "forms": forms,
+            "forms": inputs.forms,
             "grid": ns.grid,
             "points": comps,
         }
-        for trial in range(trials)
+        for trial in range(ns.trials)
     ]
-    results, durations, elapsed = _run_tasks(_gamma_trial_task, tasks, ns.jobs)
+    results, timing = _run_tasks(_gamma_trial_task, tasks, ns.jobs)
     errors = [tr for tr in results if "error" in tr]
     trial_results = [tr for tr in results if "error" not in tr]
 
-    points = []
-    vertex_failures = []
-    non_hr = []
+    points, vertex_failures, non_hr = [], [], []
     for p_idx, comp in enumerate(comps):
-        x = [Fraction(c, ns.grid) for c in comp]
-        vertex = any(c == ns.grid for c in comp)
-        rows = []
-        for tr in trial_results:
-            cell = tr["per_point"][p_idx]
-            rows.append({"trial": tr["trial"], "signature": cell["signature"], "hr": cell["hr"]})
-            if vertex and not cell["hr"]:
-                vertex_failures.append({"x": [fraction_to_str(v) for v in x], "trial": tr["trial"]})
-            if not cell["hr"]:
-                non_hr.append({"x": [fraction_to_str(v) for v in x], "trial": tr["trial"], "signature": cell["signature"]})
-        points.append(
-            {
-                "x": [fraction_to_str(v) for v in x],
-                "vertex": vertex,
-                "trials": rows,
-            }
-        )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gamma-scan",
-        "config": _config_json(ns, d=[d], e=[e]),
+        x = [fraction_to_str(Fraction(c, ns.grid)) for c in comp]
+        vertex = ns.grid in comp
+        rows = [{"trial": tr["trial"], **tr["per_point"][p_idx]} for tr in trial_results]
+        non_hr += [{"x": x, "trial": r["trial"], "signature": r["signature"]} for r in rows if not r["hr"]]
+        vertex_failures += [{"x": x, "trial": r["trial"]} for r in rows if vertex and not r["hr"]]
+        points.append({"x": x, "vertex": vertex, "trials": rows})
+    body = {
         "partitions": [list(l.parts) for l in lams],
         "k": k,
         "grid_points": len(comps),
         "results": points,
         "summary": {
-            "trials": trials,
+            "trials": ns.trials,
             "vertex_failures": vertex_failures,
             "non_hr_sightings": non_hr,
             "note": "interior points are exploratory; only simplex vertices are asserted",
         },
     }
     if errors:
-        report["summary"]["errors"] = errors
-    return _with_timing(report, durations, elapsed), (1 if vertex_failures or errors else 0)
+        body["summary"]["errors"] = errors
+    return _report(ns, inputs, timing, body), (1 if vertex_failures or errors else 0)
 
 
 # -- shared plumbing --------------------------------------------------------
 
 
-def _require_seed(ns: argparse.Namespace, randomized: bool) -> None:
-    if randomized and ns.seed is None:
-        raise UsageError("--seed is mandatory for randomized commands")
+def _refuse_unread(ns: argparse.Namespace) -> None:
+    """A flag the run does not read must stay at its default, since the config
+    would echo a value that steered nothing.
+
+    A builtin brings its own data (remark-3.7 reads --t-samples), aug2 reads
+    no --i, and a forms file fixes the draws.
+    """
+    builtin = getattr(ns, "builtin", None)
+    unread = []
+    if builtin:
+        campaign = ("d", "e", "lam", "trials", "seed", "forms", "check", "i")
+        unread.append((f"--builtin {builtin}", campaign + ("t_samples",) * (builtin == "minkowski")))
+    if getattr(ns, "check", None) == "aug2":
+        unread.append(("the aug2 check", ("i",)))
+    if ns.forms:
+        unread.append(("--forms", ("trials", "seed")))
+    for subject, dests in unread:
+        if given := [FLAGS[k][0] for k in dests if getattr(ns, k) != FLAGS[k][1]]:
+            raise UsageError(f"{subject} takes no {', '.join(given)}")
 
 
 def _load_forms(ns: argparse.Namespace):
@@ -588,7 +592,7 @@ def _load_forms(ns: argparse.Namespace):
 
     Sets ns.forms_sha256 to the hash of the bytes read, for the config echo.
     """
-    if not getattr(ns, "forms", None):
+    if not ns.forms:
         return None
     try:
         raw = Path(ns.forms).read_bytes()
@@ -621,8 +625,9 @@ def _load_forms(ns: argparse.Namespace):
     return forms
 
 
-def _config_json(ns: argparse.Namespace, **resolved) -> dict:
-    cfg = {}
+def _report(ns: argparse.Namespace, inputs: Inputs | None, timing: dict, body: dict) -> dict:
+    """The command's report: its body, with the fields every report holds."""
+    config = {}
     # --out and --jobs steer where and how the work runs, not what it is,
     # so they stay out of the echoed config to keep reports byte-stable.
     # forms_sha256 is set once a forms file is read: the path alone does not
@@ -630,24 +635,12 @@ def _config_json(ns: argparse.Namespace, **resolved) -> dict:
     for key in ("d", "e", "lam", "trials", "seed", "t_samples", "grid", "check", "builtin",
                 "forms", "forms_sha256"):
         if hasattr(ns, key):
-            val = getattr(ns, key)
-            cfg["lambda" if key == "lam" else key] = val
-    for key, val in resolved.items():
-        cfg[f"resolved_{key}"] = val
+            config["lambda" if key == "lam" else key] = getattr(ns, key)
+    if inputs is not None:
+        config["resolved_d"], config["resolved_e"] = inputs.d, inputs.e
     if getattr(ns, "i", None) is not None:
-        cfg["i"] = ns.i
-    return cfg
-
-
-def _with_timing(report: dict, durations: list[float], elapsed: float) -> dict:
-    # All wall-clock data lives here and only here, so reports stay
-    # byte-identical across reruns once this field is dropped.
-    report["timing"] = {
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "elapsed_seconds": round(elapsed, 6),
-        "per_task_seconds": [round(x, 6) for x in durations],
-    }
-    return report
+        config["i"] = ns.i
+    return {"schema_version": SCHEMA_VERSION, "command": ns.command, "config": config, **body, "timing": timing}
 
 
 def _emit(report: dict, ns: argparse.Namespace) -> None:
@@ -670,17 +663,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_lambda=True):
         sp.add_argument(
-            "--d", default="2..4", help=f"dimension or range LO..HI (supported {_span(SUPPORTED_D)})"
+            "--d", default=FLAGS["d"][1], help=f"dimension or range LO..HI (supported {_span(SUPPORTED_D)})"
         )
         sp.add_argument(
-            "--e", default="1..2", help=f"number of positive forms, or range (supported {_span(SUPPORTED_E)})"
+            "--e", default=FLAGS["e"][1], help=f"number of positive forms, or range (supported {_span(SUPPORTED_E)})"
         )
         if with_lambda:
-            sp.add_argument("--lambda", dest="lam", default=None,
+            sp.add_argument("--lambda", dest="lam", default=FLAGS["lam"][1],
                             help="explicit partition of d-2, comma separated; empty string for the empty partition")
-        sp.add_argument("--trials", type=int, default=1, help="seeded random draws per instance")
-        sp.add_argument("--seed", type=int, default=None, help="campaign seed (mandatory when sampling)")
-        sp.add_argument("--forms", default=None, help="JSON file with fixed strictly positive forms")
+        sp.add_argument("--trials", type=int, default=FLAGS["trials"][1], help="seeded random draws per instance")
+        sp.add_argument("--seed", type=int, default=FLAGS["seed"][1], help="campaign seed (mandatory when sampling)")
+        sp.add_argument("--forms", default=FLAGS["forms"][1], help="JSON file with fixed strictly positive forms")
         sp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
         sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
@@ -690,10 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("family", help="first/second-order condition checks and theorem verdicts")
     common(sp)
-    sp.add_argument("--check", choices=["A", "B", "recursion", "aug1", "aug2"], default=None)
-    sp.add_argument("--i", default=None,
+    sp.add_argument("--check", choices=["A", "B", "recursion", "aug1", "aug2"], default=FLAGS["check"][1])
+    sp.add_argument("--i", default=FLAGS["i"][1],
                     help="family index (int, 'd', 'd-1', comma list or LO..HI); for recursion this is the depth j")
-    sp.add_argument("--t-samples", dest="t_samples", default=None,
+    sp.add_argument("--t-samples", dest="t_samples", default=FLAGS["t_samples"][1],
                     help="comma-separated rational sample points, e.g. '1/100,-1/100'; "
                          "a list that starts with a minus sign needs '=': --t-samples=-1/10,1/10")
     sp.add_argument("--builtin", choices=["remark-3.7", "minkowski"], default=None,
@@ -708,8 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         for flag in ("trials", "jobs"):
             if getattr(ns, flag) < 1:
@@ -717,6 +709,7 @@ def main(argv=None) -> int:
         # Checked before any task runs, so a bad path cannot cost a campaign.
         if ns.out and (Path(ns.out).is_dir() or not Path(ns.out).parent.is_dir()):
             raise UsageError(f"--out {ns.out} is not a file in an existing directory")
+        _refuse_unread(ns)
         report, code = ns.func(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -731,6 +731,10 @@ def test_form_arithmetic_identities_and_size_mismatch():
         SymBilinearForm.zero(2) + SymBilinearForm.zero(3)
     with pytest.raises(ValueError):
         combine((1,), (SymBilinearForm.zero(2), SymBilinearForm.zero(2)))
+    with pytest.raises(ValueError):
+        combine((1,), ())
+    with pytest.raises(ValueError):
+        combine((), ())
     # Restrictions to nothing are rejected, as the public constructor rejects [].
     with pytest.raises(ValueError, match="non-empty"):
         SymBilinearForm.zero(2).restrict_indices([])

@@ -112,19 +112,27 @@ def write_forms_file(path, seed, d, e):
     return path
 
 
-@pytest.mark.parametrize("inputs", ["seeded", "forms-file"])
-def test_verify_hr_jobs_parity(tmp_path, inputs):
+@pytest.mark.parametrize(
+    "base",
+    [
+        ["verify-hr", "--d", "2..3", "--e", "1..2", "--trials", "1", "--seed", "5"],
+        ["verify-hr", "--forms", "FORMS"],
+        ["gamma-scan", "--d", "3", "--e", "2", "--grid", "2", "--trials", "2", "--seed", "5"],
+        ["gamma-scan", "--forms", "FORMS", "--grid", "2"],
+    ],
+    ids=["seeded", "forms-file", "gamma-scan-seeded", "gamma-scan-forms-file"],
+)
+def test_verify_hr_jobs_parity(tmp_path, base):
     # With a forms file every task receives the checked Forms, pickled.
+    ff = write_forms_file(tmp_path / "forms.json", 19, 4, 2)
+    base = [str(ff) if a == "FORMS" else a for a in base]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    if inputs == "seeded":
-        base = ["verify-hr", "--d", "2..3", "--e", "1..2", "--trials", "1", "--seed", "5"]
-    else:
-        base = ["verify-hr", "--forms", str(write_forms_file(tmp_path / "forms.json", 19, 4, 2))]
     assert run_main(base + ["--out", str(a)]) == 0
     assert run_main(base + ["--jobs", "2", "--out", str(b)]) == 0
     assert strip_timing(load(a)) == strip_timing(load(b))
     for rep in (load(a), load(b)):
-        assert len(rep["timing"]["per_task_seconds"]) == rep["summary"]["total"]
+        tasks = rep["summary"]["total"] if base[0] == "verify-hr" else rep["summary"]["trials"]
+        assert len(rep["timing"]["per_task_seconds"]) == tasks
 
 
 def test_verify_hr_empty_partition_is_minkowski(tmp_path):
@@ -371,8 +379,10 @@ HUGE_DIMENSION_FORM = {
         ["gamma-scan", "--d", "2..99999999999", "--e", "1", "--seed", "1"],
         ["verify-hr", "--forms", "FORMS"],
         ["family", "--check", "A", "--d", "5", "--e", "2", "--i", "2..99999999999", "--seed", "1"],
+        ["gamma-scan", "--d", "5", "--e", "3", "--grid", "100000", "--seed", "1"],
+        ["verify-hr", "--d", "3", "--e", "1", "--trials", "99999999999", "--seed", "1"],
     ],
-    ids=["verify-hr-d", "gamma-scan-d", "verify-hr-forms", "family-i"],
+    ids=["verify-hr-d", "gamma-scan-d", "verify-hr-forms", "family-i", "gamma-scan-grid", "verify-hr-trials"],
 )
 def test_out_of_range_dimension_is_a_usage_error_before_allocation(tmp_path, args):
     ff = tmp_path / "forms.json"
@@ -416,6 +426,73 @@ def test_family_b_check_index_restriction():
 def test_family_aug2_takes_no_index(capsys):
     assert run_main(["family", "--d", "4", "--e", "2", "--check", "aug2", "--i", "2..3", "--seed", "1"]) == 2
     assert "the aug2 check takes no --i" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "check, text, d, indices",
+    [
+        ("A", None, 5, [2, 3, 4]),
+        ("A", "d-1,d", 5, [4, 5]),
+        ("B", None, 5, [5]),
+        ("aug1", None, 5, [3, 4]),
+        ("aug1", "2..5", 5, [2, 3, 4, 5]),
+        ("recursion", None, 5, [4]),
+        ("recursion", None, 3, [2]),
+        ("recursion", "2..3", 4, [2, 3]),
+        ("aug2", None, 5, [None]),
+    ],
+)
+def test_family_index_defaults_and_choices(check, text, d, indices):
+    assert cli._indices(check, text, d) == indices
+
+
+@pytest.mark.parametrize(
+    "check, text, d, message",
+    [
+        ("A", None, 2, "no applicable family index for check A at d=2; pass --i"),
+        ("aug1", None, 3, "no applicable family index for check aug1 at d=3; pass --i"),
+        ("A", "5", 4, "--i must lie in 2..d, got 5 at d=4"),
+        ("aug1", "1", 4, "--i must lie in 2..d, got 1 at d=4"),
+        ("B", "3", 4, "the second-order check runs at i = d only"),
+        ("recursion", "4", 4, "recursion needs 2 <= j <= d-1, got j=4 at d=4"),
+        ("recursion", None, 2, "recursion needs 2 <= j <= d-1, got j=1 at d=2"),
+    ],
+)
+def test_family_index_refusals(capsys, check, text, d, message):
+    with pytest.raises(cli.UsageError) as exc:
+        cli._indices(check, text, d)
+    assert str(exc.value) == message
+    argv = ["family", "--check", check, "--d", str(d), "--e", "1", "--seed", "1"]
+    assert run_main(argv + (["--i", text] if text else [])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify-hr", "--lambda", "1,1"], ["family", "--check", "aug2", "--lambda", "1,1"], ["gamma-scan", "--grid", "2"]],
+    ids=lambda c: c[0],
+)
+def test_forms_fix_d_e_and_the_draws(tmp_path, capsys, command):
+    # The forms file fixes d = 4, e = 2 and the one draw: --trials and --seed
+    # would go unread, and --d/--e may only repeat the file's values.
+    ff = write_forms_file(tmp_path / "forms.json", 37, 4, 2)
+    out = tmp_path / "r.json"
+    base = command + ["--forms", str(ff), "--out", str(out)]
+    for flags, named in (
+        (["--trials", "3"], "--forms takes no --trials"),
+        (["--seed", "9"], "--forms takes no --seed"),
+        (["--d", "7", "--e", "3", "--trials", "4", "--seed", "9"], "--forms takes no --trials, --seed"),
+        (["--d", "7"], "forms file does not match --d/--e"),
+        (["--d", "4", "--e", "3"], "forms file does not match --d/--e"),
+    ):
+        assert run_main(base + flags) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+    for flags in ([], ["--d", "4", "--e", "2"], ["--d", "4..4"]):
+        assert run_main(base + flags) == 0
+        config = load(out)["config"]
+        assert (config["resolved_d"], config["resolved_e"], config["trials"]) == ([4], [2], 1)
+        out.unlink()
 
 
 @pytest.mark.parametrize(
