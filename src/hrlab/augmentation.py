@@ -26,9 +26,14 @@ bilinear reads off R_t's and off a border, never by sampling vectors.
 Each check evaluates R_t (and R'_t for B) once per sampled t, over ints as
 one bilinear.combine with weights t^k, and signs it once; t = 0 is always the
 first sample and is R_0 itself, so the reported r0_signature is that
-sample's.  The verdicts read "R_0 is Hodge-Riemann with respect to h", and
-aug2 its restriction to W, off the report instead of signing R_0 again, and
-take R_{i,0} as the cached Q_i.  Both reports share one shape: the per-t
+sample's.  The samples of a family hand each other the rounded proposal that
+certified the last of them (bilinear._inertia).  The i = d family
+annihilates zeta - t h, which the checks verify exactly on its coefficients
+(_kernel_coordinate), so its R_t and derivative borders are signed off
+zeta: one row smaller, nonsingular, and one zero added back.  The verdicts
+read "R_0 is Hodge-Riemann with respect to h", and aug2 its restriction to
+W, off the report instead of signing R_0 again, and take R_{i,0} as the
+cached Q_i.  Both reports share one shape: the per-t
 serialiser, passed and max_passing_radius.
 """
 
@@ -42,9 +47,10 @@ from typing import ClassVar, Optional, Sequence
 from .bilinear import (
     Signature,
     SymBilinearForm,
+    _derivative_inertia,
     _hodge_index_inertia,
+    _inertia,
     combine,
-    derivative_inequality_inertia,
     is_hr_wrt,
     pairing_form,
     signature,
@@ -245,12 +251,59 @@ def twist_family(space: AugmentedSpace, lam, i: int) -> FormFamily:
     )
 
 
-def _weak_hr_sample(t: Fraction, qt: SymBilinearForm, h) -> dict:
-    sig = signature(qt)
+def _kernel_coordinate(family: FormFamily, h, zeta) -> Optional[int]:
+    """A coordinate z with zeta_z != 0 = h_z when R_t (zeta - t h) = 0 for
+    every t, else None.
+
+    The identity is checked exactly on the coefficients C_0..C_K: the
+    coefficient of t^k in R_t (zeta - t h) is C_k zeta - C_{k-1} h, so it
+    holds when C_0 zeta = 0, C_k zeta = C_{k-1} h for k = 1..K and
+    C_K h = 0.  Differentiating gives R'_t (zeta - t h) = R_t h, so the
+    derivative defect annihilates zeta - t h too.  That vector keeps
+    coordinate z at zeta_z for every t, so the basis change that swaps e_z
+    for it leaves R_t and that defect as their blocks off z plus one zero
+    (_off): the i = d family of an AugmentedSpace, with z its zeta index.
+    """
+    z = next((k for k, (a, b) in enumerate(zip(zeta, h)) if a and not b), None)
+    if z is None:
+        return None
+    zero = (0,) * family.n
+    previous = zero  # C_{k-1} h
+    for c in family.coeffs:
+        if c.pairing_vector(zeta) != previous:
+            return None
+        previous = c.pairing_vector(h)
+    return z if previous == zero else None
+
+
+def _off(z: Optional[int], q: SymBilinearForm) -> SymBilinearForm:
+    """q without row and column z, or q itself when z is None."""
+    return q if z is None else q.restrict_indices([k for k in range(q.n) if k != z])
+
+
+def _with_kernel(z: Optional[int], sig: Signature) -> Signature:
+    """The signature of a matrix from that of its block off z (_kernel_coordinate)."""
+    return sig if z is None else sig._replace(n_zero=sig.n_zero + 1)
+
+
+def _derivative_sample(
+    z, qt: SymBilinearForm, qpt: SymBilinearForm, h, proposal
+) -> tuple[Signature, tuple | None]:
+    """derivative_inequality_inertia(qt, qpt, h), from the blocks off z (h_z
+    is 0 there), and the family's next proposal."""
+    h_off = h if z is None else [x for k, x in enumerate(h) if k != z]
+    sig, proposal = _derivative_inertia(_off(z, qt), _off(z, qpt), h_off, proposal)
+    return _with_kernel(z, sig), proposal
+
+
+def _weak_hr_sample(t: Fraction, qt: SymBilinearForm, h, z, proposal) -> tuple[dict, tuple | None]:
+    """The sample at t, its signature taken off z, and the family's next proposal."""
+    sig, proposal = _inertia(_off(z, qt)._ints, proposal)
+    sig = _with_kernel(z, sig)
     qh = qt.quad(h)
     weak = qh > 0 and sig.n_plus == 1
     defect_psd = _hodge_index_inertia(qt, h, sig).n_minus == 0
-    return {"t": t, "signature": sig, "q_h": qh, "weak_hr": weak, "hodge_index_psd": defect_psd}
+    return {"t": t, "signature": sig, "q_h": qh, "weak_hr": weak, "hodge_index_psd": defect_psd}, proposal
 
 
 def _str_or_none(x: Optional[Fraction]) -> Optional[str]:
@@ -392,8 +445,12 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
     r0_h = r0.quad(h)
     r0p_h = r0p.quad(h)
     # Each R_t is built and signed inside the loop, so one sample's matrix is
-    # held at a time.
-    per_t = tuple(_weak_hr_sample(t, family.at(t), h) for t in ts)
+    # held at a time, and each sample first tries the last certified proposal.
+    z = _kernel_coordinate(family, h, zeta)
+    per_t, proposal = [], None
+    for t in ts:
+        entry, proposal = _weak_hr_sample(t, family.at(t), h, z, proposal)
+        per_t.append(entry)
 
     lhs = r0p.pairing_vector(zeta)
     rhs = r0.pairing_vector(h)
@@ -409,7 +466,7 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
     return PropertyAReport(
         a1=r0_h > 0 and r0p_h > 0,
         a2=all(entry["weak_hr"] for entry in per_t),
-        a3=derivative_inequality_inertia(r0, r0p, h).n_minus == 0,
+        a3=_derivative_sample(z, r0, r0p, h, None)[0].n_minus == 0,
         a4=a4,
         a5=r0_zeta_h > 0,
         constant=constant,
@@ -419,7 +476,7 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
         r0p=r0p,
         r0_signature=per_t[0]["signature"],
         t_samples=ts,
-        per_t=per_t,
+        per_t=tuple(per_t),
     )
 
 
@@ -433,13 +490,14 @@ def check_property_b(family: FormFamily, h, zeta, t_samples=None) -> PropertyBRe
     deriv = family.derivative()
     r0_h = family.at(0).quad(h)
 
-    per_t = []
+    # R_t and the derivative borders each pass their proposals along.
+    z = _kernel_coordinate(family, h, zeta)
+    per_t, proposal, border_proposal = [], None, None
     for t in ts:
         qt = family.at(t)
-        entry = _weak_hr_sample(t, qt, h)
-        entry["derivative_inequality_psd"] = (
-            derivative_inequality_inertia(qt, deriv.at(t), h).n_minus == 0
-        )
+        entry, proposal = _weak_hr_sample(t, qt, h, z, proposal)
+        defect, border_proposal = _derivative_sample(z, qt, deriv.at(t), h, border_proposal)
+        entry["derivative_inequality_psd"] = defect.n_minus == 0
         per_t.append(entry)
 
     zeta_vec = [as_fraction(x) for x in zeta]

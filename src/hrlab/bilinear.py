@@ -18,16 +18,18 @@ change b_j += b_k exposes the diagonal entry 2a from a nonzero off-diagonal
 a.  Sylvester's law makes the count basis independent, so the result is
 exact.
 
-From ROUNDED_FROM_N rows on, signature first tries a rounded congruence: a
-binary64 LDL^T proposes a triangular int P, C = P A P^T is formed exactly,
-each row of it one int of packed slots, and when every row of C is strictly
-diagonally dominant the signs of its diagonal are the inertia, by
-Sylvester's law and Gershgorin's theorem (the certify-then-fall-back pattern
-of S. M. Rump, "Verification of positive definiteness", BIT 46, 2006).
-Floats only choose P.  A singular matrix is never dominant.  The kernel
-signs it, every smaller matrix, every refused certificate, the Hermitian
-reductions, whose witness replays its pivots, and the bordered matrix whose
-inertia gives that of the derivative defect.
+A matrix of ROUNDED_FROM_N rows or more, at least half of whose entries
+are nonzero, first tries a rounded congruence: a binary64 LDL^T proposes a
+triangular int P, C = P A P^T is formed exactly, each row of it one int of
+packed slots, and when every row of C is strictly diagonally dominant the
+signs of its diagonal are the inertia, by Sylvester's law and Gershgorin's
+theorem (the certify-then-fall-back pattern of S. M. Rump, "Verification of
+positive definiteness", BIT 46, 2006).  Floats only choose P, and any int P
+will do: the matrices of one family hand each other the P that certified the
+last of them, and propose afresh only when it is refused.  A singular matrix
+is never dominant.  The kernel signs it, every smaller or sparser matrix,
+every refused certificate, and the Hermitian reductions, whose witness
+replays its pivots.
 Positive definiteness of a Hermitian matrix needs no inertia and is decided
 elsewhere, in exterior, by Sylvester's criterion on the leading principal
 minors.
@@ -313,11 +315,14 @@ def _count_signs(pivots, n: int) -> Signature:
     return Signature(plus, len(pivots) - plus, n - len(pivots))
 
 
-# Matrices with at least this many rows try the rounded congruence before
-# _congruence.  Read off CPU times of both routes (in CHANGES): they tie at
-# n = 25-26, where a singular matrix also wastes its proposal, the rounded
-# one is twice as fast at n = 36-37 and six times or more from n = 49 on.
-ROUNDED_FROM_N = 30
+# A matrix of at least this many rows, at least half of whose entries are
+# nonzero, tries the rounded congruence before _congruence.  Read off CPU
+# times of both routes on the family and Gram matrices at d = 4..8 (in
+# CHANGES): from 25 rows on a dense matrix is signed faster on the rounded
+# route, most of all when it reuses a family's proposal, while every matrix
+# with at most a quarter of its entries nonzero (R_{2,t}, R_{2,0} on W and
+# the borders on them, 26 to 67 rows) is signed faster by the kernel.
+ROUNDED_FROM_N = 25
 # Bits of the proposal's row of largest pivot.  A pivot at or below 2^-40 of
 # the largest diagonal entry ends it: the input is singular or nearly so.
 _SCALE_BITS = 32
@@ -368,7 +373,8 @@ def _dominant_inertia(rows, order, P) -> Signature | None:
     """The inertia of a symmetric int matrix A from any int matrix P, or None.
 
     C = P B P^T is computed exactly, B being A with its rows and columns in
-    `order`, and a row of P shorter than n reads as zeros past its end.  Each
+    `order`, a permutation of range(n), and a row of P shorter than n reads
+    as zeros past its end; a P or an order of another length is refused.  Each
     row of C is one int of W-bit slots: with Pcol_l packing column l of P,
     N_k = sum_l B_kl Pcol_l and C_i = sum_k P_ik N_k has C_ij in slot j.
     Every |C_ij| <= n^2 max|P|^2 max|B| < 2^(W-2), so with 2^(W-1) added to
@@ -378,8 +384,8 @@ def _dominant_inertia(rows, order, P) -> Signature | None:
     Gershgorin's theorem, along the path from diag(C) to C, which stays
     dominant, C has that of its diagonal.  Otherwise returns None.
     """
-    n = len(order)
-    if len(P) != n:  # C needs a row of P for each row of A
+    n = len(rows)
+    if len(order) != n or len(P) != n:  # C needs a row of P for each row of A
         return None
     bp, bb = (max(map(abs, chain.from_iterable(m)), default=0).bit_length() for m in (P, rows))
     size = (2 * bp + bb + 2 * n.bit_length() + 9) // 8  # bytes a slot: W = 8 size
@@ -399,21 +405,42 @@ def _dominant_inertia(rows, order, P) -> Signature | None:
     return Signature(plus, n - plus, 0)
 
 
-def signature(Q: SymBilinearForm) -> Signature:
-    """Exact inertia (n_plus, n_minus, n_zero).
+def _rounded_first(rows) -> bool:
+    """Whether rows go to the rounded congruence first: ROUNDED_FROM_N rows
+    or more, at least half of the entries nonzero."""
+    n = len(rows)
+    return n >= ROUNDED_FROM_N and 2 * sum(n - row.count(0) for row in rows) >= n * n
 
-    From ROUNDED_FROM_N rows on, a rounded congruence checked exactly when it
-    certifies; otherwise, and for every smaller or singular matrix, integer
-    congruence by _congruence.
+
+def _inertia(rows, proposal=None) -> tuple[Signature, tuple | None]:
+    """The inertia of a symmetric int matrix, and the proposal for the next.
+
+    A matrix that _rounded_first admits tries `proposal`, the (order, P)
+    that certified an earlier matrix of its family, then a fresh one of its
+    own; the kernel signs whatever neither certifies.  Returns the proposal that
+    certified, else `proposal` unchanged.
     """
-    rows = Q._ints
-    if Q.n >= ROUNDED_FROM_N:
-        proposal = _rounded_congruence(rows)
+    if _rounded_first(rows):
         if proposal is not None:
             certified = _dominant_inertia(rows, *proposal)
             if certified is not None:
-                return certified
-    return _count_signs(_congruence(rows), Q.n)
+                return certified, proposal
+        fresh = _rounded_congruence(rows)
+        if fresh is not None:
+            certified = _dominant_inertia(rows, *fresh)
+            if certified is not None:
+                return certified, fresh
+    return _count_signs(_congruence(rows), len(rows)), proposal
+
+
+def signature(Q: SymBilinearForm) -> Signature:
+    """Exact inertia (n_plus, n_minus, n_zero).
+
+    A rounded congruence checked exactly when _rounded_first admits the
+    matrix and it certifies; otherwise, and for every singular matrix,
+    integer congruence by _congruence.
+    """
+    return _inertia(Q._ints)[0]
 
 
 def is_psd(Q: SymBilinearForm) -> bool:
@@ -496,22 +523,31 @@ def derivative_inequality_inertia(q: SymBilinearForm, qp: SymBilinearForm, h: Ve
     bordered matrix.
 
     With U, W, q as there, P = U + W, M = U - W and q > 0,
-    B = [[2q, 0, P^T], [0, -2q, M^T], [P, M, A']] has the inertia
-    (1, 1, 0) + inertia(-S/q): the Schur complement of its leading block is
-    A' - (P P^T - M M^T) / 2q = A' - (U W^T + W U^T) / q.  B is singular
-    whenever S is, so it goes to _congruence.  For q <= 0 the defect matrix
-    itself is signed.
+    B = [[A', P, M], [P^T, 2q, 0], [M^T, 0, -2q]] has the inertia
+    (1, 1, 0) + inertia(-S/q): the Schur complement of its trailing block is
+    A' - (P P^T - M M^T) / 2q = A' - (U W^T + W U^T) / q.  The border comes
+    last, so the kernel eliminates a sparse A' before the dense border rows.
+    B is singular whenever S is.  For q <= 0 the defect matrix itself is
+    signed.
     """
+    return _derivative_inertia(q, qp, h)[0]
+
+
+def _derivative_inertia(
+    q: SymBilinearForm, qp: SymBilinearForm, h: Vector, proposal=None
+) -> tuple[Signature, tuple | None]:
+    """derivative_inequality_inertia, and the proposal for the next matrix
+    of the family, as _inertia takes and returns it."""
     x, w, _ = q._image(h)
     _, u, _ = qp._image(h)
     qh = _dot(x, w)
     if qh <= 0:
-        return _count_signs(_congruence(derivative_inequality_defect(q, qp, h)._ints), q.n)
+        return _inertia(derivative_inequality_defect(q, qp, h)._ints, proposal)
     p = [a + b for a, b in zip(u, w)]
     m = [a - b for a, b in zip(u, w)]
-    rows = [[2 * qh, 0, *p], [0, -2 * qh, *m]] + [[a, b, *row] for a, b, row in zip(p, m, qp._ints)]
-    plus, minus, zero = _count_signs(_congruence(rows), q.n + 2)
-    return Signature(minus - 1, plus - 1, zero)
+    rows = [[*row, a, b] for a, b, row in zip(p, m, qp._ints)] + [[*p, 2 * qh, 0], [*m, 0, -2 * qh]]
+    (plus, minus, zero), proposal = _inertia(rows, proposal)
+    return Signature(minus - 1, plus - 1, zero), proposal
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

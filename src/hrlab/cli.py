@@ -123,6 +123,7 @@ def parse_t_samples(text: str) -> tuple[Fraction, ...]:
 
 
 def parse_index_list(text: str, d: int) -> list[int]:
+    """The family indices --i names at d; naming one twice is a usage error."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -138,6 +139,9 @@ def parse_index_list(text: str, d: int) -> list[int]:
                 out.append(int(tok))
             except ValueError:
                 raise UsageError(f"cannot parse index token {tok!r}") from None
+    twice = next((i for k, i in enumerate(out) if i in out[:k]), None)
+    if twice is not None:
+        raise UsageError(f"--i names index {twice} more than once at d={d}")
     return out
 
 
@@ -369,16 +373,22 @@ def _grid(ns: argparse.Namespace, inputs: Inputs, lam: Partition | None) -> list
     ]
 
 
-def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
-    lam = parse_partition(ns.lam) if ns.lam is not None else None
-    inputs = _resolve(ns, lambda d, e: len(_partitions_for(lam, d, e)))
-    warnings_out = [
+def _part_above_e(lam: Partition | None, inputs: Inputs) -> list[str]:
+    """A warning per (d, e) where the explicit --lambda has a part above e:
+    s_lam(omega) vanishes there, so what fails is the input, not the theorem."""
+    return [
         f"lambda {lam.parts} has a part above e={e}; "
         "the signature assertion is outside the guaranteed range"
         for d in inputs.d
         for e in inputs.e
         if lam is not None and lam.largest > e
     ]
+
+
+def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
+    lam = parse_partition(ns.lam) if ns.lam is not None else None
+    inputs = _resolve(ns, lambda d, e: len(_partitions_for(lam, d, e)))
+    warnings_out = _part_above_e(lam, inputs)
     results, timing = _run_tasks(_hr_task, _grid(ns, inputs, lam), ns.jobs)
     failed = [r for r in results if "error" in r or not r["pass"]]
     body = {
@@ -425,6 +435,9 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
             "failed": len(failed),
         },
     }
+    warnings_out = _part_above_e(lam, inputs)
+    if warnings_out:
+        body["warnings"] = warnings_out
     return _report(ns, inputs, timing, body), (1 if failed else 0)
 
 

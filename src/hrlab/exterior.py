@@ -26,8 +26,9 @@ omega's coefficients at complements instead of wedging and returns Gaussian
 integers over one denominator; for one basis of even-degree forms on both
 sides, as in gram and the intersection forms, it computes the upper triangle
 and mirrors it.  _adjugate, fraction-free Gauss-Jordan elimination, is the
-one elimination of Hermitian Gaussian-integer rows; its pivots also decide
-positive definiteness, for positivity.is_positive_definite_11.
+one elimination of Hermitian Gaussian-integer rows that returns a matrix;
+positivity.is_positive_definite_11 runs only its forward half, whose pivots
+decide positive definiteness.
 pencil_power_sum gives the Schur forms of real (1,1)-forms without a wedge:
 it sums divided powers of a pencil of them at lattice points, each read off
 the minors of one Hermitian matrix or, where the pencil is positive

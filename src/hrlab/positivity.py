@@ -3,9 +3,10 @@
 Strict positivity of a (1,1)-form reduces to positive definiteness of its
 Hermitian matrix, decided by Sylvester's criterion on the Gaussian integers
 the HermitianMatrix stores, whose symmetry was checked when it was built:
-the pivots of exterior._adjugate, fraction-free Gauss-Jordan elimination,
-are the leading principal minors, and it refuses the matrix at the first
-that is not positive.  The layers that receive forms (the CLI's forms file,
+the pivots of fraction-free forward elimination are the leading principal
+minors, and it refuses the matrix at the first that is not positive; the
+backward half of exterior._adjugate's Gauss-Jordan is not needed for a
+verdict.  The layers that receive forms (the CLI's forms file,
 AugmentedSpace) run this test once per form; Schur evaluation does not.
 Positivity of a real (p,p)-form is decided by the exact inertia of the
 induced Hermitian pairing on the complementary space of holomorphic top
@@ -32,7 +33,6 @@ from .bilinear import _hermitian_reduction
 from .exterior import (
     Form,
     HermitianMatrix,
-    _adjugate,
     conjugate,
     top_pairings,
     top_ratio,
@@ -67,7 +67,35 @@ class ConeVerdict:
 def is_positive_definite_11(H: HermitianMatrix) -> bool:
     """Exact positive definiteness: every leading principal minor is positive."""
     re, im = [[z[0] for z in row] for row in H._rows], [[z[1] for z in row] for row in H._rows]
-    return _adjugate(re, im) is not None
+    return _leading_minors_positive(re, im)
+
+
+def _leading_minors_positive(re: list[list[int]], im: list[list[int]]) -> bool:
+    """Whether every leading principal minor of the Hermitian matrix
+    M = re + i*im of Gaussian integers is positive, overwriting re and im.
+
+    Fraction-free forward elimination without row exchanges: after k steps
+    the entries right of and below pivot k are (k+1)-minors of M, and pivot
+    k is the (k+1)-th leading principal minor, so the sweep stops at the
+    first that is not positive.  The division of each component by the
+    previous pivot is exact.
+    """
+    d = len(re)
+    prev = 1
+    for k in range(d):
+        p = re[k][k]
+        if p <= 0:
+            return False
+        rk, ik = re[k][k + 1 :], im[k][k + 1 :]
+        for i in range(k + 1, d):
+            ri, ii = re[i], im[i]
+            fr, fi = ri[k], ii[k]
+            ri[k + 1 :], ii[k + 1 :] = (
+                [(p * a - fr * c + fi * s) // prev for a, c, s in zip(ri[k + 1 :], rk, ik)],
+                [(p * b - fr * s - fi * c) // prev for b, c, s in zip(ii[k + 1 :], rk, ik)],
+            )
+        prev = p
+    return True
 
 
 def is_positive_pp(eta: Form) -> ConeVerdict:

@@ -6,9 +6,13 @@ import pytest
 from hrlab import augmentation, bilinear
 from hrlab.augmentation import (
     CONSISTENT,
+    DEFAULT_T_SAMPLES,
     NOT_APPLICABLE,
     AugmentedSpace,
     FormFamily,
+    _derivative_sample,
+    _kernel_coordinate,
+    _weak_hr_sample,
     check_property_a,
     check_property_b,
     intersection_form,
@@ -21,6 +25,8 @@ from hrlab.augmentation import (
 from hrlab.bilinear import (
     Signature,
     SymBilinearForm,
+    _congruence,
+    _count_signs,
     derivative_inequality_defect,
     gram,
     hodge_index_defect,
@@ -597,14 +603,117 @@ def test_verdicts_build_only_the_families_they_check(monkeypatch):
             built.clear()
 
 
-def test_augmentation2_signs_no_w_block(monkeypatch):
-    # Every matrix aug2 eliminates, by its row count: the five R_t and R''_0
-    # (17 rows) and the five derivative borders (19); the 16-row W block of
-    # R_{d,0} is not signed a second time.
-    rows_signed = []
-    for name in ("_congruence", "_rounded_congruence"):
-        real = getattr(bilinear, name)
-        monkeypatch.setattr(bilinear, name, lambda rows, real=real: rows_signed.append(len(rows)) or real(rows))
-    sp = make_space(4, 2, 53)
-    assert verify_augmentation2(sp, (1, 1)).status == CONSISTENT
-    assert sorted(rows_signed) == [17] * 6 + [19] * 5
+def test_augmentation2_signs_no_w_block(routes):
+    # Every matrix aug2 signs, by its row count and route.  The i = d family
+    # annihilates zeta - t h, so the five R_t and the five derivative borders
+    # are signed off zeta (16 and 18 rows at d = 4, 25 and 27 at d = 5), and
+    # R''_0 on all of V (17 and 26); the W block of R_{d,0} is the t = 0
+    # sample and is not signed a second time.  At d = 5 each family's
+    # samples hand their proposals on.
+    assert verify_augmentation2(make_space(4, 2, 53), (1, 1)).status == CONSISTENT
+    assert routes.per_matrix() == [(16, "kernel"), (18, "kernel")] * 5 + [(17, "kernel")]
+    routes.clear()
+    assert verify_augmentation2(make_space(5, 2, 54), (2, 1)).status == CONSISTENT
+    assert routes.per_matrix() == [
+        (25, "fresh"), (27, "fresh"),
+        (25, "reused"), (27, "fresh"),
+        (25, "reused"), (27, "reused"),
+        (25, "reused"), (27, "fresh"),
+        (25, "reused"), (27, "reused"),
+        (26, "fresh"),
+    ]
+
+
+def test_recursion_routes_sparse_matrices_to_the_kernel(routes):
+    # At d = 5 the i = 2 family (R_{2,t} 13 % nonzero, its border and R_{2,0}
+    # on W) and the i = 3 border stay on the kernel; the dense R_{3,t} and
+    # R_{4,t} hand their proposals on.  At d = 6 the 36-row R_{2,0} on W
+    # (hyp4), under a twentieth nonzero, does not reach the rounded route.
+    sp = make_space(5, 2, 54)
+    assert verify_recursion(sp, (2, 1), 4).status == CONSISTENT
+    assert routes.per_matrix() == (
+        [(26, "kernel")] * 5 + [(28, "kernel")]
+        + [(26, "fresh")] + [(26, "reused")] * 4 + [(28, "kernel")]
+        + [(26, "fresh"), (26, "reused"), (26, "reused"), (26, "fresh"), (26, "fresh"), (28, "fresh")]
+        + [(25, "kernel")]
+    )
+    sp = make_space(6, 2, 55)
+    block = intersection_form(sp, (2, 2), 2).restrict_indices(sp.w_indices())
+    assert 20 * sum(x != 0 for row in block._ints for x in row) < 36 * 36
+    routes.clear()
+    assert verify_recursion(sp, (2, 2), 2).status == CONSISTENT
+    assert routes.per_matrix() == [(37, "kernel")] * 5 + [(39, "kernel"), (36, "kernel")]
+
+
+def kernel_signature(q):
+    return _count_signs(_congruence(q._ints), q.n)
+
+
+def test_top_family_is_signed_off_its_kernel():
+    # For d = 3..6, random h and every default t plus three negative t (where
+    # R_t(h) < 0 takes the q <= 0 branch): the block off zeta plus one zero
+    # is the inertia of R_t, and the border off zeta plus one zero that of
+    # the derivative defect, both signed directly on V.
+    branches = set()
+    for d in range(3, 7):
+        sp = make_space(d, 2, 400 + d, random_h=True)
+        h, zeta = sp.h_coords, sp.zeta_coords
+        fam = twist_family(sp, partitions(d - 2, 2)[0], d)
+        deriv = fam.derivative()
+        z = _kernel_coordinate(fam, h, zeta)
+        assert z == sp.zeta_index
+        for t in DEFAULT_T_SAMPLES + (Fraction(-1), Fraction(-3), Fraction(-100)):
+            rt, rpt = fam.at(t), deriv.at(t)
+            sig = _weak_hr_sample(t, rt, h, z, None)[0]["signature"]
+            assert sig == kernel_signature(rt)
+            assert sig.n_zero >= 1
+            border, _ = _derivative_sample(z, rt, rpt, h, None)
+            assert border == kernel_signature(derivative_inequality_defect(rt, rpt, h)), (d, t)
+            branches.add(rt.quad(h) > 0)
+    assert branches == {True, False}
+    # The zero family (i outside 0..d) deflates too: every matrix is zero.
+    sp = make_space(3, 1, 401)
+    zero = twist_family(sp, (1,), 4)
+    z = _kernel_coordinate(zero, sp.h_coords, sp.zeta_coords)
+    assert z == sp.zeta_index
+    rep = check_property_b(zero, sp.h_coords, sp.zeta_coords)
+    assert [entry["signature"] for entry in rep.per_t] == [Signature(0, 0, 10)] * 5
+    assert _derivative_sample(z, zero.at(1), zero.at(1), sp.h_coords, None)[0] == Signature(0, 0, 10)
+
+
+def test_broken_kernel_identity_signs_the_full_matrix(routes):
+    # Two families that break R_t (zeta - t h) = 0: C_1 zeta != C_0 h, and a
+    # last coefficient C_K with C_K h != 0.  Neither is deflated, and each
+    # report is the one signed on V.
+    sp = make_space(4, 2, 57)
+    h, zeta, n = sp.h_coords, sp.zeta_coords, sp.dim_v
+    coeffs = twist_family(sp, (2,), 4).coeffs
+    unit = SymBilinearForm([[int(i == j == sp.zeta_index) for j in range(n)] for i in range(n)])
+    w_unit = SymBilinearForm([[int(i == j == 0) for j in range(n)] for i in range(n)])
+    assert h[0] != 0
+    broken = (
+        FormFamily((coeffs[0], coeffs[1] + unit) + coeffs[2:]),
+        FormFamily(coeffs + (w_unit,)),
+    )
+    for fam in broken:
+        assert _kernel_coordinate(fam, h, zeta) is None
+        routes.clear()
+        rep = check_property_b(fam, h, zeta)
+        assert sorted(routes.per_matrix()) == [(n, "kernel")] * 5 + [(n + 2, "kernel")] * 5
+        for entry in rep.per_t:
+            rt, rpt = fam.at(entry["t"]), fam.derivative().at(entry["t"])
+            assert entry["signature"] == kernel_signature(rt)
+            defect = kernel_signature(derivative_inequality_defect(rt, rpt, h))
+            assert entry["derivative_inequality_psd"] == (defect.n_minus == 0)
+    assert _kernel_coordinate(twist_family(sp, (2,), 3), h, zeta) is None
+
+
+@pytest.mark.parametrize("d, lam", [(5, (2, 1)), (6, (2, 2)), (7, (2, 2, 1))])
+def test_augmentation2_proposes_for_no_singular_matrix(monkeypatch, d, lam):
+    proposed = []
+    real = bilinear._rounded_congruence
+    monkeypatch.setattr(bilinear, "_rounded_congruence", lambda rows: proposed.append(rows) or real(rows))
+    assert verify_augmentation2(make_space(d, 2, 60 + d), lam).status == CONSISTENT
+    assert proposed
+    for rows in proposed:
+        assert _count_signs(_congruence(rows), len(rows)).n_zero == 0

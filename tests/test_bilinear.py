@@ -13,6 +13,7 @@ from hrlab.bilinear import (
     _congruence_vector,
     _count_signs,
     _dominant_inertia,
+    _inertia,
     _realified,
     _rounded_congruence,
     combine,
@@ -781,26 +782,6 @@ def test_hermitian_inertia_of_the_empty_matrix():
 # -- the rounded congruence, checked exactly --------------------------------------
 
 
-@pytest.fixture
-def routes(monkeypatch):
-    """Each call into the two routes: ("verdict", n, certified) for
-    _dominant_inertia and ("kernel", n) for _congruence."""
-    calls = []
-
-    def verdict(rows, order, P):
-        out = _dominant_inertia(rows, order, P)
-        calls.append(("verdict", len(rows), out is not None))
-        return out
-
-    def kernel(rows):
-        calls.append(("kernel", len(rows)))
-        return _congruence(rows)
-
-    monkeypatch.setattr(bilinear, "_dominant_inertia", verdict)
-    monkeypatch.setattr(bilinear, "_congruence", kernel)
-    return calls
-
-
 def scaled_congruent_rows(rng, n, rank=None, spread=3):
     """B^T D B over ints for an r x n matrix B with entries in -3..3 and
     D = diag(+-10^k), k in 0..spread, so the eigenvalues span several orders
@@ -832,15 +813,61 @@ def test_rounded_route_on_random_nonsingular_matrices(routes):
         assert expected.n_zero == 0
         routes.clear()
         assert signature(SymBilinearForm(rows)) == expected
-        assert routes == [("verdict", n, True)]
+        assert routes == [("proposal", n), ("verdict", n, True)]
+
+
+def dominant_rows(rng, n, nonzero):
+    """A strictly diagonally dominant symmetric int matrix with `nonzero`
+    nonzero entries, its whole diagonal among them, of alternating signs."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in rng.sample([(i, j) for i in range(n) for j in range(i)], (nonzero - n) // 2):
+        rows[i][j] = rows[j][i] = rng.choice((-1, 1)) * rng.randint(1, 9)
+    for i, row in enumerate(rows):
+        row[i] = (-1) ** i * (sum(map(abs, row)) + 1)
+    return rows
 
 
 def test_rounded_route_starts_at_its_size(routes):
+    # From ROUNDED_FROM_N rows on, a matrix at least half of whose entries
+    # are nonzero tries the rounded route; a sparser one goes to the kernel
+    # at any size.
     rng = random.Random(109)
-    for n in (ROUNDED_FROM_N - 1, ROUNDED_FROM_N):
-        rows = scaled_congruent_rows(rng, n)
+    n = ROUNDED_FROM_N
+    half = (n * n + 1) // 2
+    cases = [
+        (scaled_congruent_rows(rng, n - 1), [("kernel", n - 1)]),
+        (scaled_congruent_rows(rng, n), [("proposal", n), ("verdict", n, True)]),
+        (dominant_rows(rng, n, half), [("proposal", n), ("verdict", n, True)]),
+        (dominant_rows(rng, n, half - 2), [("kernel", n)]),
+        (dominant_rows(rng, 64, 64 * 64 // 4), [("kernel", 64)]),
+    ]
+    for rows, route in cases:
+        routes.clear()
         assert signature(SymBilinearForm(rows)) == kernel_inertia(rows)
-    assert routes == [("kernel", ROUNDED_FROM_N - 1), ("verdict", ROUNDED_FROM_N, True)]
+        assert routes == route
+    assert [sum(x != 0 for row in rows for x in row) for rows, _ in cases[2:4]] == [half, half - 2]
+    assert signature(SymBilinearForm(cases[2][0])) == Signature((n + 1) // 2, n // 2, 0)
+
+
+def test_a_family_hands_its_proposal_on(routes):
+    # A proposal that certified one matrix is tried first on the next; a
+    # refused one costs its check, and a fresh proposal follows.
+    rng = random.Random(167)
+    a = scaled_congruent_rows(rng, 30)
+    b = [[1000 * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    sig, proposal = _inertia(a)
+    assert routes.per_matrix() == [(30, "fresh")] and sig == kernel_inertia(a)
+    routes.clear()
+    assert _inertia(b, proposal) == (kernel_inertia(b), proposal)
+    assert routes.per_matrix() == [(30, "reused")]
+    routes.clear()
+    other = scaled_congruent_rows(rng, 30)
+    sig, fresh = _inertia(other, ([*range(30)], [[int(i == j) for j in range(i + 1)] for i in range(30)]))
+    assert sig == kernel_inertia(other) and fresh != proposal
+    assert routes == [("verdict", 30, False), ("proposal", 30), ("verdict", 30, True)]
+    assert routes.per_matrix() == [(30, "fresh")]
+    # A proposal of another size is refused before any product.
+    assert _dominant_inertia(scaled_congruent_rows(rng, 31), *proposal) is None
 
 
 def test_singular_and_near_singular_inputs_fall_back(routes):
@@ -868,7 +895,7 @@ def test_row_scaled_matrices_stay_on_the_rounded_route(routes):
             rows = [[x * (s if i else 1) * (s if j else 1) for j, x in enumerate(row)] for i, row in enumerate(a)]
             routes.clear()
             assert signature(SymBilinearForm(rows)) == kernel_inertia(rows)
-            assert routes == [("verdict", 40, True)]
+            assert routes == [("proposal", 40), ("verdict", 40, True)]
 
 
 def test_proposal_on_hard_inputs_is_none_or_checked(monkeypatch):
@@ -918,7 +945,7 @@ def test_hodge_index_inertia_on_the_rounded_route(routes):
             routes.clear()
             got = hodge_index_inertia(Q, h)
             if rank == n:
-                assert routes == [("verdict", n, True)]
+                assert routes == [("proposal", n), ("verdict", n, True)]
             else:
                 assert routes[-1] == ("kernel", n) and ("verdict", n, True) not in routes
             routes.clear()
@@ -1076,16 +1103,11 @@ def test_bordered_inertias_match_the_direct_defects():
         )
 
 
-def test_family_checks_eliminate_no_hodge_index_border(monkeypatch):
-    # Each R_t is eliminated once (n rows), each derivative defect on its
-    # two-row border (n + 2); the Hodge-index defect needs no matrix.
-    sizes = []
-    for name in ("_congruence", "_rounded_congruence"):
-        def record(rows, real=getattr(bilinear, name)):
-            sizes.append(len(rows))
-            return real(rows)
-
-        monkeypatch.setattr(bilinear, name, record)
+def test_family_checks_eliminate_no_hodge_index_border(routes):
+    # Each R_t is eliminated once, each derivative defect on its two-row
+    # border; the Hodge-index defect needs no matrix.  The i = d family
+    # annihilates zeta - t h, so its R_t and borders are one row smaller:
+    # the blocks off zeta.  At d = 4 every matrix is below ROUNDED_FROM_N.
     rng = random.Random(139)
     space = AugmentedSpace([random_positive_form(rng, 4) for _ in range(2)])
     h, zeta, n = space.h_coords, space.zeta_coords, space.dim_v
@@ -1094,4 +1116,5 @@ def test_family_checks_eliminate_no_hodge_index_border(monkeypatch):
         check_property_a(fam, h, zeta)
         check_property_b(fam, h, zeta)
     # Five samples per check; A signs one derivative border, B one per sample.
-    assert sorted(sizes) == [n] * 20 + [n + 2] * 12
+    signed = sorted(routes.per_matrix())
+    assert signed == [(n - 1, "kernel")] * 10 + [(n, "kernel")] * 10 + [(n + 1, "kernel")] * 6 + [(n + 2, "kernel")] * 6

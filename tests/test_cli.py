@@ -154,6 +154,19 @@ def test_verify_hr_part_above_e_fails_honestly(tmp_path):
     assert rep["warnings"]
 
 
+def test_family_part_above_e_warns_as_verify_hr_does(tmp_path):
+    # The same input fails both subcommands, and both say why.
+    reports = []
+    for command in (["verify-hr"], ["family", "--check", "A", "--i", "3"]):
+        out = tmp_path / "f.json"
+        assert run_main(command + ["--d", "4", "--e", "1", "--lambda", "2", "--seed", "1", "--out", str(out)]) == 1
+        reports.append(load(out))
+    assert reports[1]["summary"]["failed"] == 1
+    assert reports[0]["warnings"] == reports[1]["warnings"] == [
+        "lambda (2,) has a part above e=1; the signature assertion is outside the guaranteed range"
+    ]
+
+
 def test_verify_hr_forms_file(tmp_path):
     ff = write_forms_file(tmp_path / "forms.json", 11, 3, 2)
     out = tmp_path / "r.json"
@@ -261,21 +274,26 @@ def test_positivity_is_decided_once_per_form(tmp_path, monkeypatch):
     # minors of the pencil itself and decides no positivity: the forms file's
     # check, one elimination per form, is the only one.
     calls, routed = [], []
-    real_adjugate, real_pencil = exterior._adjugate, symfunc.pencil_power_sum
+    real_pencil = symfunc.pencil_power_sum
 
-    def counting(re, im):
-        calls.append("_load_forms" in {frame.name for frame in traceback.extract_stack()})
-        return real_adjugate(re, im)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(exterior, "_adjugate", counting)
-    monkeypatch.setattr(positivity, "_adjugate", counting)
+        def count(re, im):
+            calls.append((name, "_load_forms" in {frame.name for frame in traceback.extract_stack()}))
+            return real(re, im)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(exterior, "_adjugate")
+    counting(positivity, "_leading_minors_positive")
     monkeypatch.setattr(symfunc, "pencil_power_sum", lambda *args: routed.append(args[1]) or real_pencil(*args))
     ff = write_forms_file(tmp_path / "forms.json", 23, 4, 2)
     out = tmp_path / "r.json"
     assert run_main(["verify-hr", "--forms", str(ff), "--lambda", "1,1", "--out", str(out)]) == 0
     assert load(out)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     assert routed == [2]
-    assert calls == [True, True]
+    assert calls == [("_leading_minors_positive", True)] * 2
 
 
 def test_worker_pool_is_no_wider_than_the_task_list(tmp_path, monkeypatch):
@@ -456,6 +474,8 @@ def test_family_index_defaults_and_choices(check, text, d, indices):
         ("B", "3", 4, "the second-order check runs at i = d only"),
         ("recursion", "4", 4, "recursion needs 2 <= j <= d-1, got j=4 at d=4"),
         ("recursion", None, 2, "recursion needs 2 <= j <= d-1, got j=1 at d=2"),
+        ("A", "3,3,d-1", 4, "--i names index 3 more than once at d=4"),
+        ("aug1", "2..4,d", 4, "--i names index 4 more than once at d=4"),
     ],
 )
 def test_family_index_refusals(capsys, check, text, d, message):

@@ -149,6 +149,21 @@ def test_sylvester_test_agrees_with_inertia():
     assert True in verdicts and False in verdicts
 
 
+def test_forward_sweep_verdict_is_the_adjugates():
+    # The verdict stops at the first leading minor that is not positive, on
+    # the zero-pivot and the negative-pivot draws alike.
+    kinds = set()
+    for rows in sylvester_cases(random.Random(59)):
+        H = HermitianMatrix(rows)
+        re, im = [[z[0] for z in row] for row in H._rows], [[z[1] for z in row] for row in H._rows]
+        verdict = is_positive_definite_11(H)
+        assert verdict == (_adjugate(re, im) is not None), rows
+        first = next((m for m in leading_principal_minors(H) if m <= 0), None)
+        assert verdict == (first is None)
+        kinds.add(None if first is None else (first > 0) - (first < 0))
+    assert kinds == {None, 0, -1}
+
+
 def test_adjugate_refuses_exactly_the_matrices_that_are_not_positive_definite():
     refused = []
     for rows in sylvester_cases(random.Random(53)):
