@@ -23,34 +23,57 @@ restriction to W.  Each check here is exact: the quantified inequalities are
 decided by positive semidefiniteness of the defect matrices, whose signatures
 bilinear reads off R_t's and off a border, never by sampling vectors.
 
-Each check evaluates R_t (and R'_t for B) once per sampled t, over ints as
-one bilinear.combine with weights t^k, and signs it once; t = 0 is always the
-first sample and is R_0 itself, so the reported r0_signature is that
-sample's.  The samples of a family hand each other the rounded proposal that
-certified the last of them (bilinear._inertia).  The i = d family
-annihilates zeta - t h, which the checks verify exactly on its coefficients
-(_kernel_coordinate), so its R_t and derivative borders are signed off
-zeta: one row smaller, nonsingular, and one zero added back.  The verdicts
-read "R_0 is Hodge-Riemann with respect to h", and aug2 its restriction to
-W, off the report instead of signing R_0 again, and take R_{i,0} as the
-cached Q_i.  Both reports share one shape: the per-t
-serialiser, passed and max_passing_radius.
+A family keeps its coefficients once, as int matrices M_0..M_K over one
+denominator D (FormFamily), and the checks read every sample off that stack
+at one scale: for t = p/q, sum_k p^k q^(K-k) M_k = D q^K R_t, and with
+h = x/s, Y_k = M_k x and c_k = x . Y_k, the same weights give R_t(h), R_t h
+and the derivative border B_t = sum_k t^k B_k, whose coefficients are the
+border (bilinear._border_rows) of (k+1) M_{k+1}, (k+1) Y_{k+1}, Y_k and
+c_k.  No sample is put in lowest terms; only its reported q_h is a Fraction.
+t = 0 is always the first sample and is R_0 itself, so the reported
+r0_signature is that sample's.
+
+R_t and the borders are each signed on one chain (bilinear._FamilyChain):
+the samples hand each other the rounded proposal that certified the last of
+them, and when the rounded route certifies the t = 0 matrix F_0 with P, its
+margins m_i and the bounds b^(k) = |P| |F_k| |P|^T 1 certify every later
+sample with sum_k |p|^k q^(K-k) b^(k)_i < q^K m_i on every row, with F_0's
+inertia and no matrix formed.  That is sound: C_t - C_0 =
+sum_k t^k P F_k P^T changes row i of C_0 = P F_0 P^T by at most
+sum_k |t|^k b^(k)_i < m_i, so every row of C_t stays strictly dominant with
+its diagonal's sign, and Gershgorin's theorem and Sylvester's law give the
+inertia as for C_0.  Every other sample takes the chain's proposal, then a
+fresh one, then the kernel.  The i = d family annihilates zeta - t h, which
+the checks verify exactly on its coefficients (_kernel_coordinate), so its
+stack is cut off zeta once: R_t and the borders are signed one row smaller,
+nonsingular, and one zero is added back.  The verdicts read "R_0 is
+Hodge-Riemann with respect to h", and aug2 its restriction to W, off the
+report instead of signing R_0 again, and take R_{i,0} as the cached Q_i.
+Both reports share one shape: the per-t serialiser, passed and
+max_passing_radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import repeat
+from math import comb, lcm
+from operator import add, mul
 from typing import ClassVar, Optional, Sequence
 
 from .bilinear import (
     Signature,
     SymBilinearForm,
-    _derivative_inertia,
+    _as_vector,
+    _border_defect,
+    _border_rows,
+    _FamilyChain,
+    _from_border,
     _hodge_index_inertia,
-    _inertia,
-    combine,
+    _int_rows,
+    _sample_rows,
+    _weights,
     is_hr_wrt,
     pairing_form,
     signature,
@@ -187,11 +210,16 @@ def intersection_form(space: AugmentedSpace, lam, i: int) -> SymBilinearForm:
     return out
 
 
-@dataclass(frozen=True)
 class FormFamily:
-    """Polynomial in one real parameter t with symmetric-form coefficients."""
+    """Polynomial in one real parameter t with symmetric-form coefficients.
 
-    coeffs: tuple[SymBilinearForm, ...]
+    The coefficients are kept once as int matrices M_0..M_K over one
+    positive denominator D, each a flat row-major list, so that
+    R_t = sum_k t^k M_k / D: the family's int coefficient stack.  A
+    coefficient is read as a SymBilinearForm in lowest terms on first use.
+    """
+
+    __slots__ = ("_mats", "_den", "n", "_coeffs")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -200,85 +228,137 @@ class FormFamily:
         n = coeffs[0].n
         if any(c.n != n for c in coeffs):
             raise ValueError("coefficients must share one dimension")
-        object.__setattr__(self, "coeffs", coeffs)
+        den = lcm(*(c._den for c in coeffs))
+        mats = [[x * (den // c._den) for row in c._ints for x in row] for c in coeffs]
+        self._init(mats, den, n, list(coeffs))
+
+    def _init(self, mats, den: int, n: int, coeffs) -> None:
+        for name, value in zip(self.__slots__, (mats, den, n, coeffs)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _stack(cls, mats, den: int, n: int, coeffs=None) -> "FormFamily":
+        """The family sum_k t^k M_k / den, trusting symmetric flat int
+        matrices and den > 0; coeffs lists any coefficient forms known."""
+        family = object.__new__(cls)
+        family._init(mats, den, n, coeffs or [None] * len(mats))
+        return family
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FormFamily is immutable")
+
+    def __reduce__(self):
+        return FormFamily._stack, (self._mats, self._den, self.n)
+
+    def _coeff(self, k: int) -> SymBilinearForm:
+        c = self._coeffs[k]
+        if c is None:
+            n = self.n
+            rows = [self._mats[k][i : i + n] for i in range(0, n * n, n)]
+            c = self._coeffs[k] = SymBilinearForm._of(rows, self._den)
+        return c
 
     @property
-    def n(self) -> int:
-        return self.coeffs[0].n
+    def coeffs(self) -> tuple[SymBilinearForm, ...]:
+        return tuple(map(self._coeff, range(len(self._mats))))
 
     def at(self, t) -> SymBilinearForm:
-        """Exact evaluation at a rational parameter: sum_k t^k c_k over ints."""
+        """Exact evaluation at a rational parameter t = p/q: the int matrix
+        sum_k p^k q^(K-k) M_k over D q^K, in lowest terms."""
         t = as_fraction(t)
         if t == 0:
             # R_0 itself: the checks evaluate t = 0 often and it costs nothing.
-            return self.coeffs[0]
-        return combine([t**k for k in range(len(self.coeffs))], self.coeffs)
+            return self._coeff(0)
+        q = t.denominator
+        rows = _sample_rows(self._mats, t.numerator, q, self.n)
+        return SymBilinearForm._of(rows, self._den * q ** (len(self._mats) - 1))
 
     def derivative(self) -> "FormFamily":
-        if len(self.coeffs) == 1:
-            return FormFamily((SymBilinearForm.zero(self.n),))
-        return FormFamily(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        n = self.n
+        if len(self._mats) == 1:
+            return FormFamily._stack([[0] * (n * n)], 1, n)
+        return FormFamily._stack([[k * x for x in m] for k, m in enumerate(self._mats) if k], self._den, n)
 
     def __eq__(self, other):
         if not isinstance(other, FormFamily):
             return NotImplemented
-        la, lb = len(self.coeffs), len(other.coeffs)
-        zero = SymBilinearForm.zero(self.n)
-        pa = self.coeffs + (zero,) * max(0, lb - la)
-        pb = other.coeffs + (zero,) * max(0, la - lb)
-        return all(a == b for a, b in zip(pa, pb))
+        if self.n != other.n:
+            return False
+        zero = [0] * (self.n * self.n)
+        la, lb = len(self._mats), len(other._mats)
+        pa = self._mats + [zero] * max(0, lb - la)
+        pb = other._mats + [zero] * max(0, la - lb)
+        da, db = self._den, other._den
+        return all([x * db for x in a] == [y * da for y in b] for a, b in zip(pa, pb))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
-            return FormFamily(tuple(c * m for m in self.coeffs))
+            c = Fraction(c)
+            mats = [[c.numerator * x for x in m] for m in self._mats]
+            return FormFamily._stack(mats, self._den * c.denominator, self.n)
         return NotImplemented
 
     __mul__ = __rmul__
 
+    def __repr__(self):
+        return f"FormFamily(n={self.n}, degree={len(self._mats) - 1})"
+
 
 def twist_family(space: AugmentedSpace, lam, i: int) -> FormFamily:
-    """The family R_{i,t} = sum_k binom(d-i+k, k) t^k Q_{i-k}; zero outside 0..d."""
+    """The family R_{i,t} = sum_k binom(d-i+k, k) t^k Q_{i-k}; zero outside 0..d.
+
+    The binomial weights go into the int stack, over the lcm of the Q
+    denominators; R_{i,0} is the cached Q_i itself."""
     lam = Partition(lam)
     _check_weight(space, lam)
-    d = space.d
+    d, n = space.d, space.dim_v
     if i < 0 or i > d:
-        return FormFamily((SymBilinearForm.zero(space.dim_v),))
-    return FormFamily(
-        tuple(
-            comb(d - i + k, k) * intersection_form(space, lam, i - k)
-            for k in range(i + 1)
-        )
-    )
+        return FormFamily._stack([[0] * (n * n)], 1, n)
+    forms = [intersection_form(space, lam, i - k) for k in range(i + 1)]
+    den = lcm(*(f._den for f in forms))
+    weights = [comb(d - i + k, k) * (den // f._den) for k, f in enumerate(forms)]
+    mats = [[w * x for row in f._ints for x in row] for w, f in zip(weights, forms)]
+    return FormFamily._stack(mats, den, n, [forms[0]] + [None] * i)
+
+
+def _images(family: FormFamily, x) -> list[list[int]]:
+    """M_k x for each matrix of the family's stack, reading only the nonzero
+    coordinates of the int vector x: h and zeta are sparse.  Rows of a
+    symmetric matrix are its columns."""
+    n = family.n
+    nonzero = [(j * n, c) for j, c in enumerate(x) if c]
+    out = []
+    for m in family._mats:
+        y = [0] * n
+        for j, c in nonzero:
+            y = list(map(add, y, map(mul, m[j : j + n], repeat(c))))
+        out.append(y)
+    return out
 
 
 def _kernel_coordinate(family: FormFamily, h, zeta) -> Optional[int]:
     """A coordinate z with zeta_z != 0 = h_z when R_t (zeta - t h) = 0 for
     every t, else None.
 
-    The identity is checked exactly on the coefficients C_0..C_K: the
-    coefficient of t^k in R_t (zeta - t h) is C_k zeta - C_{k-1} h, so it
-    holds when C_0 zeta = 0, C_k zeta = C_{k-1} h for k = 1..K and
-    C_K h = 0.  Differentiating gives R'_t (zeta - t h) = R_t h, so the
-    derivative defect annihilates zeta - t h too.  That vector keeps
-    coordinate z at zeta_z for every t, so the basis change that swaps e_z
-    for it leaves R_t and that defect as their blocks off z plus one zero
-    (_off): the i = d family of an AugmentedSpace, with z its zeta index.
+    The identity is checked exactly on the stack M_0..M_K: the coefficient
+    of t^k in D R_t (zeta - t h) is M_k zeta - M_{k-1} h, so it holds when
+    M_0 zeta = 0, M_k zeta = M_{k-1} h for k = 1..K and M_K h = 0.
+    Differentiating gives R'_t (zeta - t h) = R_t h, so the derivative
+    defect annihilates zeta - t h too.  That vector keeps coordinate z at
+    zeta_z for every t, so the basis change that swaps e_z for it leaves R_t
+    and that defect as their blocks off z plus one zero: the i = d family of
+    an AugmentedSpace, with z its zeta index.
     """
     z = next((k for k, (a, b) in enumerate(zip(zeta, h)) if a and not b), None)
     if z is None:
         return None
-    zero = (0,) * family.n
-    previous = zero  # C_{k-1} h
-    for c in family.coeffs:
-        if c.pairing_vector(zeta) != previous:
-            return None
-        previous = c.pairing_vector(h)
-    return z if previous == zero else None
-
-
-def _off(z: Optional[int], q: SymBilinearForm) -> SymBilinearForm:
-    """q without row and column z, or q itself when z is None."""
-    return q if z is None else q.restrict_indices([k for k in range(q.n) if k != z])
+    # h = x / s and zeta = y / s over one s, which cancels.
+    (x, y), _ = _int_rows([_as_vector(h, family.n), _as_vector(zeta, family.n)])
+    hs, zs = _images(family, x), _images(family, y)
+    zero = [0] * family.n
+    if zs[0] == zero and zs[1:] == hs[:-1] and hs[-1] == zero:
+        return z
+    return None
 
 
 def _with_kernel(z: Optional[int], sig: Signature) -> Signature:
@@ -286,24 +366,82 @@ def _with_kernel(z: Optional[int], sig: Signature) -> Signature:
     return sig if z is None else sig._replace(n_zero=sig.n_zero + 1)
 
 
-def _derivative_sample(
-    z, qt: SymBilinearForm, qpt: SymBilinearForm, h, proposal
-) -> tuple[Signature, tuple | None]:
-    """derivative_inequality_inertia(qt, qpt, h), from the blocks off z (h_z
-    is 0 there), and the family's next proposal."""
-    h_off = h if z is None else [x for k, x in enumerate(h) if k != z]
-    sig, proposal = _derivative_inertia(_off(z, qt), _off(z, qpt), h_off, proposal)
-    return _with_kernel(z, sig), proposal
+class _Stack:
+    """A family's int stack read at h = x/s and cut off its kernel
+    coordinate z (None: nothing cut), as the checks sign it.
 
+    With Y_k = M_k x and c_k = x . Y_k, the sample at t = p/q is read at
+    the one scale D q^K: its matrix sum_k p^k q^(K-k) M_k, its value
+    R_t(h) = sum_k p^k q^(K-k) c_k / (D q^K s^2) and its image R_t h, and
+    the derivative border B_t = sum_k t^k B_k, whose coefficients
+    B_k = _border_rows((k+1) M_{k+1}, (k+1) Y_{k+1}, Y_k, c_k) are the
+    border of R'_t = sum_k (k+1) t^k M_{k+1} at h.  The blocks off z are
+    cut once, from the coefficients: x_z = 0, so (M_k x) off z is
+    (M_k off z)(x off z).
+    """
 
-def _weak_hr_sample(t: Fraction, qt: SymBilinearForm, h, z, proposal) -> tuple[dict, tuple | None]:
-    """The sample at t, its signature taken off z, and the family's next proposal."""
-    sig, proposal = _inertia(_off(z, qt)._ints, proposal)
-    sig = _with_kernel(z, sig)
-    qh = qt.quad(h)
-    weak = qh > 0 and sig.n_plus == 1
-    defect_psd = _hodge_index_inertia(qt, h, sig).n_minus == 0
-    return {"t": t, "signature": sig, "q_h": qh, "weak_hr": weak, "hodge_index_psd": defect_psd}, proposal
+    def __init__(self, family: FormFamily, h, z: Optional[int]):
+        n = family.n
+        (x,), s = _int_rows([_as_vector(h, n)])
+        self.ys = _images(family, x)
+        self.cs = [sum(map(mul, x, y)) for y in self.ys]
+        self.scale = family._den * s * s
+        self.degree = len(family._mats) - 1
+        self.z = z
+        if z is None:
+            self.mats, self.ys_off, self.n = family._mats, self.ys, n
+        else:
+            keep = [k for k in range(n) if k != z]
+            self.mats = [[m[i * n + j] for i in keep for j in keep] for m in family._mats]
+            self.ys_off = [[y[k] for k in keep] for y in self.ys]
+            self.n = n - 1
+
+    def chain(self) -> _FamilyChain:
+        """The chain that signs R_t off z."""
+        return _FamilyChain(self.mats, self.n)
+
+    def border_chain(self, degree: Optional[int] = None) -> _FamilyChain:
+        """The chain of the derivative borders off z, its coefficients
+        B_0..B_degree: all of them by default, and B_0 alone (degree 0) for
+        a check that reads only t = 0."""
+        n, K = self.n, self.degree
+        zero = [0] * (n * n)
+        coeffs = []
+        for k in range(K + 1 if degree is None else degree + 1):
+            a, u = (self.mats[k + 1], self.ys_off[k + 1]) if k < K else (zero, [0] * n)
+            rows = [[(k + 1) * x for x in a[i : i + n]] for i in range(0, n * n, n)]
+            border = _border_rows(rows, [(k + 1) * x for x in u], self.ys_off[k], self.cs[k])
+            coeffs.append([x for row in border for x in row])
+        return _FamilyChain(coeffs, n + 2)
+
+    def _value_at_h(self, p: int, q: int) -> int:
+        """D q^K s^2 R_t(h) at t = p/q."""
+        return sum(map(mul, _weights(p, q, self.degree), self.cs))
+
+    def weak_hr_sample(self, t: Fraction, samples: _FamilyChain) -> dict:
+        """The sample at t, R_t signed off z on `samples`."""
+        p, q = t.numerator, t.denominator
+        weights = _weights(p, q, self.degree)
+        qh = sum(map(mul, weights, self.cs))
+        sig = _with_kernel(self.z, samples.inertia(p, q))
+        image_nonzero = qh == 0 and any(sum(map(mul, weights, col)) for col in zip(*self.ys))
+        return {
+            "t": t,
+            "signature": sig,
+            "q_h": Fraction(qh, self.scale * weights[0]),
+            "weak_hr": qh > 0 and sig.n_plus == 1,
+            "hodge_index_psd": _hodge_index_inertia(qh, sig, image_nonzero).n_minus == 0,
+        }
+
+    def derivative_sample(self, t: Fraction, borders: _FamilyChain) -> Signature:
+        """derivative_inequality_inertia(R_t, R'_t, h), from the border off z
+        on `borders` when R_t(h) > 0, else from the defect matrix read off it."""
+        p, q = t.numerator, t.denominator
+        if self._value_at_h(p, q) > 0:
+            sig = _from_border(borders.inertia(p, q))
+        else:
+            sig = borders.sign(_border_defect(borders.rows(p, q)))
+        return _with_kernel(self.z, sig)
 
 
 def _str_or_none(x: Optional[Fraction]) -> Optional[str]:
@@ -444,13 +582,9 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
     r0p = family.derivative().at(0)
     r0_h = r0.quad(h)
     r0p_h = r0p.quad(h)
-    # Each R_t is built and signed inside the loop, so one sample's matrix is
-    # held at a time, and each sample first tries the last certified proposal.
-    z = _kernel_coordinate(family, h, zeta)
-    per_t, proposal = [], None
-    for t in ts:
-        entry, proposal = _weak_hr_sample(t, family.at(t), h, z, proposal)
-        per_t.append(entry)
+    stack = _Stack(family, h, _kernel_coordinate(family, h, zeta))
+    samples = stack.chain()
+    per_t = [stack.weak_hr_sample(t, samples) for t in ts]
 
     lhs = r0p.pairing_vector(zeta)
     rhs = r0.pairing_vector(h)
@@ -466,7 +600,7 @@ def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyARe
     return PropertyAReport(
         a1=r0_h > 0 and r0p_h > 0,
         a2=all(entry["weak_hr"] for entry in per_t),
-        a3=_derivative_sample(z, r0, r0p, h, None)[0].n_minus == 0,
+        a3=stack.derivative_sample(Fraction(0), stack.border_chain(0)).n_minus == 0,
         a4=a4,
         a5=r0_zeta_h > 0,
         constant=constant,
@@ -490,14 +624,13 @@ def check_property_b(family: FormFamily, h, zeta, t_samples=None) -> PropertyBRe
     deriv = family.derivative()
     r0_h = family.at(0).quad(h)
 
-    # R_t and the derivative borders each pass their proposals along.
-    z = _kernel_coordinate(family, h, zeta)
-    per_t, proposal, border_proposal = [], None, None
+    # R_t and the derivative borders each sign on their own chain.
+    stack = _Stack(family, h, _kernel_coordinate(family, h, zeta))
+    samples, borders = stack.chain(), stack.border_chain()
+    per_t = []
     for t in ts:
-        qt = family.at(t)
-        entry, proposal = _weak_hr_sample(t, qt, h, z, proposal)
-        defect, border_proposal = _derivative_sample(z, qt, deriv.at(t), h, border_proposal)
-        entry["derivative_inequality_psd"] = defect.n_minus == 0
+        entry = stack.weak_hr_sample(t, samples)
+        entry["derivative_inequality_psd"] = stack.derivative_sample(t, borders).n_minus == 0
         per_t.append(entry)
 
     zeta_vec = [as_fraction(x) for x in zeta]

@@ -1,8 +1,8 @@
 """Exact symmetric bilinear forms, signatures, and the Hodge-Riemann predicates.
 
 A SymBilinearForm is an int matrix over one positive denominator in lowest
-terms, read only here.  combine (R_t included), the restrictions and the
-defect matrices build their results over ints and skip the public checks.
+terms, read only here.  combine, the restrictions and the defect matrices
+build their results over ints and skip the public checks.
 
 Inertias come from two exact routes.  The congruence kernel is
 fraction-free symmetric Bareiss elimination over Python ints that keeps only
@@ -26,10 +26,21 @@ signs of its diagonal are the inertia, by Sylvester's law and Gershgorin's
 theorem (the certify-then-fall-back pattern of S. M. Rump, "Verification of
 positive definiteness", BIT 46, 2006).  Floats only choose P, and any int P
 will do: the matrices of one family hand each other the P that certified the
-last of them, and propose afresh only when it is refused.  A singular matrix
-is never dominant.  The kernel signs it, every smaller or sparser matrix,
-every refused certificate, and the Hermitian reductions, whose witness
-replays its pivots.
+last of them, and propose afresh only when it is refused.  The check hands
+back the row margins m_i = |C_ii| - sum_{j != i} |C_ij| with the inertia.
+
+A polynomial family F_t = sum_k t^k F_k of int matrices (_FamilyChain)
+extends the pattern from one matrix to the family: a family certificate is
+the (order, P) that certified F_0, the margins of C_0 = P F_0 P^T and the
+bounds b^(k) = |P| (|F_k| (|P|^T 1)), two int matrix-vector products per
+coefficient.  C_t - C_0 = sum_k t^k P F_k P^T, so a sample t = p/q with
+sum_k |p|^k q^(K-k) b^(k)_i < q^K m_i on every row has rows that stay
+strictly dominant with the diagonal signs of C_0, and the inertia of F_0 by
+the same two theorems; it is never formed.  Any other sample is signed as
+one matrix.  A singular matrix is never dominant and never within a bound.
+The kernel signs it, every smaller or sparser matrix, every refused
+certificate, and the Hermitian reductions, whose witness replays its
+pivots.
 Positive definiteness of a Hermitian matrix needs no inertia and is decided
 elsewhere, in exterior, by Sylvester's criterion on the leading principal
 minors.
@@ -47,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from math import frexp, gcd, inf, lcm, ldexp
 from operator import add, mul, sub
 from struct import Struct
@@ -369,20 +380,21 @@ def _rounded_congruence(rows) -> tuple[list[int], list[list[int]]] | None:
         return None
 
 
-def _dominant_inertia(rows, order, P) -> Signature | None:
-    """The inertia of a symmetric int matrix A from any int matrix P, or None.
+def _dominant_inertia(rows, order, P) -> tuple[Signature, list[int]] | None:
+    """The inertia of a symmetric int matrix A from any int matrix P, and
+    the row margins of C = P B P^T; None when C is not dominant.
 
-    C = P B P^T is computed exactly, B being A with its rows and columns in
-    `order`, a permutation of range(n), and a row of P shorter than n reads
-    as zeros past its end; a P or an order of another length is refused.  Each
-    row of C is one int of W-bit slots: with Pcol_l packing column l of P,
+    C is computed exactly, B being A with its rows and columns in `order`, a
+    permutation of range(n), and a row of P shorter than n reads as zeros
+    past its end; a P or an order of another length is refused.  Each row of
+    C is one int of W-bit slots: with Pcol_l packing column l of P,
     N_k = sum_l B_kl Pcol_l and C_i = sum_k P_ik N_k has C_ij in slot j.
     Every |C_ij| <= n^2 max|P|^2 max|B| < 2^(W-2), so with 2^(W-1) added to
     each slot the slots are the base-2^W digits, read off the bytes.  If
-    every row of C is strictly diagonally dominant, C is nonsingular, and so
-    are P and A; by Sylvester's law A has the inertia of C, and by
-    Gershgorin's theorem, along the path from diag(C) to C, which stays
-    dominant, C has that of its diagonal.  Otherwise returns None.
+    every margin m_i = |C_ii| - sum_{j != i} |C_ij| is positive, C is
+    nonsingular, and so are P and A; by Sylvester's law A has the inertia of
+    C, and by Gershgorin's theorem, along the path from diag(C) to C, which
+    stays dominant, C has that of its diagonal.  Otherwise returns None.
     """
     n = len(rows)
     if len(order) != n or len(P) != n:  # C needs a row of P for each row of A
@@ -395,14 +407,16 @@ def _dominant_inertia(rows, order, P) -> Signature | None:
     columns = zip(*(list(p) + [0] * (n - len(p)) for p in P))
     pcols = [int.from_bytes(b"".join(map(encode, map(add, col, repeat(half)))), "little") - bias for col in columns]
     N = [sum(map(mul, map(row.__getitem__, order), pcols)) for row in map(rows.__getitem__, order)]
-    split, plus = Struct(f"{size}s" * n).unpack, 0
+    split, plus, margins = Struct(f"{size}s" * n).unpack, 0, []
     for i, p in enumerate(P):
         c = split((sum(map(mul, p, N)) + bias).to_bytes(n * size, "little"))
         c = list(map(sub, map(int.from_bytes, c, repeat("little")), repeat(half)))
-        if 2 * abs(c[i]) <= sum(map(abs, c)):
+        margin = 2 * abs(c[i]) - sum(map(abs, c))
+        if margin <= 0:
             return None
+        margins.append(margin)
         plus += c[i] > 0
-    return Signature(plus, n - plus, 0)
+    return Signature(plus, n - plus, 0), margins
 
 
 def _rounded_first(rows) -> bool:
@@ -412,25 +426,121 @@ def _rounded_first(rows) -> bool:
     return n >= ROUNDED_FROM_N and 2 * sum(n - row.count(0) for row in rows) >= n * n
 
 
-def _inertia(rows, proposal=None) -> tuple[Signature, tuple | None]:
-    """The inertia of a symmetric int matrix, and the proposal for the next.
+def _inertia(rows, proposal=None) -> tuple[Signature, tuple | None, list[int] | None]:
+    """The inertia of a symmetric int matrix, the proposal for the next, and
+    the row margins of the C that certified it.
 
     A matrix that _rounded_first admits tries `proposal`, the (order, P)
     that certified an earlier matrix of its family, then a fresh one of its
-    own; the kernel signs whatever neither certifies.  Returns the proposal that
-    certified, else `proposal` unchanged.
+    own; the kernel signs whatever neither certifies.  Returns the proposal
+    that certified, else `proposal` unchanged, and the margins
+    _dominant_inertia handed back, or None when the kernel signed it.
     """
     if _rounded_first(rows):
         if proposal is not None:
             certified = _dominant_inertia(rows, *proposal)
             if certified is not None:
-                return certified, proposal
+                return certified[0], proposal, certified[1]
         fresh = _rounded_congruence(rows)
         if fresh is not None:
             certified = _dominant_inertia(rows, *fresh)
             if certified is not None:
-                return certified, fresh
-    return _count_signs(_congruence(rows), len(rows)), proposal
+                return certified[0], fresh, certified[1]
+    return _count_signs(_congruence(rows), len(rows)), proposal, None
+
+
+def _weights(p: int, q: int, K: int) -> list[int]:
+    """p^k q^(K-k) for k = 0..K: q^K t^k at t = p/q."""
+    return [p**k * q ** (K - k) for k in range(K + 1)]
+
+
+def _sample_rows(coeffs, p: int, q: int, n: int) -> list[list[int]]:
+    """The rows of sum_k p^k q^(K-k) M_k for flat (row-major) n x n int
+    matrices M_0..M_K: q^K times the family's value at t = p/q, q > 0."""
+    flat = None
+    for w, m in zip(_weights(p, q, len(coeffs) - 1), coeffs):
+        if w:
+            term = m if w == 1 else map(mul, m, repeat(w))
+            flat = list(term) if flat is None else list(map(add, flat, term))
+    if flat is None:
+        flat = [0] * (n * n)
+    return [flat[i : i + n] for i in range(0, n * n, n)]
+
+
+def _family_bounds(order, P, coeffs, n: int) -> list[list[int]]:
+    """b^(k) = |P| (|M_k^pi| (|P|^T 1)) for each flat n x n int matrix M_k
+    of coeffs, M_k^pi being M_k with its rows and columns in `order`.
+
+    Row i of P M_k^pi P^T has sum_j |(P M_k^pi P^T)_ij| <= b^(k)_i.
+    """
+    absP = [list(map(abs, row)) for row in P]
+    v = [0] * n  # |P|^T 1, in the coordinates of M_k
+    for j, col in zip(order, zip_longest(*absP, fillvalue=0)):
+        v[j] = sum(col)
+    bounds = []
+    for m in coeffs:
+        w = [sum(map(mul, map(abs, m[i : i + n]), v)) for i in range(0, n * n, n)]
+        wp = [w[j] for j in order]
+        bounds.append([sum(map(mul, row, wp)) for row in absP])
+    return bounds
+
+
+def _bounded_inertia(certificate, p: int, q: int) -> Signature | None:
+    """F_0's inertia for the sample t = p/q, q > 0, of a family
+    F_t = sum_k t^k F_k, when the bound admits it, else None.
+
+    certificate = (sig, margins, bounds): the inertia of F_0, the margins of
+    C_0 = P F_0^pi P^T that certified it, and _family_bounds of F_1..F_K
+    for that (order, P).  C_t - C_0 = sum_k t^k P F_k^pi P^T, so row i of C_t
+    differs from row i of C_0 by at most sum_k |t|^k b^(k)_i in the l1 norm.
+    When that is below m_i on every row (over ints:
+    sum_k |p|^k q^(K-k) b^(k)_i < q^K m_i), every row of C_t is strictly
+    dominant with the diagonal sign of C_0's, so by Gershgorin's theorem and
+    Sylvester's law F_t has the inertia sig.
+    """
+    sig, margins, bounds = certificate
+    top, *weights = _weights(abs(p), q, len(bounds))
+    if all(sum(map(mul, weights, b)) < top * m for m, *b in zip(margins, *bounds)):
+        return sig
+    return None
+
+
+class _FamilyChain:
+    """Signs the samples F(p, q) = sum_k p^k q^(K-k) F_k of one polynomial
+    family of symmetric int matrices, given as flat n x n int lists.
+
+    F(p, q) is q^K F_{p/q}, q > 0, so it has the inertia of F_t.  The
+    samples hand each other the proposal that certified the last of them
+    (_inertia), and `sign` puts any other matrix of the family on the same
+    chain.  When the rounded route certifies F_0 itself, the chain keeps the
+    family certificate (inertia, margins, _family_bounds of F_1..F_K for
+    that P), and every later sample the bound admits (_bounded_inertia)
+    takes F_0's inertia without being formed.
+    """
+
+    __slots__ = ("coeffs", "n", "proposal", "certificate")
+
+    def __init__(self, coeffs, n: int):
+        self.coeffs, self.n = coeffs, n
+        self.proposal = self.certificate = None
+
+    def rows(self, p: int, q: int) -> list[list[int]]:
+        return _sample_rows(self.coeffs, p, q, self.n)
+
+    def inertia(self, p: int, q: int) -> Signature:
+        if p and self.certificate is not None:
+            sig = _bounded_inertia(self.certificate, p, q)
+            if sig is not None:
+                return sig
+        sig, self.proposal, margins = _inertia(self.rows(p, q), self.proposal)
+        if not p and margins is not None:
+            bounds = _family_bounds(*self.proposal, self.coeffs[1:], self.n)
+            self.certificate = (sig, margins, bounds)
+        return sig
+
+    def sign(self, rows) -> Signature:
+        sig, self.proposal, _ = _inertia(rows, self.proposal)
+        return sig
 
 
 def signature(Q: SymBilinearForm) -> Signature:
@@ -475,6 +585,14 @@ def hodge_index_defect(Q: SymBilinearForm, h: Vector) -> SymBilinearForm:
     return SymBilinearForm._of(rows, (Q._den * s) ** 2)
 
 
+def _defect_rows(ap, u, w, qh: int) -> list[list[int]]:
+    """U W^T + W U^T - q A' over ints, for A' = ap, U = u, W = w and q = qh."""
+    return [
+        [ua * wb + wa * ub - qh * b for wb, ub, b in zip(w, u, row)]
+        for ua, wa, row in zip(u, w, ap)
+    ]
+
+
 def derivative_inequality_defect(
     q: SymBilinearForm, qp: SymBilinearForm, h: Vector
 ) -> SymBilinearForm:
@@ -486,16 +604,13 @@ def derivative_inequality_defect(
     """
     x, w, s = q._image(h)
     _, u, _ = qp._image(h)
-    qh = _dot(x, w)
-    rows = [
-        [ua * wb + wa * ub - qh * b for wb, ub, b in zip(w, u, row)]
-        for ua, wa, row in zip(u, w, qp._ints)
-    ]
-    return SymBilinearForm._of(rows, q._den * qp._den * s * s)
+    return SymBilinearForm._of(_defect_rows(qp._ints, u, w, _dot(x, w)), q._den * qp._den * s * s)
 
 
-def _hodge_index_inertia(Q: SymBilinearForm, h: Vector, sig: Signature) -> Signature:
-    """The signature of hodge_index_defect(Q, h), given sig = signature(Q).
+def _hodge_index_inertia(qh: int, sig: Signature, image_nonzero: bool) -> Signature:
+    """The signature of hodge_index_defect(Q, h), given sig = signature(Q),
+    the sign of qh = Q(h) at any positive scale and, read only when qh = 0,
+    whether W = Q h is nonzero.
 
     With W, q as there, B = [[q, W^T], [W, A]] = [x | I]^T A [x | I] has,
     by Sylvester's law, the inertia of A plus one zero.  For q != 0,
@@ -504,50 +619,61 @@ def _hodge_index_inertia(Q: SymBilinearForm, h: Vector, sig: Signature) -> Signa
     complement: (n_minus, n_plus - 1, n_zero + 1) for q > 0 and
     (n_plus, n_minus - 1, n_zero + 1) for q < 0.  For q = 0, T = W W^T.
     """
-    x, w, _ = Q._image(h)
-    q = _dot(x, w)
-    if q > 0:
+    if qh > 0:
         return Signature(sig.n_minus, sig.n_plus - 1, sig.n_zero + 1)
-    if q < 0:
+    if qh < 0:
         return Signature(sig.n_plus, sig.n_minus - 1, sig.n_zero + 1)
-    return Signature(1, 0, Q.n - 1) if any(w) else Signature(0, 0, Q.n)
+    n = sum(sig)
+    return Signature(1, 0, n - 1) if image_nonzero else Signature(0, 0, n)
 
 
 def hodge_index_inertia(Q: SymBilinearForm, h: Vector) -> Signature:
     """The signature of hodge_index_defect(Q, h), read off signature(Q)."""
-    return _hodge_index_inertia(Q, h, signature(Q))
+    x, w, _ = Q._image(h)
+    return _hodge_index_inertia(_dot(x, w), signature(Q), any(w))
+
+
+def _border_rows(ap, u, w, qh: int) -> list[list[int]]:
+    """B = [[A', P, M], [P^T, 2q, 0], [M^T, 0, -2q]] with P = U + W and
+    M = U - W, for A' = ap, U = u, W = w and q = qh: linear in (A', U, W, q).
+    The border comes last, so the kernel eliminates a sparse A' before the
+    dense border rows."""
+    p = list(map(add, u, w))
+    m = list(map(sub, u, w))
+    return [[*row, a, b] for a, b, row in zip(p, m, ap)] + [[*p, 2 * qh, 0], [*m, 0, -2 * qh]]
+
+
+def _border_defect(rows) -> list[list[int]]:
+    """The defect rows U W^T + W U^T - q A' of the border _border_rows built."""
+    n = len(rows) - 2
+    p, m = [row[n] for row in rows[:n]], [row[n + 1] for row in rows[:n]]
+    u = [(a + b) // 2 for a, b in zip(p, m)]
+    w = [(a - b) // 2 for a, b in zip(p, m)]
+    return _defect_rows([row[:n] for row in rows[:n]], u, w, rows[n][n] // 2)
+
+
+def _from_border(sig: Signature) -> Signature:
+    """The inertia of -S/q, hence of S, from that of its border (q > 0)."""
+    plus, minus, zero = sig
+    return Signature(minus - 1, plus - 1, zero)
 
 
 def derivative_inequality_inertia(q: SymBilinearForm, qp: SymBilinearForm, h: Vector) -> Signature:
     """The signature of derivative_inequality_defect(q, qp, h), from a
     bordered matrix.
 
-    With U, W, q as there, P = U + W, M = U - W and q > 0,
-    B = [[A', P, M], [P^T, 2q, 0], [M^T, 0, -2q]] has the inertia
-    (1, 1, 0) + inertia(-S/q): the Schur complement of its trailing block is
-    A' - (P P^T - M M^T) / 2q = A' - (U W^T + W U^T) / q.  The border comes
-    last, so the kernel eliminates a sparse A' before the dense border rows.
-    B is singular whenever S is.  For q <= 0 the defect matrix itself is
-    signed.
+    With U, W, q as there, P = U + W, M = U - W and q > 0, the border
+    B = [[A', P, M], [P^T, 2q, 0], [M^T, 0, -2q]] (_border_rows) has the
+    inertia (1, 1, 0) + inertia(-S/q): the Schur complement of its trailing
+    block is A' - (P P^T - M M^T) / 2q = A' - (U W^T + W U^T) / q.  B is
+    singular whenever S is.  For q <= 0 the defect matrix itself is signed.
     """
-    return _derivative_inertia(q, qp, h)[0]
-
-
-def _derivative_inertia(
-    q: SymBilinearForm, qp: SymBilinearForm, h: Vector, proposal=None
-) -> tuple[Signature, tuple | None]:
-    """derivative_inequality_inertia, and the proposal for the next matrix
-    of the family, as _inertia takes and returns it."""
     x, w, _ = q._image(h)
     _, u, _ = qp._image(h)
     qh = _dot(x, w)
     if qh <= 0:
-        return _inertia(derivative_inequality_defect(q, qp, h)._ints, proposal)
-    p = [a + b for a, b in zip(u, w)]
-    m = [a - b for a, b in zip(u, w)]
-    rows = [[*row, a, b] for a, b, row in zip(p, m, qp._ints)] + [[*p, 2 * qh, 0], [*m, 0, -2 * qh]]
-    (plus, minus, zero), proposal = _inertia(rows, proposal)
-    return Signature(minus - 1, plus - 1, zero), proposal
+        return _inertia(_defect_rows(qp._ints, u, w, qh))[0]
+    return _from_border(_inertia(_border_rows(qp._ints, u, w, qh))[0])
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

@@ -452,8 +452,8 @@ def full_block_congruence(rows: list[list[int]]) -> list[tuple]:
 def dominant_inertia_by_product(rows, order, P):
     """The oracle of bilinear._dominant_inertia: C = P B P^T entry by entry,
     with B = rows in `order` and each row of P padded with zeros to n, then
-    the signs of diag(C) when every row is strictly diagonally dominant, else
-    None."""
+    the signs of diag(C) and the row margins |C_ii| - sum_{j != i} |C_ij|
+    when every row is strictly diagonally dominant, else None."""
     n = len(order)
     b = [[rows[i][j] for j in order] for i in order]
     p = [list(row) + [0] * (n - len(row)) for row in P]
@@ -461,10 +461,33 @@ def dominant_inertia_by_product(rows, order, P):
         [sum(p[i][k] * b[k][m] * p[j][m] for k in range(n) for m in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    if any(abs(c[i][i]) <= sum(abs(x) for j, x in enumerate(c[i]) if j != i) for i in range(n)):
+    margins = [abs(c[i][i]) - sum(abs(x) for j, x in enumerate(c[i]) if j != i) for i in range(n)]
+    if any(m <= 0 for m in margins):
         return None
     plus = sum(c[i][i] > 0 for i in range(n))
-    return Signature(plus, n - plus, 0)
+    return Signature(plus, n - plus, 0), margins
+
+
+def family_bound_rows(coeffs, order, P):
+    """The oracle of a family certificate: for int rows M_0..M_K and an
+    (order, P) that certifies M_0, the margins of C_0 that
+    dominant_inertia_by_product finds and, for each k >= 1, the row sums
+    of |P| |M_k^pi| |P|^T, formed entry by entry."""
+    n = len(order)
+    _, margins = dominant_inertia_by_product(coeffs[0], order, P)
+    p = [[abs(x) for x in row] + [0] * (n - len(row)) for row in P]
+    sums = []
+    for m in coeffs[1:]:
+        b = [[abs(m[i][j]) for j in order] for i in order]
+        pb = [[sum(p[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        sums.append([sum(pb[i][k] * p[j][k] for j in range(n) for k in range(n)) for i in range(n)])
+    return margins, sums
+
+
+def family_bound_admits(margins, sums, t) -> bool:
+    """sum_k |t|^k (row sum k)_i < m_i on every row, over Fractions."""
+    t = abs(Fraction(t))
+    return all(sum(t**k * s[i] for k, s in enumerate(sums, 1)) < m for i, m in enumerate(margins))
 
 
 # -- Sylvester's criterion -----------------------------------------------------

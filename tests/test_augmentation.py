@@ -10,9 +10,8 @@ from hrlab.augmentation import (
     NOT_APPLICABLE,
     AugmentedSpace,
     FormFamily,
-    _derivative_sample,
     _kernel_coordinate,
-    _weak_hr_sample,
+    _Stack,
     check_property_a,
     check_property_b,
     intersection_form,
@@ -564,26 +563,39 @@ def test_verdict_conclusion_on_degenerate_r0():
     assert v.hypotheses["derivative_hr_wrt_h"] == is_hr_wrt(fam.derivative().at(0), h)
 
 
-def test_verdicts_build_each_derivative_family_once(monkeypatch):
-    calls = []
-    original = FormFamily.derivative
+def test_verdicts_build_each_derivative_family_once(monkeypatch, routes):
+    # Each verdict builds each derivative family once and evaluates a family
+    # only at t = 0 (R_0, R'_0, R''_0): its samples are read off the int
+    # stack.  Each matrix it signs, by size: the five R_t, the t = 0 border
+    # (two rows more) and R'_0 for aug1 and each recursion family, and
+    # R''_0 last for aug2; R_2 on W (hyp4) last for the recursion.
+    calls, evaluated = [], []
+    original, at = FormFamily.derivative, FormFamily.at
 
     def counting(self):
         calls.append(self)
         return original(self)
 
     monkeypatch.setattr(FormFamily, "derivative", counting)
+    monkeypatch.setattr(FormFamily, "at", lambda self, t: evaluated.append(t) or at(self, t))
     d, e, lam, seed = REUSE_SPACES[2]
     sp = make_space(d, e, seed)
+    n = sp.dim_v
     fam = twist_family(sp, lam, 3)
     verify_augmentation1(fam, sp.h_coords, sp.zeta_coords)
     assert len(calls) == 1  # R'
-    calls.clear()
+    assert evaluated == [0, 0]
+    assert routes.per_matrix() == [(n, "kernel")] * 5 + [(n + 2, "kernel"), (n, "kernel")]
+    calls.clear(), evaluated.clear(), routes.clear()
     verify_augmentation2(sp, lam)
     assert len(calls) == 2  # R' and R''
-    calls.clear()
+    assert evaluated == [0, 0, 0]
+    assert routes.per_matrix() == [(n - 1, "kernel"), (n + 1, "kernel")] * 5 + [(n, "kernel")]
+    calls.clear(), evaluated.clear(), routes.clear()
     verify_recursion(sp, lam, d - 1)
     assert len(calls) == d - 2  # R'_i for i = 2..j
+    assert evaluated == [0, 0] * (d - 2)
+    assert routes.per_matrix() == ([(n, "kernel")] * 5 + [(n + 2, "kernel")]) * (d - 2) + [(n - 1, "kernel")]
 
 
 def test_verdicts_build_only_the_families_they_check(monkeypatch):
@@ -608,32 +620,38 @@ def test_augmentation2_signs_no_w_block(routes):
     # annihilates zeta - t h, so the five R_t and the five derivative borders
     # are signed off zeta (16 and 18 rows at d = 4, 25 and 27 at d = 5), and
     # R''_0 on all of V (17 and 26); the W block of R_{d,0} is the t = 0
-    # sample and is not signed a second time.  At d = 5 each family's
-    # samples hand their proposals on.
+    # sample and is not signed a second time.  At d = 5 the t = 0 matrix of
+    # each chain certifies on a fresh proposal, its family bound covers the
+    # samples at t = +-1/100 (the border's too: R_t and R'_t share one
+    # scale, so no sample refuses the border's t = 0 proposal), and the
+    # samples at t = +-1/10 reuse the t = 0 proposal.
     assert verify_augmentation2(make_space(4, 2, 53), (1, 1)).status == CONSISTENT
     assert routes.per_matrix() == [(16, "kernel"), (18, "kernel")] * 5 + [(17, "kernel")]
     routes.clear()
     assert verify_augmentation2(make_space(5, 2, 54), (2, 1)).status == CONSISTENT
     assert routes.per_matrix() == [
         (25, "fresh"), (27, "fresh"),
-        (25, "reused"), (27, "fresh"),
+        (25, "bound"), (27, "bound"),
+        (25, "bound"), (27, "bound"),
         (25, "reused"), (27, "reused"),
-        (25, "reused"), (27, "fresh"),
         (25, "reused"), (27, "reused"),
         (26, "fresh"),
     ]
+    assert ("verdict", 27, False) not in routes
 
 
 def test_recursion_routes_sparse_matrices_to_the_kernel(routes):
     # At d = 5 the i = 2 family (R_{2,t} 13 % nonzero, its border and R_{2,0}
-    # on W) and the i = 3 border stay on the kernel; the dense R_{3,t} and
-    # R_{4,t} hand their proposals on.  At d = 6 the 36-row R_{2,0} on W
-    # (hyp4), under a twentieth nonzero, does not reach the rounded route.
+    # on W) and the i = 3 border stay on the kernel.  The bound of R_{3,0}'s
+    # certificate covers its four other samples; R_{4,t}'s samples at
+    # t = +-1/100 fall outside its bound and reuse the t = 0 proposal.  At
+    # d = 6 the 36-row R_{2,0} on W (hyp4), under a twentieth nonzero, does
+    # not reach the rounded route.
     sp = make_space(5, 2, 54)
     assert verify_recursion(sp, (2, 1), 4).status == CONSISTENT
     assert routes.per_matrix() == (
         [(26, "kernel")] * 5 + [(28, "kernel")]
-        + [(26, "fresh")] + [(26, "reused")] * 4 + [(28, "kernel")]
+        + [(26, "fresh")] + [(26, "bound")] * 4 + [(28, "kernel")]
         + [(26, "fresh"), (26, "reused"), (26, "reused"), (26, "fresh"), (26, "fresh"), (28, "fresh")]
         + [(25, "kernel")]
     )
@@ -662,12 +680,14 @@ def test_top_family_is_signed_off_its_kernel():
         deriv = fam.derivative()
         z = _kernel_coordinate(fam, h, zeta)
         assert z == sp.zeta_index
+        stack = _Stack(fam, h, z)
+        samples, borders = stack.chain(), stack.border_chain()
         for t in DEFAULT_T_SAMPLES + (Fraction(-1), Fraction(-3), Fraction(-100)):
             rt, rpt = fam.at(t), deriv.at(t)
-            sig = _weak_hr_sample(t, rt, h, z, None)[0]["signature"]
+            sig = stack.weak_hr_sample(t, samples)["signature"]
             assert sig == kernel_signature(rt)
             assert sig.n_zero >= 1
-            border, _ = _derivative_sample(z, rt, rpt, h, None)
+            border = stack.derivative_sample(t, borders)
             assert border == kernel_signature(derivative_inequality_defect(rt, rpt, h)), (d, t)
             branches.add(rt.quad(h) > 0)
     assert branches == {True, False}
@@ -678,7 +698,8 @@ def test_top_family_is_signed_off_its_kernel():
     assert z == sp.zeta_index
     rep = check_property_b(zero, sp.h_coords, sp.zeta_coords)
     assert [entry["signature"] for entry in rep.per_t] == [Signature(0, 0, 10)] * 5
-    assert _derivative_sample(z, zero.at(1), zero.at(1), sp.h_coords, None)[0] == Signature(0, 0, 10)
+    stack = _Stack(zero, sp.h_coords, z)
+    assert stack.derivative_sample(Fraction(1), stack.border_chain()) == Signature(0, 0, 10)
 
 
 def test_broken_kernel_identity_signs_the_full_matrix(routes):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hrlab import bilinear
 from hrlab.bilinear import (
@@ -13,9 +15,11 @@ from hrlab.bilinear import (
     _congruence_vector,
     _count_signs,
     _dominant_inertia,
+    _FamilyChain,
     _inertia,
     _realified,
     _rounded_congruence,
+    _sample_rows,
     combine,
     derivative_inequality_defect,
     derivative_inequality_inertia,
@@ -48,6 +52,8 @@ from oracles import (
     berkowitz_inertia,
     descartes_inertia,
     dominant_inertia_by_product,
+    family_bound_admits,
+    family_bound_rows,
     fraction_combination,
     fraction_congruence_inertia,
     fraction_derivative_inequality_defect,
@@ -849,25 +855,135 @@ def test_rounded_route_starts_at_its_size(routes):
     assert signature(SymBilinearForm(cases[2][0])) == Signature((n + 1) // 2, n // 2, 0)
 
 
+def flat(rows):
+    return [x for row in rows for x in row]
+
+
 def test_a_family_hands_its_proposal_on(routes):
     # A proposal that certified one matrix is tried first on the next; a
-    # refused one costs its check, and a fresh proposal follows.
+    # refused one costs its check, and a fresh proposal follows.  The
+    # margins come back only when the rounded route certified.
     rng = random.Random(167)
     a = scaled_congruent_rows(rng, 30)
     b = [[1000 * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-    sig, proposal = _inertia(a)
+    sig, proposal, margins = _inertia(a)
     assert routes.per_matrix() == [(30, "fresh")] and sig == kernel_inertia(a)
+    assert (sig, margins) == dominant_inertia_by_product(a, *proposal)
     routes.clear()
-    assert _inertia(b, proposal) == (kernel_inertia(b), proposal)
+    assert _inertia(b, proposal)[:2] == (kernel_inertia(b), proposal)
     assert routes.per_matrix() == [(30, "reused")]
     routes.clear()
     other = scaled_congruent_rows(rng, 30)
-    sig, fresh = _inertia(other, ([*range(30)], [[int(i == j) for j in range(i + 1)] for i in range(30)]))
+    sig, fresh, _ = _inertia(other, ([*range(30)], [[int(i == j) for j in range(i + 1)] for i in range(30)]))
     assert sig == kernel_inertia(other) and fresh != proposal
     assert routes == [("verdict", 30, False), ("proposal", 30), ("verdict", 30, True)]
     assert routes.per_matrix() == [(30, "fresh")]
     # A proposal of another size is refused before any product.
     assert _dominant_inertia(scaled_congruent_rows(rng, 31), *proposal) is None
+    # The family a + t (b - a): its t = 0 certificate covers a sample
+    # near 0 with no matrix formed; at t = 1, outside the bound, the sample
+    # is b and reuses the t = 0 proposal.  The kernel's sparse matrices take
+    # no certificate.
+    routes.clear()
+    step = [[y - x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    family = _FamilyChain([flat(a), flat(step)], 30)
+    assert [family.inertia(0, 1), family.inertia(1, 10**12), family.inertia(1, 1)] == [
+        kernel_inertia(a), kernel_inertia(a), kernel_inertia(b)
+    ]
+    assert routes.per_matrix() == [(30, "fresh"), (30, "bound"), (30, "reused")]
+    assert family.certificate == (kernel_inertia(a), *family_bound_rows([a, step], *proposal))
+    sparse = _FamilyChain([flat(dominant_rows(rng, 30, 200)), [1] * 900], 30)
+    routes.clear()
+    sparse.inertia(0, 1)
+    assert routes.per_matrix() == [(30, "kernel")] and sparse.certificate is None
+
+
+def unimodular_rows(rng, n):
+    """A random int matrix of determinant +-1: row operations on I."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_a_singular_sample_is_never_certified_by_the_bound(routes):
+    # R_t = U^T diag(1 - 100 s t, -1, ..., -1) U, U unimodular and s = +-1:
+    # dense, 25 rows, singular at t = s/100 and of another inertia past it.
+    # The t = 0 bound covers the samples near 0, and no other: the singular
+    # sample goes to the kernel, which finds its zero.
+    rng = random.Random(173)
+    n = 25
+    U = unimodular_rows(rng, n)
+    m0 = [[sum(U[k][i] * U[k][j] * (1 if k == 0 else -1) for k in range(n)) for j in range(n)] for i in range(n)]
+    assert 2 * sum(x != 0 for x in flat(m0)) >= n * n
+    for s in (1, -1):
+        m1 = [[-100 * s * U[0][i] * U[0][j] for j in range(n)] for i in range(n)]
+        family = _FamilyChain([flat(m0), flat(m1)], n)
+        ts = [Fraction(s * k, 10**j) for k, j in ((0, 0), (1, 6), (-1, 6), (1, 2), (-1, 2), (1, 1))]
+        for t in ts:
+            routes.clear()
+            sig = family.inertia(t.numerator, t.denominator)
+            a = 1 - 100 * s * t
+            expected = Signature(int(a > 0), n - 1 + int(a < 0), int(a == 0))
+            assert sig == expected == kernel_inertia(_sample_rows(family.coeffs, t.numerator, t.denominator, n))
+            if a == 0:
+                assert sig.n_zero == 1 and ("bound", n) not in routes and routes[-1] == ("kernel", n)
+            if abs(t) == Fraction(1, 10**6):
+                assert routes.per_matrix() == [(n, "bound")]
+
+
+def test_family_bound_admits_what_the_oracle_admits(routes):
+    # Each family signs t = 0, then a t far out, where its samples take
+    # another proposal, then samples just inside and just outside the
+    # threshold of the t = 0 bound, of both signs.  A sample is certified by
+    # the bound exactly when the oracle, fed the t = 0 proposal, admits it,
+    # and every sample gets the kernel's inertia.
+    rng = random.Random(179)
+    for n, K in ((25, 1), (26, 2), (27, 3)):
+        coeffs = [scaled_congruent_rows(rng, n, spread=2)]
+        coeffs += [scaled_congruent_rows(rng, n, spread=1) for _ in range(K)]
+        order, P = _rounded_congruence(coeffs[0])
+        margins, sums = family_bound_rows(coeffs, order, P)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if family_bound_admits(margins, sums, Fraction(mid)) else (lo, mid)
+        inside, outside = (Fraction(lo * f).limit_denominator(10**9) for f in (0.99, 1.01))
+        assert family_bound_admits(margins, sums, inside) and not family_bound_admits(margins, sums, outside)
+        family = _FamilyChain([flat(m) for m in coeffs], n)
+        for t in (Fraction(0), 10**4 * inside, inside, -inside, outside, -outside):
+            routes.clear()
+            sig = family.inertia(t.numerator, t.denominator)
+            assert sig == kernel_inertia(_sample_rows(family.coeffs, t.numerator, t.denominator, n)), (n, t)
+            bound = routes.per_matrix() == [(n, "bound")]
+            assert bound == (t != 0 and family_bound_admits(margins, sums, t)), (n, K, t, routes)
+            if t == 10**4 * inside:
+                assert routes.per_matrix() == [(n, "fresh")] and family.proposal != (order, P)
+
+
+def test_family_samples_match_the_kernel_sweep(routes):
+    # Dense int families, n = 25..30 and K = 1..5, M_0 scaled by 10^e so
+    # that the bound covers some samples and not others.  Every sample, on
+    # whichever route, has the inertia the kernel finds.
+    ts = [Fraction(s, q) for q in (100, 10, 2) for s in (1, -1)] + [Fraction(3), Fraction(-3)]
+    seen = set()
+
+    @given(st.integers(0, 2**32), st.integers(25, 30), st.integers(1, 5), st.integers(0, 8))
+    def sweep(seed, n, K, e):
+        rng = random.Random(seed)
+        coeffs = [[[10**e * x for x in row] for row in scaled_congruent_rows(rng, n, spread=1)]]
+        coeffs += [[[int(x) for x in row] for row in random_symmetric_rows(rng, n)] for _ in range(K)]
+        family = _FamilyChain([flat(m) for m in coeffs], n)
+        for t in [Fraction(0)] + ts:
+            routes.clear()
+            p, q = t.numerator, t.denominator
+            assert family.inertia(p, q) == kernel_inertia(_sample_rows(family.coeffs, p, q, n)), (seed, n, K, e, t)
+            seen.add(routes.per_matrix()[-1][1] == "bound")
+
+    sweep()
+    assert seen == {True, False}
 
 
 def test_singular_and_near_singular_inputs_fall_back(routes):
@@ -902,7 +1018,7 @@ def test_proposal_on_hard_inputs_is_none_or_checked(monkeypatch):
     rng = random.Random(163)
     a = scaled_congruent_rows(rng, 40)
     huge = [[x << 1100 for x in row] for row in a]
-    assert _dominant_inertia(huge, *_rounded_congruence(huge)) == kernel_inertia(a)
+    assert _dominant_inertia(huge, *_rounded_congruence(huge))[0] == kernel_inertia(a)
     for rows in (scaled_congruent_rows(rng, 40, rank=39), [[0] * 40 for _ in range(40)]):
         proposal = _rounded_congruence(rows)
         assert proposal is None or _dominant_inertia(rows, *proposal) is None
@@ -998,9 +1114,9 @@ def test_verdict_refuses_hand_made_certificates():
     # C = diag(2, -2), while P^T A P = [[20, -18], [-18, 16]] is not dominant.
     a = [[2, 3], [3, 4]]
     assert _dominant_inertia(a, [0, 1], [[1], [0, 1]]) is None
-    assert _dominant_inertia(a, [0, 1], [[1], [-3, 2]]) == Signature(1, 1, 0)
-    assert _dominant_inertia([[4, 3], [3, 2]], [1, 0], [[1], [-3, 2]]) == Signature(1, 1, 0)
-    assert _dominant_inertia([[-5]], [0], [[7]]) == Signature(0, 1, 0)
+    assert _dominant_inertia(a, [0, 1], [[1], [-3, 2]]) == (Signature(1, 1, 0), [2, 2])
+    assert _dominant_inertia([[4, 3], [3, 2]], [1, 0], [[1], [-3, 2]]) == (Signature(1, 1, 0), [2, 2])
+    assert _dominant_inertia([[-5]], [0], [[7]]) == (Signature(0, 1, 0), [245])
     # A P with fewer rows than A forms only part of C: no verdict.
     assert _dominant_inertia([[1, 0], [0, 1]], [0, 1], [[1]]) is None
     assert _dominant_inertia([[1, 0], [0, 1]], [0, 1], []) is None
@@ -1050,7 +1166,7 @@ def test_verdict_at_the_slot_bound(n, pbits, bbits):
     for sign in (1, -1):
         b = [[sign * bmax] * n for _ in range(n)]
         expected = dominant_inertia_by_product(b, list(range(n)), P)
-        assert expected == (Signature((1 + sign) // 2, (1 - sign) // 2, 0) if n == 1 else None)
+        assert expected == ((Signature((1 + sign) // 2, (1 - sign) // 2, 0), [bmax * pmax**2]) if n == 1 else None)
         assert _dominant_inertia(b, list(range(n)), P) == expected
 
 
