@@ -24,33 +24,26 @@ decided by positive semidefiniteness of the defect matrices, whose signatures
 bilinear reads off R_t's and off a border, never by sampling vectors.
 
 A family keeps its coefficients once, as int matrices M_0..M_K over one
-denominator D (FormFamily), and the checks read every sample off that stack
-at one scale: for t = p/q, sum_k p^k q^(K-k) M_k = D q^K R_t, and with
-h = x/s, Y_k = M_k x and c_k = x . Y_k, the same weights give R_t(h), R_t h
-and the derivative border B_t = sum_k t^k B_k, whose coefficients are the
-border (bilinear._border_rows) of (k+1) M_{k+1}, (k+1) Y_{k+1}, Y_k and
-c_k.  No sample is put in lowest terms; only its reported q_h is a Fraction.
-t = 0 is always the first sample and is R_0 itself, so the reported
-r0_signature is that sample's.
+denominator D (FormFamily), and each check reads it once, through one
+_Reading built from (family, h, zeta): with h = x/s and zeta = y/s over one
+s, the images Y_k = M_k x and Z_k = M_k y and the values c_k = x . Y_k give
+every value the checks report (R_0(h), R'_0(h), R_0(zeta, h), A4, B4, B5),
+decide whether R_t annihilates zeta - t h, and, with the weights
+p^k q^(K-k) of t = p/q, give each sample's R_t(h), R_t h and derivative
+border at the one scale D q^K.  No sample is put in lowest terms; only its
+reported q_h is a Fraction.  t = 0 is always the first sample and is R_0
+itself, so the reported r0_signature is that sample's.
 
-R_t and the borders are each signed on one chain (bilinear._FamilyChain):
-the samples hand each other the rounded proposal that certified the last of
-them, and when the rounded route certifies the t = 0 matrix F_0 with P, its
-margins m_i and the bounds b^(k) = |P| |F_k| |P|^T 1 certify every later
-sample with sum_k |p|^k q^(K-k) b^(k)_i < q^K m_i on every row, with F_0's
-inertia and no matrix formed.  That is sound: C_t - C_0 =
-sum_k t^k P F_k P^T changes row i of C_0 = P F_0 P^T by at most
-sum_k |t|^k b^(k)_i < m_i, so every row of C_t stays strictly dominant with
-its diagonal's sign, and Gershgorin's theorem and Sylvester's law give the
-inertia as for C_0.  Every other sample takes the chain's proposal, then a
-fresh one, then the kernel.  The i = d family annihilates zeta - t h, which
-the checks verify exactly on its coefficients (_kernel_coordinate), so its
-stack is cut off zeta once: R_t and the borders are signed one row smaller,
-nonsingular, and one zero is added back.  The verdicts read "R_0 is
-Hodge-Riemann with respect to h", and aug2 its restriction to W, off the
-report instead of signing R_0 again, and take R_{i,0} as the cached Q_i.
-Both reports share one shape: the per-t serialiser, passed and
-max_passing_radius.
+R_t and the borders are each signed on one chain (bilinear._FamilyChain),
+which hands on proposals and certifies the samples near t = 0 by the family
+bound whose soundness the bilinear module docstring states; the derivative
+defect's inertia follows bilinear's one rule (_defect_inertia).  The i = d
+family annihilates zeta - t h, so its stack is cut off zeta once: R_t and
+the borders are signed one row smaller, nonsingular, and one zero is added
+back.  The verdicts read "R_0 is Hodge-Riemann with respect to h", and aug2
+its restriction to W, off the report instead of signing R_0 again, and take
+R_{i,0} as the cached Q_i.  Both reports share one shape: the per-t
+serialiser, passed and max_passing_radius.
 """
 
 from __future__ import annotations
@@ -58,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import comb, lcm
+from math import comb, factorial, lcm
 from operator import add, mul
 from typing import ClassVar, Optional, Sequence
 
@@ -66,10 +59,9 @@ from .bilinear import (
     Signature,
     SymBilinearForm,
     _as_vector,
-    _border_defect,
     _border_rows,
+    _defect_inertia,
     _FamilyChain,
-    _from_border,
     _hodge_index_inertia,
     _int_rows,
     _sample_rows,
@@ -336,112 +328,92 @@ def _images(family: FormFamily, x) -> list[list[int]]:
     return out
 
 
-def _kernel_coordinate(family: FormFamily, h, zeta) -> Optional[int]:
-    """A coordinate z with zeta_z != 0 = h_z when R_t (zeta - t h) = 0 for
-    every t, else None.
+class _Reading:
+    """A family read once at h = x/s and zeta = y/s, over one s, as a check
+    reads it.
 
-    The identity is checked exactly on the stack M_0..M_K: the coefficient
-    of t^k in D R_t (zeta - t h) is M_k zeta - M_{k-1} h, so it holds when
-    M_0 zeta = 0, M_k zeta = M_{k-1} h for k = 1..K and M_K h = 0.
-    Differentiating gives R'_t (zeta - t h) = R_t h, so the derivative
-    defect annihilates zeta - t h too.  That vector keeps coordinate z at
-    zeta_z for every t, so the basis change that swaps e_z for it leaves R_t
-    and that defect as their blocks off z plus one zero: the i = d family of
-    an AugmentedSpace, with z its zeta index.
-    """
-    z = next((k for k, (a, b) in enumerate(zip(zeta, h)) if a and not b), None)
-    if z is None:
-        return None
-    # h = x / s and zeta = y / s over one s, which cancels.
-    (x, y), _ = _int_rows([_as_vector(h, family.n), _as_vector(zeta, family.n)])
-    hs, zs = _images(family, x), _images(family, y)
-    zero = [0] * family.n
-    if zs[0] == zero and zs[1:] == hs[:-1] and hs[-1] == zero:
-        return z
-    return None
+    Its images Y_k = M_k x and Z_k = M_k y and the values c_k = x . Y_k
+    are formed once, each list padded with zeros past K to at least three
+    entries, and give the checks their values: R^(k)_0(h) = k! c_k / (D s^2),
+    R^(k)_0 h = k! Y_k / (D s) and R^(k)_0 zeta = k! Z_k / (D s).
 
+    The images also decide the kernel cut.  The coefficient of t^k in
+    D R_t (zeta - t h) is Z_k - Y_{k-1}, so R_t annihilates zeta - t h for
+    every t when Z_0 = 0, Z_k = Y_{k-1} for k = 1..K and Y_K = 0; then
+    R'_t (zeta - t h) = R_t h, so the derivative defect annihilates it
+    too.  With a coordinate z where zeta_z != 0 = h_z (the zeta index of
+    an AugmentedSpace, whose i = d family is such a family), that vector
+    keeps coordinate z at zeta_z for every t, so the basis change that swaps
+    e_z for it leaves R_t and the defect as their blocks off z plus one
+    zero.  Those blocks are cut once, from the coefficients: x_z = 0, so
+    (M_k x) off z is (M_k off z)(x off z).
 
-def _with_kernel(z: Optional[int], sig: Signature) -> Signature:
-    """The signature of a matrix from that of its block off z (_kernel_coordinate)."""
-    return sig if z is None else sig._replace(n_zero=sig.n_zero + 1)
-
-
-class _Stack:
-    """A family's int stack read at h = x/s and cut off its kernel
-    coordinate z (None: nothing cut), as the checks sign it.
-
-    With Y_k = M_k x and c_k = x . Y_k, the sample at t = p/q is read at
-    the one scale D q^K: its matrix sum_k p^k q^(K-k) M_k, its value
-    R_t(h) = sum_k p^k q^(K-k) c_k / (D q^K s^2) and its image R_t h, and
-    the derivative border B_t = sum_k t^k B_k, whose coefficients
+    The sample at t = p/q is read at the one scale D q^K: its matrix
+    sum_k p^k q^(K-k) M_k, R_t(h) and R_t h.  R_t is signed on one chain
+    (bilinear._FamilyChain), and the derivative borders on another, as the
+    polynomial B_t = sum_k t^k B_k whose coefficients
     B_k = _border_rows((k+1) M_{k+1}, (k+1) Y_{k+1}, Y_k, c_k) are the
-    border of R'_t = sum_k (k+1) t^k M_{k+1} at h.  The blocks off z are
-    cut once, from the coefficients: x_z = 0, so (M_k x) off z is
-    (M_k off z)(x off z).
+    border of R'_t = sum_k (k+1) t^k M_{k+1} at h; border_degree = 0 keeps
+    B_0 alone, for a check that reads only t = 0.
     """
 
-    def __init__(self, family: FormFamily, h, z: Optional[int]):
-        n = family.n
-        (x,), s = _int_rows([_as_vector(h, n)])
-        self.ys = _images(family, x)
+    def __init__(self, family: FormFamily, h, zeta, border_degree: Optional[int] = None):
+        n, K = family.n, len(family._mats) - 1
+        (x, self.y), s = _int_rows([_as_vector(h, n), _as_vector(zeta, n)])
+        zero = [0] * n
+        pad = [zero] * max(1, 2 - K)
+        self.ys, self.zs = _images(family, x) + pad, _images(family, self.y) + pad
         self.cs = [sum(map(mul, x, y)) for y in self.ys]
         self.scale = family._den * s * s
-        self.degree = len(family._mats) - 1
-        self.z = z
-        if z is None:
-            self.mats, self.ys_off, self.n = family._mats, self.ys, n
-        else:
-            keep = [k for k in range(n) if k != z]
-            self.mats = [[m[i * n + j] for i in keep for j in keep] for m in family._mats]
-            self.ys_off = [[y[k] for k in keep] for y in self.ys]
-            self.n = n - 1
+        self.degree = K
+        z = next((k for k, (a, b) in enumerate(zip(self.y, x)) if a and not b), None)
+        self.z = z if z is not None and self.zs == [zero] + self.ys[:-1] else None
+        mats, ys = family._mats, self.ys[: K + 2]
+        if self.z is not None:
+            keep = [k for k in range(n) if k != self.z]
+            mats = [[m[i * n + j] for i in keep for j in keep] for m in mats]
+            ys = [[y[k] for k in keep] for y in ys]
+            n -= 1
+        self.ys_off, self.samples = ys, _FamilyChain(mats, n)
+        borders = []
+        for k in range(K + 1 if border_degree is None else border_degree + 1):
+            a = mats[k + 1] if k < K else [0] * (n * n)
+            rows = [[(k + 1) * v for v in a[i : i + n]] for i in range(0, n * n, n)]
+            border = _border_rows(rows, [(k + 1) * v for v in ys[k + 1]], ys[k], self.cs[k])
+            borders.append([v for row in border for v in row])
+        self.borders = _FamilyChain(borders, n + 2)
 
-    def chain(self) -> _FamilyChain:
-        """The chain that signs R_t off z."""
-        return _FamilyChain(self.mats, self.n)
+    def _with_kernel(self, sig: Signature) -> Signature:
+        """The signature of a matrix from that of its block off z."""
+        return sig if self.z is None else sig._replace(n_zero=sig.n_zero + 1)
 
-    def border_chain(self, degree: Optional[int] = None) -> _FamilyChain:
-        """The chain of the derivative borders off z, its coefficients
-        B_0..B_degree: all of them by default, and B_0 alone (degree 0) for
-        a check that reads only t = 0."""
-        n, K = self.n, self.degree
-        zero = [0] * (n * n)
-        coeffs = []
-        for k in range(K + 1 if degree is None else degree + 1):
-            a, u = (self.mats[k + 1], self.ys_off[k + 1]) if k < K else (zero, [0] * n)
-            rows = [[(k + 1) * x for x in a[i : i + n]] for i in range(0, n * n, n)]
-            border = _border_rows(rows, [(k + 1) * x for x in u], self.ys_off[k], self.cs[k])
-            coeffs.append([x for row in border for x in row])
-        return _FamilyChain(coeffs, n + 2)
-
-    def _value_at_h(self, p: int, q: int) -> int:
-        """D q^K s^2 R_t(h) at t = p/q."""
-        return sum(map(mul, _weights(p, q, self.degree), self.cs))
-
-    def weak_hr_sample(self, t: Fraction, samples: _FamilyChain) -> dict:
-        """The sample at t, R_t signed off z on `samples`."""
+    def _at(self, t: Fraction) -> tuple[int, int, list[int], int, list[int]]:
+        """(p, q, the weights p^k q^(K-k), D q^K s^2 R_t(h), D q^K s R_t h off z)."""
         p, q = t.numerator, t.denominator
         weights = _weights(p, q, self.degree)
-        qh = sum(map(mul, weights, self.cs))
-        sig = _with_kernel(self.z, samples.inertia(p, q))
-        image_nonzero = qh == 0 and any(sum(map(mul, weights, col)) for col in zip(*self.ys))
+        image = [sum(map(mul, weights, col)) for col in zip(*self.ys_off)]
+        return p, q, weights, sum(map(mul, weights, self.cs)), image
+
+    def weak_hr_sample(self, t: Fraction) -> dict:
+        """The sample at t, R_t signed off z."""
+        p, q, weights, qh, image = self._at(t)
+        sig = self._with_kernel(self.samples.inertia(p, q))
         return {
             "t": t,
             "signature": sig,
             "q_h": Fraction(qh, self.scale * weights[0]),
             "weak_hr": qh > 0 and sig.n_plus == 1,
-            "hodge_index_psd": _hodge_index_inertia(qh, sig, image_nonzero).n_minus == 0,
+            "hodge_index_psd": _hodge_index_inertia(qh, sig, any(image)).n_minus == 0,
         }
 
-    def derivative_sample(self, t: Fraction, borders: _FamilyChain) -> Signature:
-        """derivative_inequality_inertia(R_t, R'_t, h), from the border off z
-        on `borders` when R_t(h) > 0, else from the defect matrix read off it."""
-        p, q = t.numerator, t.denominator
-        if self._value_at_h(p, q) > 0:
-            sig = _from_border(borders.inertia(p, q))
-        else:
-            sig = borders.sign(_border_defect(borders.rows(p, q)))
-        return _with_kernel(self.z, sig)
+    def derivative_sample(self, t: Fraction) -> Signature:
+        """derivative_inequality_inertia(R_t, R'_t, h) by bilinear's one
+        rule: off the border chain, or in closed form where R_t(h) = 0."""
+        p, q, weights, qh, image = self._at(t)
+        # R'_t h = sum_k (k+1) t^k Y_{k+1} at the same scale.
+        dweights = [(k + 1) * w for k, w in enumerate(weights)]
+        u = [sum(map(mul, dweights, col[1:])) for col in zip(*self.ys_off)]
+        return self._with_kernel(_defect_inertia(qh, u, image, lambda: self.borders.inertia(p, q)))
 
 
 def _str_or_none(x: Optional[Fraction]) -> Optional[str]:
@@ -575,39 +547,46 @@ class PropertyBReport(_FamilyReport):
         return {"B1": self.b1, "B2": self.b2, "B3": self.b3, "B4": self.b4, "B5": self.b5}
 
 
-def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyAReport:
-    """Evaluate the five first-order conditions; verdicts, not exceptions."""
-    ts = _normalize_t_samples(t_samples)
-    r0 = family.at(0)
-    r0p = family.derivative().at(0)
-    r0_h = r0.quad(h)
-    r0p_h = r0p.quad(h)
-    stack = _Stack(family, h, _kernel_coordinate(family, h, zeta))
-    samples = stack.chain()
-    per_t = [stack.weak_hr_sample(t, samples) for t in ts]
+def _derivative_at_0(family: FormFamily, k: int) -> SymBilinearForm:
+    """R^(k)_0 = k! M_k / D, the zero form past the family's degree."""
+    if k >= len(family._mats):
+        return SymBilinearForm.zero(family.n)
+    return factorial(k) * family._coeff(k)
 
-    lhs = r0p.pairing_vector(zeta)
-    rhs = r0.pairing_vector(h)
-    pivot = next((k for k in range(r0.n) if rhs[k] != 0), None)
+
+def check_property_a(family: FormFamily, h, zeta, t_samples=None) -> PropertyAReport:
+    """Evaluate the five first-order conditions; verdicts, not exceptions.
+
+    Every value is read off one _Reading: R_0(h) and R'_0(h) from c_0 and
+    c_1, R_0(zeta, h) from y . Y_0, and A4 holds when Z_1 = R'_0 zeta is a
+    multiple of Y_0 = R_0 h, both at the scale D s.
+    """
+    ts = _normalize_t_samples(t_samples)
+    reading = _Reading(family, h, zeta, border_degree=0)
+    per_t = [reading.weak_hr_sample(t) for t in ts]
+    r0_h, r0p_h, r0_zeta_h = (
+        Fraction(c, reading.scale) for c in (reading.cs[0], reading.cs[1], sum(map(mul, reading.y, reading.ys[0])))
+    )
+
+    lhs, rhs = reading.zs[1], reading.ys[0]
+    pivot = next((k for k, c in enumerate(rhs) if c), None)
     if pivot is None:
         constant = None
-        a4 = all(x == 0 for x in lhs)
+        a4 = not any(lhs)
     else:
-        constant = lhs[pivot] / rhs[pivot]
-        a4 = all(x == constant * y for x, y in zip(lhs, rhs))
-
-    r0_zeta_h = r0.value(zeta, h)
+        constant = Fraction(lhs[pivot], rhs[pivot])
+        a4 = all(a * rhs[pivot] == lhs[pivot] * b for a, b in zip(lhs, rhs))
     return PropertyAReport(
         a1=r0_h > 0 and r0p_h > 0,
         a2=all(entry["weak_hr"] for entry in per_t),
-        a3=stack.derivative_sample(Fraction(0), stack.border_chain(0)).n_minus == 0,
+        a3=reading.derivative_sample(Fraction(0)).n_minus == 0,
         a4=a4,
         a5=r0_zeta_h > 0,
         constant=constant,
         r0_h=r0_h,
         r0p_h=r0p_h,
         r0_zeta_h=r0_zeta_h,
-        r0p=r0p,
+        r0p=_derivative_at_0(family, 1),
         r0_signature=per_t[0]["signature"],
         t_samples=ts,
         per_t=tuple(per_t),
@@ -618,34 +597,27 @@ def check_property_b(family: FormFamily, h, zeta, t_samples=None) -> PropertyBRe
     """Evaluate the five second-order conditions; verdicts, not exceptions.
 
     The basis vectors of W are taken to be the coordinate directions where
-    zeta has coordinate zero.
+    zeta has coordinate zero.  Every value is read off one _Reading:
+    R''_0 zeta = 2 Z_2 and R'_0 h = Y_1 at the scale D s, so B4 is
+    Z_2 = Y_1 on W, and B5, R''_0(zeta, zeta) = 2 R_0(h), is y . Z_2 = c_0.
     """
     ts = _normalize_t_samples(t_samples)
-    deriv = family.derivative()
-    r0_h = family.at(0).quad(h)
-
-    # R_t and the derivative borders each sign on their own chain.
-    stack = _Stack(family, h, _kernel_coordinate(family, h, zeta))
-    samples, borders = stack.chain(), stack.border_chain()
+    reading = _Reading(family, h, zeta)
     per_t = []
     for t in ts:
-        entry = stack.weak_hr_sample(t, samples)
-        entry["derivative_inequality_psd"] = stack.derivative_sample(t, borders).n_minus == 0
+        entry = reading.weak_hr_sample(t)
+        entry["derivative_inequality_psd"] = reading.derivative_sample(t).n_minus == 0
         per_t.append(entry)
 
-    zeta_vec = [as_fraction(x) for x in zeta]
-    w_indices = [a for a in range(family.n) if zeta_vec[a] == 0]
-    rpp0 = deriv.derivative().at(0)
-    second_zeta = rpp0.pairing_vector(zeta)
-    first_h = deriv.at(0).pairing_vector(h)
+    y, z2, y1 = reading.y, reading.zs[2], reading.ys[1]
     return PropertyBReport(
-        b1=r0_h > 0,
+        b1=reading.cs[0] > 0,
         b2=all(entry["weak_hr"] for entry in per_t),
         b3=all(entry["derivative_inequality_psd"] for entry in per_t),
-        b4=all(second_zeta[a] == 2 * first_h[a] for a in w_indices),
-        b5=rpp0.value(zeta, zeta) == 2 * r0_h,
-        rpp0=rpp0,
-        r0_h=r0_h,
+        b4=all(a == b for a, b, c in zip(z2, y1, y) if not c),
+        b5=sum(map(mul, y, z2)) == reading.cs[0],
+        rpp0=_derivative_at_0(family, 2),
+        r0_h=Fraction(reading.cs[0], reading.scale),
         r0_signature=per_t[0]["signature"],
         t_samples=ts,
         per_t=tuple(per_t),

@@ -30,15 +30,17 @@ last of them, and propose afresh only when it is refused.  The check hands
 back the row margins m_i = |C_ii| - sum_{j != i} |C_ij| with the inertia.
 
 A polynomial family F_t = sum_k t^k F_k of int matrices (_FamilyChain)
-extends the pattern from one matrix to the family: a family certificate is
-the (order, P) that certified F_0, the margins of C_0 = P F_0 P^T and the
+extends the pattern from one matrix to the family.  Its certificate is the
+(order, P) that certified F_0, the margins m_i of C_0 = P F_0 P^T and the
 bounds b^(k) = |P| (|F_k| (|P|^T 1)), two int matrix-vector products per
-coefficient.  C_t - C_0 = sum_k t^k P F_k P^T, so a sample t = p/q with
+coefficient.  This is the one soundness argument for the family bound:
+C_t - C_0 = sum_k t^k P F_k P^T changes row i of C_0 by at most
+sum_k |t|^k b^(k)_i in the l1 norm, so a sample t = p/q with
 sum_k |p|^k q^(K-k) b^(k)_i < q^K m_i on every row has rows that stay
-strictly dominant with the diagonal signs of C_0, and the inertia of F_0 by
-the same two theorems; it is never formed.  Any other sample is signed as
-one matrix.  A singular matrix is never dominant and never within a bound.
-The kernel signs it, every smaller or sparser matrix, every refused
+strictly dominant with the diagonal signs of C_0, and by the same two
+theorems the inertia of F_0; it is never formed.  Any other sample is signed
+as one matrix.  A singular matrix is never dominant and never within a
+bound.  The kernel signs it, every smaller or sparser matrix, every refused
 certificate, and the Hermitian reductions, whose witness replays its
 pivots.
 Positive definiteness of a Hermitian matrix needs no inertia and is decided
@@ -51,7 +53,10 @@ single positive direction plus Q(h) > 0.  The quantified Hodge-index
 inequality Q(v)Q(h) <= Q(v,h)^2 for all v is decided exactly by testing
 positive semidefiniteness of the assembled quadratic form
 T(v) = Q(v,h)^2 - Q(v)Q(h), whose inertia hodge_index_inertia reads off
-that of Q and the sign of Q(h) in closed form.
+that of Q and the sign of Q(h) in closed form.  The derivative defect S has
+one rule (_defect_inertia): for Q(h) != 0 its inertia is read off that of
+a two-row border, and for Q(h) = 0, where S has rank at most two, in closed
+form; its matrix is built only by derivative_inequality_defect.
 """
 
 from __future__ import annotations
@@ -491,12 +496,8 @@ def _bounded_inertia(certificate, p: int, q: int) -> Signature | None:
 
     certificate = (sig, margins, bounds): the inertia of F_0, the margins of
     C_0 = P F_0^pi P^T that certified it, and _family_bounds of F_1..F_K
-    for that (order, P).  C_t - C_0 = sum_k t^k P F_k^pi P^T, so row i of C_t
-    differs from row i of C_0 by at most sum_k |t|^k b^(k)_i in the l1 norm.
-    When that is below m_i on every row (over ints:
-    sum_k |p|^k q^(K-k) b^(k)_i < q^K m_i), every row of C_t is strictly
-    dominant with the diagonal sign of C_0's, so by Gershgorin's theorem and
-    Sylvester's law F_t has the inertia sig.
+    for that (order, P).  The bound is sound by the argument of the module
+    docstring.
     """
     sig, margins, bounds = certificate
     top, *weights = _weights(abs(p), q, len(bounds))
@@ -511,11 +512,10 @@ class _FamilyChain:
 
     F(p, q) is q^K F_{p/q}, q > 0, so it has the inertia of F_t.  The
     samples hand each other the proposal that certified the last of them
-    (_inertia), and `sign` puts any other matrix of the family on the same
-    chain.  When the rounded route certifies F_0 itself, the chain keeps the
-    family certificate (inertia, margins, _family_bounds of F_1..F_K for
-    that P), and every later sample the bound admits (_bounded_inertia)
-    takes F_0's inertia without being formed.
+    (_inertia).  When the rounded route certifies F_0 itself, the chain
+    keeps the family certificate (inertia, margins, _family_bounds of
+    F_1..F_K for that P), and every later sample the bound admits
+    (_bounded_inertia) takes F_0's inertia without being formed.
     """
 
     __slots__ = ("coeffs", "n", "proposal", "certificate")
@@ -524,22 +524,15 @@ class _FamilyChain:
         self.coeffs, self.n = coeffs, n
         self.proposal = self.certificate = None
 
-    def rows(self, p: int, q: int) -> list[list[int]]:
-        return _sample_rows(self.coeffs, p, q, self.n)
-
     def inertia(self, p: int, q: int) -> Signature:
         if p and self.certificate is not None:
             sig = _bounded_inertia(self.certificate, p, q)
             if sig is not None:
                 return sig
-        sig, self.proposal, margins = _inertia(self.rows(p, q), self.proposal)
+        sig, self.proposal, margins = _inertia(_sample_rows(self.coeffs, p, q, self.n), self.proposal)
         if not p and margins is not None:
             bounds = _family_bounds(*self.proposal, self.coeffs[1:], self.n)
             self.certificate = (sig, margins, bounds)
-        return sig
-
-    def sign(self, rows) -> Signature:
-        sig, self.proposal, _ = _inertia(rows, self.proposal)
         return sig
 
 
@@ -585,14 +578,6 @@ def hodge_index_defect(Q: SymBilinearForm, h: Vector) -> SymBilinearForm:
     return SymBilinearForm._of(rows, (Q._den * s) ** 2)
 
 
-def _defect_rows(ap, u, w, qh: int) -> list[list[int]]:
-    """U W^T + W U^T - q A' over ints, for A' = ap, U = u, W = w and q = qh."""
-    return [
-        [ua * wb + wa * ub - qh * b for wb, ub, b in zip(w, u, row)]
-        for ua, wa, row in zip(u, w, ap)
-    ]
-
-
 def derivative_inequality_defect(
     q: SymBilinearForm, qp: SymBilinearForm, h: Vector
 ) -> SymBilinearForm:
@@ -604,7 +589,12 @@ def derivative_inequality_defect(
     """
     x, w, s = q._image(h)
     _, u, _ = qp._image(h)
-    return SymBilinearForm._of(_defect_rows(qp._ints, u, w, _dot(x, w)), q._den * qp._den * s * s)
+    qh = _dot(x, w)
+    rows = [
+        [ua * wb + wa * ub - qh * b for wb, ub, b in zip(w, u, row)]
+        for ua, wa, row in zip(u, w, qp._ints)
+    ]
+    return SymBilinearForm._of(rows, q._den * qp._den * s * s)
 
 
 def _hodge_index_inertia(qh: int, sig: Signature, image_nonzero: bool) -> Signature:
@@ -643,37 +633,39 @@ def _border_rows(ap, u, w, qh: int) -> list[list[int]]:
     return [[*row, a, b] for a, b, row in zip(p, m, ap)] + [[*p, 2 * qh, 0], [*m, 0, -2 * qh]]
 
 
-def _border_defect(rows) -> list[list[int]]:
-    """The defect rows U W^T + W U^T - q A' of the border _border_rows built."""
-    n = len(rows) - 2
-    p, m = [row[n] for row in rows[:n]], [row[n + 1] for row in rows[:n]]
-    u = [(a + b) // 2 for a, b in zip(p, m)]
-    w = [(a - b) // 2 for a, b in zip(p, m)]
-    return _defect_rows([row[:n] for row in rows[:n]], u, w, rows[n][n] // 2)
+def _defect_inertia(qh: int, u, w, border) -> Signature:
+    """The inertia of the derivative defect S = U W^T + W U^T - q A', given
+    qh = q at any positive scale and U, W at one scale; border() returns the
+    inertia of _border_rows(A', U, W, q) and is called only when q != 0.
 
-
-def _from_border(sig: Signature) -> Signature:
-    """The inertia of -S/q, hence of S, from that of its border (q > 0)."""
-    plus, minus, zero = sig
-    return Signature(minus - 1, plus - 1, zero)
+    For q != 0, with P = U + W and M = U - W, the Schur complement of the
+    border's trailing block diag(2q, -2q), of inertia (1, 1, 0), is
+    A' - (P P^T - M M^T) / 2q = -S/q, so by Haynsworth's additivity the
+    border has the inertia (1, 1, 0) + inertia(-S/q): S has
+    (n_minus - 1, n_plus - 1, n_zero) of it for q > 0 and
+    (n_plus - 1, n_minus - 1, n_zero) for q < 0.  For q = 0, S = U W^T + W U^T
+    and v^T S v = 2 (U.v)(W.v): with a = U.U, b = W.W and c = U.W it is
+    (1, 1, n - 2) when ab > c^2 (U, W independent), and otherwise, W and U
+    parallel, (1, 0, n - 1), (0, 1, n - 1) or (0, 0, n) as c > 0, c < 0 or
+    c = 0.
+    """
+    if qh:
+        plus, minus, zero = border()
+        return Signature(minus - 1, plus - 1, zero) if qh > 0 else Signature(plus - 1, minus - 1, zero)
+    a, b, c = _dot(u, u), _dot(w, w), _dot(u, w)
+    n = len(u)
+    if a * b > c * c:
+        return Signature(1, 1, n - 2)
+    return Signature(int(c > 0), int(c < 0), n - (c != 0))
 
 
 def derivative_inequality_inertia(q: SymBilinearForm, qp: SymBilinearForm, h: Vector) -> Signature:
-    """The signature of derivative_inequality_defect(q, qp, h), from a
-    bordered matrix.
-
-    With U, W, q as there, P = U + W, M = U - W and q > 0, the border
-    B = [[A', P, M], [P^T, 2q, 0], [M^T, 0, -2q]] (_border_rows) has the
-    inertia (1, 1, 0) + inertia(-S/q): the Schur complement of its trailing
-    block is A' - (P P^T - M M^T) / 2q = A' - (U W^T + W U^T) / q.  B is
-    singular whenever S is.  For q <= 0 the defect matrix itself is signed.
-    """
+    """The signature of derivative_inequality_defect(q, qp, h), by
+    _defect_inertia: off a bordered matrix, or in closed form at Q(h) = 0."""
     x, w, _ = q._image(h)
     _, u, _ = qp._image(h)
     qh = _dot(x, w)
-    if qh <= 0:
-        return _inertia(_defect_rows(qp._ints, u, w, qh))[0]
-    return _from_border(_inertia(_border_rows(qp._ints, u, w, qh))[0])
+    return _defect_inertia(qh, u, w, lambda: _inertia(_border_rows(qp._ints, u, w, qh))[0])
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

@@ -405,9 +405,11 @@ def cmd_verify_hr(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
+    # No flag means the defaults; a given list, even an empty one
+    # ("--t-samples=,"), means exactly its samples.
+    t_samples = parse_t_samples(ns.t_samples) if ns.t_samples is not None else None
     if ns.builtin:
-        # An empty list ("--t-samples=,") means no samples; no flag, the defaults.
-        task = {"builtin": ns.builtin, "t_samples": parse_t_samples(ns.t_samples) if ns.t_samples else None}
+        task = {"builtin": ns.builtin, "t_samples": t_samples}
         results, timing = _run_tasks(_builtin_task, [task], ns.jobs)
         failed = [r for r in results if "error" in r or r["status"] == "FAIL"]
         summary = {"total": 1, "passed": len(results) - len(failed), "failed": len(failed)}
@@ -415,7 +417,6 @@ def cmd_family(ns: argparse.Namespace) -> tuple[dict, int]:
     if not ns.check:
         raise UsageError("family needs --check or --builtin")
     lam = parse_partition(ns.lam) if ns.lam is not None else None
-    t_samples = parse_t_samples(ns.t_samples or "") or None
     indices = functools.cache(lambda d: _indices(ns.check, ns.i, d))
     inputs = _resolve(ns, lambda d, e: len(_partitions_for(lam, d, e)) * len(indices(d)))
     tasks = [

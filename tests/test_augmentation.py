@@ -10,8 +10,7 @@ from hrlab.augmentation import (
     NOT_APPLICABLE,
     AugmentedSpace,
     FormFamily,
-    _kernel_coordinate,
-    _Stack,
+    _Reading,
     check_property_a,
     check_property_b,
     intersection_form,
@@ -564,11 +563,12 @@ def test_verdict_conclusion_on_degenerate_r0():
 
 
 def test_verdicts_build_each_derivative_family_once(monkeypatch, routes):
-    # Each verdict builds each derivative family once and evaluates a family
-    # only at t = 0 (R_0, R'_0, R''_0): its samples are read off the int
-    # stack.  Each matrix it signs, by size: the five R_t, the t = 0 border
-    # (two rows more) and R'_0 for aug1 and each recursion family, and
-    # R''_0 last for aug2; R_2 on W (hyp4) last for the recursion.
+    # No verdict builds a derivative family or evaluates a family at any t:
+    # its samples and values are read off the int stack, and R'_0 and R''_0
+    # are the stack's coefficients M_1 / D and 2 M_2 / D.  Each matrix it
+    # signs, by size: the five R_t, the t = 0 border (two rows more) and
+    # R'_0 for aug1 and each recursion family, and R''_0 last for aug2; R_2
+    # on W (hyp4) last for the recursion.
     calls, evaluated = [], []
     original, at = FormFamily.derivative, FormFamily.at
 
@@ -583,18 +583,15 @@ def test_verdicts_build_each_derivative_family_once(monkeypatch, routes):
     n = sp.dim_v
     fam = twist_family(sp, lam, 3)
     verify_augmentation1(fam, sp.h_coords, sp.zeta_coords)
-    assert len(calls) == 1  # R'
-    assert evaluated == [0, 0]
+    assert calls == evaluated == []
     assert routes.per_matrix() == [(n, "kernel")] * 5 + [(n + 2, "kernel"), (n, "kernel")]
     calls.clear(), evaluated.clear(), routes.clear()
     verify_augmentation2(sp, lam)
-    assert len(calls) == 2  # R' and R''
-    assert evaluated == [0, 0, 0]
+    assert calls == evaluated == []
     assert routes.per_matrix() == [(n - 1, "kernel"), (n + 1, "kernel")] * 5 + [(n, "kernel")]
     calls.clear(), evaluated.clear(), routes.clear()
     verify_recursion(sp, lam, d - 1)
-    assert len(calls) == d - 2  # R'_i for i = 2..j
-    assert evaluated == [0, 0] * (d - 2)
+    assert calls == evaluated == []
     assert routes.per_matrix() == ([(n, "kernel")] * 5 + [(n + 2, "kernel")]) * (d - 2) + [(n - 1, "kernel")]
 
 
@@ -669,37 +666,126 @@ def kernel_signature(q):
 
 def test_top_family_is_signed_off_its_kernel():
     # For d = 3..6, random h and every default t plus three negative t (where
-    # R_t(h) < 0 takes the q <= 0 branch): the block off zeta plus one zero
-    # is the inertia of R_t, and the border off zeta plus one zero that of
-    # the derivative defect, both signed directly on V.
+    # R_t(h) < 0 signs the border with q < 0): the block off zeta plus one
+    # zero is the inertia of R_t, and the border off zeta plus one zero that
+    # of the derivative defect, both signed directly on V.
     branches = set()
     for d in range(3, 7):
         sp = make_space(d, 2, 400 + d, random_h=True)
         h, zeta = sp.h_coords, sp.zeta_coords
         fam = twist_family(sp, partitions(d - 2, 2)[0], d)
         deriv = fam.derivative()
-        z = _kernel_coordinate(fam, h, zeta)
-        assert z == sp.zeta_index
-        stack = _Stack(fam, h, z)
-        samples, borders = stack.chain(), stack.border_chain()
+        reading = _Reading(fam, h, zeta)
+        assert reading.z == sp.zeta_index
         for t in DEFAULT_T_SAMPLES + (Fraction(-1), Fraction(-3), Fraction(-100)):
             rt, rpt = fam.at(t), deriv.at(t)
-            sig = stack.weak_hr_sample(t, samples)["signature"]
+            sig = reading.weak_hr_sample(t)["signature"]
             assert sig == kernel_signature(rt)
             assert sig.n_zero >= 1
-            border = stack.derivative_sample(t, borders)
+            border = reading.derivative_sample(t)
             assert border == kernel_signature(derivative_inequality_defect(rt, rpt, h)), (d, t)
             branches.add(rt.quad(h) > 0)
     assert branches == {True, False}
     # The zero family (i outside 0..d) deflates too: every matrix is zero.
     sp = make_space(3, 1, 401)
     zero = twist_family(sp, (1,), 4)
-    z = _kernel_coordinate(zero, sp.h_coords, sp.zeta_coords)
-    assert z == sp.zeta_index
+    reading = _Reading(zero, sp.h_coords, sp.zeta_coords)
+    assert reading.z == sp.zeta_index
     rep = check_property_b(zero, sp.h_coords, sp.zeta_coords)
     assert [entry["signature"] for entry in rep.per_t] == [Signature(0, 0, 10)] * 5
-    stack = _Stack(zero, sp.h_coords, z)
-    assert stack.derivative_sample(Fraction(1), stack.border_chain()) == Signature(0, 0, 10)
+    assert reading.derivative_sample(Fraction(1)) == Signature(0, 0, 10)
+
+
+@pytest.mark.parametrize(
+    "mats, expected",
+    [
+        # R_t = M_0 + t M_1: U = (-1, 0, 1, 0) and W = (0, 1, 1, 0), independent.
+        (([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]],
+          [[-1, 0, 1, 0], [0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 1]]), Signature(1, 1, 2)),
+        # R_t = M_0 + t M_1 + t^2 M_2, R_t(h) = (1 - t)^2: U = M_1 h + 2 M_2 h
+        # = (0, 2, 0, 0) = 2 W, where M_1 h + M_2 h would be independent of W.
+        (([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]],
+          [[-2, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+          [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]), Signature(1, 0, 3)),
+    ],
+    ids=["independent", "parallel"],
+)
+def test_a_sample_with_r_t_h_zero_reads_the_defect_in_closed_form(routes, mats, expected):
+    # R_0(h) = 1 and R_1(h) = 0 at h = e_0, so at t = 1 the derivative defect
+    # is S = U W^T + W U^T with U = R'_1 h and W = R_1 h, read in closed
+    # form without signing a matrix.  zeta = e_3 breaks the kernel identity,
+    # so nothing is cut.
+    fam = FormFamily(map(SymBilinearForm, mats))
+    h, zeta, one = (1, 0, 0, 0), (0, 0, 0, 1), Fraction(1)
+    reading = _Reading(fam, h, zeta)
+    assert reading.z is None
+    rep = check_property_b(fam, h, zeta, (one,))
+    assert routes.per_matrix() == [(4, "kernel"), (6, "kernel"), (4, "kernel")]
+    entry = rep.per_t[1]
+    assert entry["t"] == one and entry["q_h"] == 0
+    rt, rpt = fam.at(one), fam.derivative().at(one)
+    defect = kernel_signature(derivative_inequality_defect(rt, rpt, h))
+    assert defect == reading.derivative_sample(one) == expected
+    assert entry["derivative_inequality_psd"] == (expected.n_minus == 0)
+    assert entry["signature"] == kernel_signature(rt)
+    assert entry["hodge_index_psd"] == (kernel_signature(hodge_index_defect(rt, h)).n_minus == 0)
+
+
+def test_check_values_match_the_forms():
+    # Each value and condition the checks read off the images of h and zeta
+    # equals its reading from the Fraction forms R_0, R'_0 and R''_0.  Random
+    # families of degree 0..3 on 3..6 rows, h = x / 3, and zeta random or
+    # e_z / 3 with column z of M_1 set to c M_0 x (A4 holds) and of M_2 to
+    # M_1 x plus delta e_z (B4 holds on W, and on every index only when
+    # delta = 0), delta 0 or the one that makes B5 hold.
+    rng = random.Random(2525)
+
+    def image(m, x):
+        return [sum(a * b for a, b in zip(row, x)) for row in m]
+
+    def set_column(m, z, col):
+        for j, v in enumerate(col):
+            m[j][z] = m[z][j] = v
+
+    seen = set()
+    for _ in range(150):
+        n, K = rng.randint(3, 6), rng.randint(0, 3)
+        mats = []
+        for _ in range(K + 1):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            mats.append([[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+        x = [rng.randint(-2, 2) for _ in range(n)]
+        z, delta = rng.randrange(n), 0
+        if rng.random() < 0.3:
+            zeta = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+        else:
+            zeta = [Fraction(k == z, 3) for k in range(n)]
+            if K >= 1:
+                c = rng.randint(-2, 2)
+                set_column(mats[1], z, [c * v for v in image(mats[0], x)])
+            if K >= 2:
+                col = image(mats[1], x)
+                delta = rng.choice((0, sum(map(lambda a, b: a * b, x, image(mats[0], x))) - col[z]))
+                col[z] += delta
+                set_column(mats[2], z, col)
+        h = [Fraction(v, 3) for v in x]
+        fam = FormFamily(map(SymBilinearForm, mats))
+        r0, deriv = fam.at(0), fam.derivative()
+        r0p, rpp0 = deriv.at(0), deriv.derivative().at(0)
+        lhs, rhs = r0p.pairing_vector(zeta), r0.pairing_vector(h)
+        pivot = next((k for k, v in enumerate(rhs) if v), None)
+        constant = None if pivot is None else lhs[pivot] / rhs[pivot]
+        a4 = not any(lhs) if pivot is None else all(u == constant * v for u, v in zip(lhs, rhs))
+        second, first = rpp0.pairing_vector(zeta), r0p.pairing_vector(h)
+        b4 = all(second[k] == 2 * first[k] for k in range(n) if zeta[k] == 0)
+        b5 = rpp0.value(zeta, zeta) == 2 * r0.quad(h)
+        rep_a, rep_b = check_property_a(fam, h, zeta, ()), check_property_b(fam, h, zeta, ())
+        assert (rep_a.r0_h, rep_a.r0p_h, rep_a.r0_zeta_h) == (r0.quad(h), r0p.quad(h), r0.value(zeta, h))
+        assert (rep_a.constant, rep_a.a4, rep_a.r0p) == (constant, a4, r0p)
+        assert rep_a.a1 == (r0.quad(h) > 0 and r0p.quad(h) > 0) and rep_a.a5 == (r0.value(zeta, h) > 0)
+        assert (rep_b.r0_h, rep_b.b1, rep_b.b4, rep_b.b5, rep_b.rpp0) == (r0.quad(h), r0.quad(h) > 0, b4, b5, rpp0)
+        seen.add((a4, b4, b5, bool(delta)))
+    assert {(True, True, True, True), (True, True, False, False), (False, False, False, False)} <= seen, seen
 
 
 def test_broken_kernel_identity_signs_the_full_matrix(routes):
@@ -717,7 +803,7 @@ def test_broken_kernel_identity_signs_the_full_matrix(routes):
         FormFamily(coeffs + (w_unit,)),
     )
     for fam in broken:
-        assert _kernel_coordinate(fam, h, zeta) is None
+        assert _Reading(fam, h, zeta).z is None
         routes.clear()
         rep = check_property_b(fam, h, zeta)
         assert sorted(routes.per_matrix()) == [(n, "kernel")] * 5 + [(n + 2, "kernel")] * 5
@@ -726,7 +812,7 @@ def test_broken_kernel_identity_signs_the_full_matrix(routes):
             assert entry["signature"] == kernel_signature(rt)
             defect = kernel_signature(derivative_inequality_defect(rt, rpt, h))
             assert entry["derivative_inequality_psd"] == (defect.n_minus == 0)
-    assert _kernel_coordinate(twist_family(sp, (2,), 3), h, zeta) is None
+    assert _Reading(twist_family(sp, (2,), 3), h, zeta).z is None
 
 
 @pytest.mark.parametrize("d, lam", [(5, (2, 1)), (6, (2, 2)), (7, (2, 2, 1))])

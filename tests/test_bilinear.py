@@ -1219,6 +1219,57 @@ def test_bordered_inertias_match_the_direct_defects():
         )
 
 
+@pytest.mark.parametrize("mode", ["independent", "parallel", "zero_w", "zero_u"])
+def test_defect_rule_matches_the_kernel(routes, mode):
+    # The one rule for the derivative defect S = U W^T + W U^T - q A'
+    # (derivative_inequality_inertia) against the kernel on the matrix
+    # derivative_inequality_defect builds.  With h = e_0, U is column 0 of A'
+    # and W column 0 of Q, so q = W_0: A' is random of any rank (singular and
+    # low-rank included), W is random with W_0 = q for q in
+    # {-3, -1, 0, 1, 2}, or c U for c of both signs, or zero, and U is zero
+    # when A' has a zero first row and column.  At q = 0 no matrix is signed.
+    rng = random.Random(2500 + len(mode))
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        ap = [[0] * n for _ in range(n)]
+        for _ in range(rng.randint(0, n)):
+            v, s = [rng.randint(-3, 3) for _ in range(n)], rng.choice((1, -1))
+            ap = [[a + s * vi * vj for a, vj in zip(row, v)] for row, vi in zip(ap, v)]
+        if mode == "zero_u":
+            ap = [[0 if 0 in (i, j) else a for j, a in enumerate(row)] for i, row in enumerate(ap)]
+        u = [row[0] for row in ap]
+        if mode == "independent":
+            w = [rng.choice((-3, -1, 0, 1, 2))] + [rng.randint(-3, 3) for _ in range(n - 1)]
+        elif mode == "parallel":
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            w = [c * x for x in u]
+        else:
+            w = [rng.randint(-3, 3) for _ in range(n)] if mode == "zero_u" else [0] * n
+            w[0] = 0 if mode == "zero_w" else w[0]
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        for k in range(n):
+            rows[0][k] = rows[k][0] = w[k]
+        Q, Qp = SymBilinearForm(rows), SymBilinearForm(ap)
+        h = [int(i == 0) for i in range(n)]
+        routes.clear()
+        sig = derivative_inequality_inertia(Q, Qp, h)
+        assert sig == _count_signs(_congruence(derivative_inequality_defect(Q, Qp, h)._ints), n), (ap, w)
+        q = w[0]
+        assert q or not routes
+        seen.add(((q > 0) - (q < 0), None if q else sig[:2]))
+    closed = {sig for s, sig in seen if s == 0}
+    if mode != "zero_w":
+        assert {s for s, _ in seen} == {-1, 0, 1}
+    if mode == "independent":
+        assert (1, 1) in closed
+    elif mode == "parallel":
+        assert {(1, 0), (0, 1), (0, 0)} <= closed
+    else:
+        assert closed == {(0, 0)}
+
+
 def test_family_checks_eliminate_no_hodge_index_border(routes):
     # Each R_t is eliminated once, each derivative defect on its two-row
     # border; the Hodge-index defect needs no matrix.  The i = d family

@@ -734,6 +734,20 @@ def test_family_builtin_rank_drop_samples(tmp_path, flag, samples):
     assert [entry["t"] for entry in load(out)["results"][0]["per_t"]] == samples
 
 
+@pytest.mark.parametrize("flag, echo, samples", [([], None, ["0/1", "-1/100", "1/100", "-1/10", "1/10"]),
+                                                 (["--t-samples=,"], ",", ["0/1"])])
+def test_family_check_samples(tmp_path, flag, echo, samples):
+    # As for the builtin: no flag runs the default grid, and an empty list
+    # runs exactly its samples, none, beside the t = 0 every check adds.
+    out = tmp_path / "b.json"
+    argv = ["family", "--check", "B", "--d", "4", "--e", "2", "--lambda", "2", "--seed", "1"]
+    assert run_main(argv + flag + ["--out", str(out)]) == 0
+    report = load(out)
+    assert report["config"]["t_samples"] == echo
+    per_t = report["results"][0]["report"]["per_t"]
+    assert [entry["t"] for entry in per_t] == samples
+
+
 def test_family_builtin_minkowski(tmp_path):
     out = tmp_path / "m.json"
     code = run_main(["family", "--builtin", "minkowski", "--out", str(out)])
