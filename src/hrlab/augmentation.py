@@ -29,10 +29,11 @@ _Reading built from (family, h, zeta): with h = x/s and zeta = y/s over one
 s, the images Y_k = M_k x and Z_k = M_k y and the values c_k = x . Y_k give
 every value the checks report (R_0(h), R'_0(h), R_0(zeta, h), A4, B4, B5),
 decide whether R_t annihilates zeta - t h, and, with the weights
-p^k q^(K-k) of t = p/q, give each sample's R_t(h), R_t h and derivative
-border at the one scale D q^K.  No sample is put in lowest terms; only its
-reported q_h is a Fraction.  t = 0 is always the first sample and is R_0
-itself, so the reported r0_signature is that sample's.
+p^k q^(K-k) of t = p/q, give each sample's R_t(h) and derivative border
+at the one scale D q^K, and R_t h and R'_t h only where R_t(h) = 0.  No
+sample is put in lowest terms; only its reported q_h is a Fraction.  t = 0
+is always the first sample and is R_0 itself, so the reported
+r0_signature is that sample's.
 
 R_t and the borders are each signed on one chain (bilinear._FamilyChain),
 which hands on proposals and certifies the samples near t = 0 by the family
@@ -349,9 +350,10 @@ class _Reading:
     (M_k x) off z is (M_k off z)(x off z).
 
     The sample at t = p/q is read at the one scale D q^K: its matrix
-    sum_k p^k q^(K-k) M_k, R_t(h) and R_t h.  R_t is signed on one chain
-    (bilinear._FamilyChain), and the derivative borders on another, as the
-    polynomial B_t = sum_k t^k B_k whose coefficients
+    sum_k p^k q^(K-k) M_k and R_t(h), and R_t h and R'_t h only where
+    R_t(h) = 0, the one case whose defects read them.  R_t is signed on one
+    chain (bilinear._FamilyChain), and the derivative borders on another, as
+    the polynomial B_t = sum_k t^k B_k whose coefficients
     B_k = _border_rows((k+1) M_{k+1}, (k+1) Y_{k+1}, Y_k, c_k) are the
     border of R'_t = sum_k (k+1) t^k M_{k+1} at h; border_degree = 0 keeps
     B_0 alone, for a check that reads only t = 0.
@@ -387,33 +389,43 @@ class _Reading:
         """The signature of a matrix from that of its block off z."""
         return sig if self.z is None else sig._replace(n_zero=sig.n_zero + 1)
 
-    def _at(self, t: Fraction) -> tuple[int, int, list[int], int, list[int]]:
-        """(p, q, the weights p^k q^(K-k), D q^K s^2 R_t(h), D q^K s R_t h off z)."""
+    def _at(self, t: Fraction) -> tuple[int, int, list[int], int]:
+        """(p, q, the weights p^k q^(K-k), D q^K s^2 R_t(h))."""
         p, q = t.numerator, t.denominator
         weights = _weights(p, q, self.degree)
-        image = [sum(map(mul, weights, col)) for col in zip(*self.ys_off)]
-        return p, q, weights, sum(map(mul, weights, self.cs)), image
+        return p, q, weights, sum(map(mul, weights, self.cs))
+
+    def _image(self, weights: list[int], shift: int = 0) -> list[int]:
+        """sum_k w_k Y_{k+shift} off z: D q^K s R_t h for the weights of
+        _at, and R'_t h for the weights (k+1) w_k and shift 1."""
+        return [sum(map(mul, weights, col[shift:])) for col in zip(*self.ys_off)]
 
     def weak_hr_sample(self, t: Fraction) -> dict:
         """The sample at t, R_t signed off z."""
-        p, q, weights, qh, image = self._at(t)
+        p, q, weights, qh = self._at(t)
         sig = self._with_kernel(self.samples.inertia(p, q))
         return {
             "t": t,
             "signature": sig,
             "q_h": Fraction(qh, self.scale * weights[0]),
             "weak_hr": qh > 0 and sig.n_plus == 1,
-            "hodge_index_psd": _hodge_index_inertia(qh, sig, any(image)).n_minus == 0,
+            # R_t h is formed only where the rule reads it, at R_t(h) = 0.
+            "hodge_index_psd": _hodge_index_inertia(qh, sig, not qh and any(self._image(weights))).n_minus == 0,
         }
 
     def derivative_sample(self, t: Fraction) -> Signature:
         """derivative_inequality_inertia(R_t, R'_t, h) by bilinear's one
-        rule: off the border chain, or in closed form where R_t(h) = 0."""
-        p, q, weights, qh, image = self._at(t)
-        # R'_t h = sum_k (k+1) t^k Y_{k+1} at the same scale.
+        rule: off the border chain, or in closed form where R_t(h) = 0, the
+        only case that forms R'_t h and R_t h."""
+        p, q, weights, qh = self._at(t)
         dweights = [(k + 1) * w for k, w in enumerate(weights)]
-        u = [sum(map(mul, dweights, col[1:])) for col in zip(*self.ys_off)]
-        return self._with_kernel(_defect_inertia(qh, u, image, lambda: self.borders.inertia(p, q)))
+        return self._with_kernel(
+            _defect_inertia(
+                qh,
+                lambda: self.borders.inertia(p, q),
+                lambda: (self._image(dweights, 1), self._image(weights)),
+            )
+        )
 
 
 def _str_or_none(x: Optional[Fraction]) -> Optional[str]:

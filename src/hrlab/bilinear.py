@@ -62,10 +62,9 @@ form; its matrix is built only by derivative_inequality_defect.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain, repeat, zip_longest
 from math import frexp, gcd, inf, lcm, ldexp
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from struct import Struct
 from typing import NamedTuple, Sequence
 
@@ -392,8 +391,9 @@ def _dominant_inertia(rows, order, P) -> tuple[Signature, list[int]] | None:
     C is computed exactly, B being A with its rows and columns in `order`, a
     permutation of range(n), and a row of P shorter than n reads as zeros
     past its end; a P or an order of another length is refused.  Each row of
-    C is one int of W-bit slots: with Pcol_l packing column l of P,
-    N_k = sum_l B_kl Pcol_l and C_i = sum_k P_ik N_k has C_ij in slot j.
+    C is one int of W-bit slots: with Pcol_l = sum_i P_il 2^(W i) packing
+    column l of P, N_k = sum_l B_kl Pcol_l and C_i = sum_k P_ik N_k has C_ij
+    in slot j.
     Every |C_ij| <= n^2 max|P|^2 max|B| < 2^(W-2), so with 2^(W-1) added to
     each slot the slots are the base-2^W digits, read off the bytes.  If
     every margin m_i = |C_ii| - sum_{j != i} |C_ij| is positive, C is
@@ -408,9 +408,9 @@ def _dominant_inertia(rows, order, P) -> tuple[Signature, list[int]] | None:
     size = (2 * bp + bb + 2 * n.bit_length() + 9) // 8  # bytes a slot: W = 8 size
     half = 1 << (8 * size - 1)
     bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
-    encode = partial(int.to_bytes, length=size, byteorder="little")
+    shifts = range(0, 8 * size * n, 8 * size)
     columns = zip(*(list(p) + [0] * (n - len(p)) for p in P))
-    pcols = [int.from_bytes(b"".join(map(encode, map(add, col, repeat(half)))), "little") - bias for col in columns]
+    pcols = [sum(map(lshift, col, shifts)) for col in columns]
     N = [sum(map(mul, map(row.__getitem__, order), pcols)) for row in map(rows.__getitem__, order)]
     split, plus, margins = Struct(f"{size}s" * n).unpack, 0, []
     for i, p in enumerate(P):
@@ -633,10 +633,11 @@ def _border_rows(ap, u, w, qh: int) -> list[list[int]]:
     return [[*row, a, b] for a, b, row in zip(p, m, ap)] + [[*p, 2 * qh, 0], [*m, 0, -2 * qh]]
 
 
-def _defect_inertia(qh: int, u, w, border) -> Signature:
+def _defect_inertia(qh: int, border, images) -> Signature:
     """The inertia of the derivative defect S = U W^T + W U^T - q A', given
-    qh = q at any positive scale and U, W at one scale; border() returns the
-    inertia of _border_rows(A', U, W, q) and is called only when q != 0.
+    qh = q at any positive scale; border() returns the inertia of
+    _border_rows(A', U, W, q) and is called only when q != 0, images()
+    returns (U, W) at one scale and is called only when q = 0.
 
     For q != 0, with P = U + W and M = U - W, the Schur complement of the
     border's trailing block diag(2q, -2q), of inertia (1, 1, 0), is
@@ -652,6 +653,7 @@ def _defect_inertia(qh: int, u, w, border) -> Signature:
     if qh:
         plus, minus, zero = border()
         return Signature(minus - 1, plus - 1, zero) if qh > 0 else Signature(plus - 1, minus - 1, zero)
+    u, w = images()
     a, b, c = _dot(u, u), _dot(w, w), _dot(u, w)
     n = len(u)
     if a * b > c * c:
@@ -665,7 +667,7 @@ def derivative_inequality_inertia(q: SymBilinearForm, qp: SymBilinearForm, h: Ve
     x, w, _ = q._image(h)
     _, u, _ = qp._image(h)
     qh = _dot(x, w)
-    return _defect_inertia(qh, u, w, lambda: _inertia(_border_rows(qp._ints, u, w, qh))[0])
+    return _defect_inertia(qh, lambda: _inertia(_border_rows(qp._ints, u, w, qh))[0], lambda: (u, w))
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

@@ -7,6 +7,10 @@ Three subcommands, each a grid of tasks that carry their inputs as values (a
   family       first/second-order condition checks and theorem verdicts
   gamma-scan   exploratory scan of convex combinations over a simplex grid
 
+A run starts a process pool, and imports its machinery (concurrent.futures,
+multiprocessing), only when --jobs is above 1 and the run has more than one
+task; every other run loads neither.
+
 Reports are JSON with a stable schema; all wall-clock data lives in the
 separate "timing" field so identical configs and seeds produce byte-identical
 reports otherwise.  Exit codes: 0 all assertions pass, 1 assertion failure
@@ -28,7 +32,6 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import comb
@@ -304,8 +307,11 @@ def _run_tasks(worker, tasks: list[dict], jobs: int) -> tuple[list[dict], dict]:
     t0 = time.perf_counter()
     calls = [(worker, task) for task in tasks]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: a run that starts no worker loads no multiprocessing.
         # A pool may start all its workers on the first submit, so it is no
         # wider than the task list.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             timed = list(pool.map(_timed_call, calls))
     else:

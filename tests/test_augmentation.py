@@ -28,6 +28,7 @@ from hrlab.bilinear import (
     derivative_inequality_defect,
     gram,
     hodge_index_defect,
+    hodge_index_inertia,
     is_hr_wrt,
     signature,
 )
@@ -707,14 +708,18 @@ def test_top_family_is_signed_off_its_kernel():
         (([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]],
           [[-2, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
           [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]), Signature(1, 0, 3)),
+        # R_t = M_0 + t M_1 with M_1 h = -M_0 h: W = R_1 h = 0, so both
+        # defects vanish at t = 1, and U = (-1, -1, 0, 0) is not read.
+        (([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]],
+          [[-1, -1, 0, 0], [-1, 0, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]]), Signature(0, 0, 4)),
     ],
-    ids=["independent", "parallel"],
+    ids=["independent", "parallel", "image-zero"],
 )
 def test_a_sample_with_r_t_h_zero_reads_the_defect_in_closed_form(routes, mats, expected):
     # R_0(h) = 1 and R_1(h) = 0 at h = e_0, so at t = 1 the derivative defect
     # is S = U W^T + W U^T with U = R'_1 h and W = R_1 h, read in closed
-    # form without signing a matrix.  zeta = e_3 breaks the kernel identity,
-    # so nothing is cut.
+    # form without signing a matrix, and the Hodge-index defect is W W^T.
+    # zeta = e_3 breaks the kernel identity, so nothing is cut.
     fam = FormFamily(map(SymBilinearForm, mats))
     h, zeta, one = (1, 0, 0, 0), (0, 0, 0, 1), Fraction(1)
     reading = _Reading(fam, h, zeta)
@@ -728,7 +733,9 @@ def test_a_sample_with_r_t_h_zero_reads_the_defect_in_closed_form(routes, mats, 
     assert defect == reading.derivative_sample(one) == expected
     assert entry["derivative_inequality_psd"] == (expected.n_minus == 0)
     assert entry["signature"] == kernel_signature(rt)
-    assert entry["hodge_index_psd"] == (kernel_signature(hodge_index_defect(rt, h)).n_minus == 0)
+    hodge = kernel_signature(hodge_index_defect(rt, h))
+    assert hodge == hodge_index_inertia(rt, h)
+    assert entry["hodge_index_psd"] == (hodge.n_minus == 0)
 
 
 def test_check_values_match_the_forms():

@@ -313,7 +313,8 @@ def test_worker_pool_is_no_wider_than_the_task_list(tmp_path, monkeypatch):
         def map(self, fn, calls):
             return map(fn, calls)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # _run_tasks imports the pool where it starts one, so it is patched there.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     ff = write_forms_file(tmp_path / "forms.json", 19, 4, 2)
     seeded = ["verify-hr", "--d", "2..3", "--e", "1..2", "--seed", "5"]
     cases = (
@@ -327,6 +328,39 @@ def test_worker_pool_is_no_wider_than_the_task_list(tmp_path, monkeypatch):
         assert run_main(args + ["--jobs", str(jobs), "--out", str(out)]) == 0
         assert load(out)["summary"]["total"] == tasks
         assert widths == [width], (args, jobs)
+
+
+SINGLE_PROCESS_RUNS = """
+import sys
+from hrlab import cli
+
+def loaded():
+    return [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+
+assert loaded() == [], ("import", loaded())
+for args in {runs!r}:
+    assert cli.main(args) == 0, args
+    assert loaded() == [], (args, loaded())
+"""
+
+
+def test_single_process_runs_load_no_process_pool(tmp_path):
+    # In a fresh interpreter: importing the CLI, a --jobs 1 campaign and a
+    # one-task run at --jobs 4 start no worker and load neither module.
+    # test_verify_hr_jobs_parity covers the pool path.
+    runs = [
+        ["verify-hr", "--d", "2..3", "--e", "1..2", "--seed", "1", "--jobs", "1", "--out", str(tmp_path / "a.json")],
+        ["verify-hr", "--d", "3", "--e", "1", "--seed", "1", "--jobs", "4", "--out", str(tmp_path / "b.json")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", SINGLE_PROCESS_RUNS.format(runs=runs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load(tmp_path / "a.json")["summary"]["total"] == 4
+    assert load(tmp_path / "b.json")["summary"]["total"] == 1
 
 
 # -- usage errors ----------------------------------------------------------------
