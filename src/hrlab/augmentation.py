@@ -351,8 +351,8 @@ class _Reading:
 
     The sample at t = p/q is read at the one scale D q^K: its matrix
     sum_k p^k q^(K-k) M_k and R_t(h), and R_t h and R'_t h only where
-    R_t(h) = 0, the one case whose defects read them.  R_t is signed on one
-    chain (bilinear._FamilyChain), and the derivative borders on another, as
+    R_t(h) = 0, for the derivative defect.  R_t is signed on one chain
+    (bilinear._FamilyChain), and the derivative borders on another, as
     the polynomial B_t = sum_k t^k B_k whose coefficients
     B_k = _border_rows((k+1) M_{k+1}, (k+1) Y_{k+1}, Y_k, c_k) are the
     border of R'_t = sum_k (k+1) t^k M_{k+1} at h; border_degree = 0 keeps
@@ -401,7 +401,8 @@ class _Reading:
         return [sum(map(mul, weights, col[shift:])) for col in zip(*self.ys_off)]
 
     def weak_hr_sample(self, t: Fraction) -> dict:
-        """The sample at t, R_t signed off z."""
+        """The sample at t, R_t signed off z.  The Hodge-index flag forms no
+        R_t h: at R_t(h) = 0 the defect W W^T is psd whatever W is."""
         p, q, weights, qh = self._at(t)
         sig = self._with_kernel(self.samples.inertia(p, q))
         return {
@@ -409,8 +410,7 @@ class _Reading:
             "signature": sig,
             "q_h": Fraction(qh, self.scale * weights[0]),
             "weak_hr": qh > 0 and sig.n_plus == 1,
-            # R_t h is formed only where the rule reads it, at R_t(h) = 0.
-            "hodge_index_psd": _hodge_index_inertia(qh, sig, not qh and any(self._image(weights))).n_minus == 0,
+            "hodge_index_psd": _hodge_index_inertia(qh, sig, False).n_minus == 0,
         }
 
     def derivative_sample(self, t: Fraction) -> Signature:

@@ -1,6 +1,6 @@
 """Independent brute-force implementations used only as test oracles.
 
-Nothing here shares code with the package, except the last three sections,
+Nothing here shares code with the package, except the last four sections,
 whose comments say what they reuse: the exterior algebra is replayed over
 generator tuples with insertion-sort sign counting, determinants are
 expanded by cofactors or by plain elimination, inertia is read off the
@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product
 from math import factorial, gcd
 
 from hrlab.augmentation import _check_weight
-from hrlab.bilinear import Signature, SymBilinearForm
+from hrlab.bilinear import Signature, SymBilinearForm, _congruence, _count_signs
 from hrlab.exterior import Form, HermitianMatrix, indices_of, mask_of, wedge
 from hrlab.gaussian import GaussianRational, as_fraction, fraction_from_str, fraction_to_str
 from hrlab.symfunc import (
@@ -954,3 +954,16 @@ def schur_combination(weights: WeightVector, b: int, e: int, forms) -> Form:
         if w:
             total = total + schur(lam, forms).scale(w)
     return total
+
+
+# -- the package's congruence kernel as a reference route ---------------------
+# It reuses bilinear's Bareiss kernel and sign count, bound here at import, so
+# the routes fixture, which patches bilinear._congruence, records none of its
+# calls.
+
+
+def kernel_signature(rows: list[list[int]]) -> Signature:
+    """The signature of a symmetric int matrix signed by the congruence kernel
+    alone: the reference for the rounded route, the family chains and the
+    i = d family signed off its kernel."""
+    return _count_signs(_congruence(rows), len(rows))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -23,8 +24,6 @@ from hrlab.augmentation import (
 from hrlab.bilinear import (
     Signature,
     SymBilinearForm,
-    _congruence,
-    _count_signs,
     derivative_inequality_defect,
     gram,
     hodge_index_defect,
@@ -32,7 +31,9 @@ from hrlab.bilinear import (
     is_hr_wrt,
     signature,
 )
+from hrlab.cli import main
 from hrlab.exterior import Form, HermitianMatrix, hermitian_to_form, identity_form
+from hrlab.gaussian import fraction_to_str
 from hrlab.sampling import random_positive_form
 from hrlab.symfunc import Partition, derived_schur, partitions, schur
 
@@ -40,6 +41,7 @@ from oracles import (
     fraction_horner,
     in_lowest_terms,
     intersection_form_by_product,
+    kernel_signature,
     rational_rows,
     schur_shifted,
 )
@@ -661,10 +663,6 @@ def test_recursion_routes_sparse_matrices_to_the_kernel(routes):
     assert routes.per_matrix() == [(37, "kernel")] * 5 + [(39, "kernel"), (36, "kernel")]
 
 
-def kernel_signature(q):
-    return _count_signs(_congruence(q._ints), q.n)
-
-
 def test_top_family_is_signed_off_its_kernel():
     # For d = 3..6, random h and every default t plus three negative t (where
     # R_t(h) < 0 signs the border with q < 0): the block off zeta plus one
@@ -681,10 +679,10 @@ def test_top_family_is_signed_off_its_kernel():
         for t in DEFAULT_T_SAMPLES + (Fraction(-1), Fraction(-3), Fraction(-100)):
             rt, rpt = fam.at(t), deriv.at(t)
             sig = reading.weak_hr_sample(t)["signature"]
-            assert sig == kernel_signature(rt)
+            assert sig == kernel_signature(rt._ints)
             assert sig.n_zero >= 1
             border = reading.derivative_sample(t)
-            assert border == kernel_signature(derivative_inequality_defect(rt, rpt, h)), (d, t)
+            assert border == kernel_signature(derivative_inequality_defect(rt, rpt, h)._ints), (d, t)
             branches.add(rt.quad(h) > 0)
     assert branches == {True, False}
     # The zero family (i outside 0..d) deflates too: every matrix is zero.
@@ -715,11 +713,12 @@ def test_top_family_is_signed_off_its_kernel():
     ],
     ids=["independent", "parallel", "image-zero"],
 )
-def test_a_sample_with_r_t_h_zero_reads_the_defect_in_closed_form(routes, mats, expected):
+def test_a_sample_with_r_t_h_zero_reads_the_defect_in_closed_form(monkeypatch, routes, mats, expected):
     # R_0(h) = 1 and R_1(h) = 0 at h = e_0, so at t = 1 the derivative defect
     # is S = U W^T + W U^T with U = R'_1 h and W = R_1 h, read in closed
-    # form without signing a matrix, and the Hodge-index defect is W W^T.
-    # zeta = e_3 breaks the kernel identity, so nothing is cut.
+    # form without signing a matrix, and the Hodge-index defect is W W^T,
+    # psd whatever W is, so its flag forms no image.  zeta = e_3 breaks the
+    # kernel identity, so nothing is cut.
     fam = FormFamily(map(SymBilinearForm, mats))
     h, zeta, one = (1, 0, 0, 0), (0, 0, 0, 1), Fraction(1)
     reading = _Reading(fam, h, zeta)
@@ -729,13 +728,19 @@ def test_a_sample_with_r_t_h_zero_reads_the_defect_in_closed_form(routes, mats, 
     entry = rep.per_t[1]
     assert entry["t"] == one and entry["q_h"] == 0
     rt, rpt = fam.at(one), fam.derivative().at(one)
-    defect = kernel_signature(derivative_inequality_defect(rt, rpt, h))
+    defect = kernel_signature(derivative_inequality_defect(rt, rpt, h)._ints)
     assert defect == reading.derivative_sample(one) == expected
     assert entry["derivative_inequality_psd"] == (expected.n_minus == 0)
-    assert entry["signature"] == kernel_signature(rt)
-    hodge = kernel_signature(hodge_index_defect(rt, h))
+    assert entry["signature"] == kernel_signature(rt._ints)
+    hodge = kernel_signature(hodge_index_defect(rt, h)._ints)
     assert hodge == hodge_index_inertia(rt, h)
     assert entry["hodge_index_psd"] == (hodge.n_minus == 0)
+    images, image = [], _Reading._image
+    monkeypatch.setattr(_Reading, "_image", lambda self, *args: images.append(args) or image(self, *args))
+    assert reading.weak_hr_sample(one)["hodge_index_psd"] == entry["hodge_index_psd"]
+    assert images == []
+    reading.derivative_sample(one)
+    assert len(images) == 2
 
 
 def test_check_values_match_the_forms():
@@ -795,6 +800,87 @@ def test_check_values_match_the_forms():
     assert {(True, True, True, True), (True, True, False, False), (False, False, False, False)} <= seen, seen
 
 
+def family_report(tmp_path, args):
+    """The report of `family --d 6 --e 2 --seed 1` with the given flags."""
+    out = tmp_path / "r.json"
+    assert main(["family", *args, "--d", "6", "--e", "2", "--seed", "1", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def seeded_family(result):
+    """The space and family one result of a family report was checked on."""
+    rng = random.Random(result["task_seed"])
+    space = AugmentedSpace([random_positive_form(rng, result["d"]) for _ in range(result["e"])])
+    return space, twist_family(space, result["lambda"], result["i"])
+
+
+def test_check_a_reports_at_d_6_re_read_from_the_forms(tmp_path):
+    # The goldens stop at d = 4.  Each report's values, constant and A1-A5
+    # are read again from the Fraction forms R_0 and R'_0 (quad, value,
+    # pairing_vector) and from kernel signatures, and must equal the
+    # report's, which the checks read off the int images of h and zeta.
+    # i = 6 is the family cut off zeta, where A5 fails.
+    report = family_report(tmp_path, ["--check", "A", "--i", "3..6"])
+    assert report["summary"]["failed"] == 0, report["summary"]
+    assert report["summary"]["total"] == 12, report["summary"]
+    for result in report["results"]:
+        space, family = seeded_family(result)
+        h, zeta = space.h_coords, space.zeta_coords
+        r0, r0p = family.at(0), family.derivative().at(0)
+        r0_h, r0p_h, r0_zeta_h = r0.quad(h), r0p.quad(h), r0.value(zeta, h)
+        lhs, rhs = r0p.pairing_vector(zeta), r0.pairing_vector(h)
+        pivot = next((k for k, x in enumerate(rhs) if x), None)
+        constant = None if pivot is None else lhs[pivot] / rhs[pivot]
+        a4 = all(x == 0 for x in lhs) if pivot is None else all(x == constant * y for x, y in zip(lhs, rhs))
+        ts = map(Fraction, result["report"]["t_samples"])
+        weak = [rt.quad(h) > 0 and kernel_signature(rt._ints).n_plus == 1 for rt in map(family.at, ts)]
+        checks = {
+            "A1": r0_h > 0 and r0p_h > 0,
+            "A2": all(weak),
+            "A3": kernel_signature(derivative_inequality_defect(r0, r0p, h)._ints).n_minus == 0,
+            "A4": a4,
+            "A5": r0_zeta_h > 0,
+        }
+        got, at = result["report"], (result["lambda"], result["i"])
+        values = {"r0_h": r0_h, "r0_derivative_h": r0p_h, "r0_zeta_h": r0_zeta_h}
+        assert got["values"] == {k: fraction_to_str(v) for k, v in values.items()}, at
+        assert got["constant"] == (None if constant is None else fraction_to_str(constant)), at
+        assert got["checks"] == checks, (at, got["checks"], checks)
+
+
+def test_check_b_reports_at_d_6_on_a_wide_grid_re_signed_by_the_kernel(tmp_path):
+    # t = +-1/2 lies outside every chain's t = 0 bound, so this grid takes
+    # samples on the bound, on the handed-on proposal and on fresh ones.
+    # Every R_t and every derivative defect is signed again on V by the
+    # congruence kernel alone, and each per-t signature and flag must match
+    # the report's.  values.r0_h, B1, B4 and B5 are read again from the forms
+    # R_0, R'_0 and R''_0.
+    report = family_report(tmp_path, ["--check", "B", "--t-samples=-1/2,-1/10,-1/100,1/100,1/10,1/2"])
+    assert report["summary"]["failed"] == 0, report["summary"]
+    for result in report["results"]:
+        space, family = seeded_family(result)
+        deriv, h, zeta = family.derivative(), space.h_coords, space.zeta_coords
+        per_t = result["report"]["per_t"]
+        assert len(per_t) == 7, per_t
+        for entry in per_t:
+            t = Fraction(entry["t"])
+            rt, rpt = family.at(t), deriv.at(t)
+            sig = kernel_signature(rt._ints)
+            assert entry["signature"] == list(sig), (result["lambda"], entry)
+            assert entry["weak_hr"] == (rt.quad(h) > 0 and sig.n_plus == 1), (result["lambda"], entry)
+            assert entry["hodge_index_psd"] == (kernel_signature(hodge_index_defect(rt, h)._ints).n_minus == 0)
+            defect = kernel_signature(derivative_inequality_defect(rt, rpt, h)._ints)
+            assert entry["derivative_inequality_psd"] == (defect.n_minus == 0), (result["lambda"], entry)
+        r0_h = family.at(0).quad(h)
+        rpp0 = deriv.derivative().at(0)
+        second_zeta, first_h = rpp0.pairing_vector(zeta), deriv.at(0).pairing_vector(h)
+        checks = result["report"]["checks"]
+        assert result["report"]["values"] == {"r0_h": fraction_to_str(r0_h)}, result["lambda"]
+        assert checks["B1"] == (r0_h > 0), result["lambda"]
+        assert checks["B4"] == all(second_zeta[a] == 2 * first_h[a] for a in space.w_indices()), result["lambda"]
+        assert checks["B5"] == (rpp0.value(zeta, zeta) == 2 * r0_h), result["lambda"]
+
+
 def test_broken_kernel_identity_signs_the_full_matrix(routes):
     # Two families that break R_t (zeta - t h) = 0: C_1 zeta != C_0 h, and a
     # last coefficient C_K with C_K h != 0.  Neither is deflated, and each
@@ -816,8 +902,8 @@ def test_broken_kernel_identity_signs_the_full_matrix(routes):
         assert sorted(routes.per_matrix()) == [(n, "kernel")] * 5 + [(n + 2, "kernel")] * 5
         for entry in rep.per_t:
             rt, rpt = fam.at(entry["t"]), fam.derivative().at(entry["t"])
-            assert entry["signature"] == kernel_signature(rt)
-            defect = kernel_signature(derivative_inequality_defect(rt, rpt, h))
+            assert entry["signature"] == kernel_signature(rt._ints)
+            defect = kernel_signature(derivative_inequality_defect(rt, rpt, h)._ints)
             assert entry["derivative_inequality_psd"] == (defect.n_minus == 0)
     assert _Reading(twist_family(sp, (2,), 3), h, zeta).z is None
 
@@ -830,4 +916,4 @@ def test_augmentation2_proposes_for_no_singular_matrix(monkeypatch, d, lam):
     assert verify_augmentation2(make_space(d, 2, 60 + d), lam).status == CONSISTENT
     assert proposed
     for rows in proposed:
-        assert _count_signs(_congruence(rows), len(rows)).n_zero == 0
+        assert kernel_signature(rows).n_zero == 0

@@ -13,7 +13,6 @@ from hrlab.bilinear import (
     SymBilinearForm,
     _congruence,
     _congruence_vector,
-    _count_signs,
     _dominant_inertia,
     _FamilyChain,
     _inertia,
@@ -60,6 +59,7 @@ from oracles import (
     fraction_hodge_index_defect,
     full_block_congruence,
     in_lowest_terms,
+    kernel_signature,
     mixed_vector,
     naive_product_of_forms,
     naive_top_coefficient,
@@ -798,24 +798,35 @@ def scaled_congruent_rows(rng, n, rank=None, spread=3):
     return [[sum(x * dk * y for x, dk, y in zip(ci, d, cj)) for cj in cols] for ci in cols]
 
 
-def kernel_inertia(rows):
-    return _count_signs(_congruence(rows), len(rows))
-
-
 def test_rounded_route_matches_kernel_and_berkowitz_on_d7_and_d8_gram(gram_matrices, routes):
     rng = random.Random(103)
     g8 = gram(schur((2, 2, 1, 1), [random_positive_form(rng, 8) for _ in range(3)]))
     for Q in (gram_matrices[-1], g8):
         expected = Signature(1, Q.n - 1, 0)
-        assert signature(Q) == kernel_inertia(Q._ints) == berkowitz_inertia(Q._ints) == expected
+        assert signature(Q) == kernel_signature(Q._ints) == berkowitz_inertia(Q._ints) == expected
     assert [c for c in routes if c[0] == "verdict"] == [("verdict", 49, True), ("verdict", 64, True)]
+
+
+def test_rounded_route_certifies_gram_matrices_past_the_cli_range():
+    # SUPPORTED_D stops at 8, so this calls the library at d = 9 and 10:
+    # the certificate of the n = 81 and n = 100 Gram matrices must agree
+    # with the kernel.
+    rng = random.Random(1)
+    for d, lam in ((9, (2, 2, 2, 1)), (10, (2, 2, 2, 2))):
+        n = d * d
+        rows = gram(schur(lam, [random_positive_form(rng, d) for _ in range(2)]))._ints
+        proposal = _rounded_congruence(rows)
+        assert proposal is not None, f"d = {d}: no proposal"
+        certified = _dominant_inertia(rows, *proposal)
+        assert certified is not None, f"d = {d}: refused"
+        assert certified[0] == kernel_signature(rows) == Signature(1, n - 1, 0), (d, certified[0])
 
 
 def test_rounded_route_on_random_nonsingular_matrices(routes):
     rng = random.Random(107)
     for n in (40, 47, 55, 64):
         rows = scaled_congruent_rows(rng, n)
-        expected = kernel_inertia(rows)
+        expected = kernel_signature(rows)
         assert expected.n_zero == 0
         routes.clear()
         assert signature(SymBilinearForm(rows)) == expected
@@ -849,7 +860,7 @@ def test_rounded_route_starts_at_its_size(routes):
     ]
     for rows, route in cases:
         routes.clear()
-        assert signature(SymBilinearForm(rows)) == kernel_inertia(rows)
+        assert signature(SymBilinearForm(rows)) == kernel_signature(rows)
         assert routes == route
     assert [sum(x != 0 for row in rows for x in row) for rows, _ in cases[2:4]] == [half, half - 2]
     assert signature(SymBilinearForm(cases[2][0])) == Signature((n + 1) // 2, n // 2, 0)
@@ -867,15 +878,15 @@ def test_a_family_hands_its_proposal_on(routes):
     a = scaled_congruent_rows(rng, 30)
     b = [[1000 * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
     sig, proposal, margins = _inertia(a)
-    assert routes.per_matrix() == [(30, "fresh")] and sig == kernel_inertia(a)
+    assert routes.per_matrix() == [(30, "fresh")] and sig == kernel_signature(a)
     assert (sig, margins) == dominant_inertia_by_product(a, *proposal)
     routes.clear()
-    assert _inertia(b, proposal)[:2] == (kernel_inertia(b), proposal)
+    assert _inertia(b, proposal)[:2] == (kernel_signature(b), proposal)
     assert routes.per_matrix() == [(30, "reused")]
     routes.clear()
     other = scaled_congruent_rows(rng, 30)
     sig, fresh, _ = _inertia(other, ([*range(30)], [[int(i == j) for j in range(i + 1)] for i in range(30)]))
-    assert sig == kernel_inertia(other) and fresh != proposal
+    assert sig == kernel_signature(other) and fresh != proposal
     assert routes == [("verdict", 30, False), ("proposal", 30), ("verdict", 30, True)]
     assert routes.per_matrix() == [(30, "fresh")]
     # A proposal of another size is refused before any product.
@@ -888,10 +899,10 @@ def test_a_family_hands_its_proposal_on(routes):
     step = [[y - x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     family = _FamilyChain([flat(a), flat(step)], 30)
     assert [family.inertia(0, 1), family.inertia(1, 10**12), family.inertia(1, 1)] == [
-        kernel_inertia(a), kernel_inertia(a), kernel_inertia(b)
+        kernel_signature(a), kernel_signature(a), kernel_signature(b)
     ]
     assert routes.per_matrix() == [(30, "fresh"), (30, "bound"), (30, "reused")]
-    assert family.certificate == (kernel_inertia(a), *family_bound_rows([a, step], *proposal))
+    assert family.certificate == (kernel_signature(a), *family_bound_rows([a, step], *proposal))
     sparse = _FamilyChain([flat(dominant_rows(rng, 30, 200)), [1] * 900], 30)
     routes.clear()
     sparse.inertia(0, 1)
@@ -927,7 +938,7 @@ def test_a_singular_sample_is_never_certified_by_the_bound(routes):
             sig = family.inertia(t.numerator, t.denominator)
             a = 1 - 100 * s * t
             expected = Signature(int(a > 0), n - 1 + int(a < 0), int(a == 0))
-            assert sig == expected == kernel_inertia(_sample_rows(family.coeffs, t.numerator, t.denominator, n))
+            assert sig == expected == kernel_signature(_sample_rows(family.coeffs, t.numerator, t.denominator, n))
             if a == 0:
                 assert sig.n_zero == 1 and ("bound", n) not in routes and routes[-1] == ("kernel", n)
             if abs(t) == Fraction(1, 10**6):
@@ -956,7 +967,7 @@ def test_family_bound_admits_what_the_oracle_admits(routes):
         for t in (Fraction(0), 10**4 * inside, inside, -inside, outside, -outside):
             routes.clear()
             sig = family.inertia(t.numerator, t.denominator)
-            assert sig == kernel_inertia(_sample_rows(family.coeffs, t.numerator, t.denominator, n)), (n, t)
+            assert sig == kernel_signature(_sample_rows(family.coeffs, t.numerator, t.denominator, n)), (n, t)
             bound = routes.per_matrix() == [(n, "bound")]
             assert bound == (t != 0 and family_bound_admits(margins, sums, t)), (n, K, t, routes)
             if t == 10**4 * inside:
@@ -979,7 +990,7 @@ def test_family_samples_match_the_kernel_sweep(routes):
         for t in [Fraction(0)] + ts:
             routes.clear()
             p, q = t.numerator, t.denominator
-            assert family.inertia(p, q) == kernel_inertia(_sample_rows(family.coeffs, p, q, n)), (seed, n, K, e, t)
+            assert family.inertia(p, q) == kernel_signature(_sample_rows(family.coeffs, p, q, n)), (seed, n, K, e, t)
             seen.add(routes.per_matrix()[-1][1] == "bound")
 
     sweep()
@@ -994,12 +1005,12 @@ def test_singular_and_near_singular_inputs_fall_back(routes):
     cases.append([[x * 10**12 + (i == j) for j, x in enumerate(row)] for i, row in enumerate(near)])
     for rows in cases:
         n = len(rows)
-        expected = kernel_inertia(rows)
+        expected = kernel_signature(rows)
         routes.clear()
         assert signature(SymBilinearForm(rows)) == expected
         assert routes[-1] == ("kernel", n)
         assert ("verdict", n, True) not in routes
-    assert [kernel_inertia(rows).n_zero for rows in cases] == [1, 19, 4, 0]
+    assert [kernel_signature(rows).n_zero for rows in cases] == [1, 19, 4, 0]
 
 
 def test_row_scaled_matrices_stay_on_the_rounded_route(routes):
@@ -1010,7 +1021,7 @@ def test_row_scaled_matrices_stay_on_the_rounded_route(routes):
         for s in (10, 10**2, 10**3, 10**4):
             rows = [[x * (s if i else 1) * (s if j else 1) for j, x in enumerate(row)] for i, row in enumerate(a)]
             routes.clear()
-            assert signature(SymBilinearForm(rows)) == kernel_inertia(rows)
+            assert signature(SymBilinearForm(rows)) == kernel_signature(rows)
             assert routes == [("proposal", 40), ("verdict", 40, True)]
 
 
@@ -1018,7 +1029,7 @@ def test_proposal_on_hard_inputs_is_none_or_checked(monkeypatch):
     rng = random.Random(163)
     a = scaled_congruent_rows(rng, 40)
     huge = [[x << 1100 for x in row] for row in a]
-    assert _dominant_inertia(huge, *_rounded_congruence(huge))[0] == kernel_inertia(a)
+    assert _dominant_inertia(huge, *_rounded_congruence(huge))[0] == kernel_signature(a)
     for rows in (scaled_congruent_rows(rng, 40, rank=39), [[0] * 40 for _ in range(40)]):
         proposal = _rounded_congruence(rows)
         assert proposal is None or _dominant_inertia(rows, *proposal) is None
@@ -1255,7 +1266,7 @@ def test_defect_rule_matches_the_kernel(routes, mode):
         h = [int(i == 0) for i in range(n)]
         routes.clear()
         sig = derivative_inequality_inertia(Q, Qp, h)
-        assert sig == _count_signs(_congruence(derivative_inequality_defect(Q, Qp, h)._ints), n), (ap, w)
+        assert sig == kernel_signature(derivative_inequality_defect(Q, Qp, h)._ints), (ap, w)
         q = w[0]
         assert q or not routes
         seen.add(((q > 0) - (q < 0), None if q else sig[:2]))

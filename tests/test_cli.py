@@ -113,25 +113,30 @@ def write_forms_file(path, seed, d, e):
 
 
 @pytest.mark.parametrize(
-    "base",
+    "base, forms_seed",
     [
-        ["verify-hr", "--d", "2..3", "--e", "1..2", "--trials", "1", "--seed", "5"],
-        ["verify-hr", "--forms", "FORMS"],
-        ["gamma-scan", "--d", "3", "--e", "2", "--grid", "2", "--trials", "2", "--seed", "5"],
-        ["gamma-scan", "--forms", "FORMS", "--grid", "2"],
+        (["verify-hr", "--d", "2..3", "--e", "1..2", "--trials", "1", "--seed", "5"], None),
+        (["verify-hr", "--forms", "FORMS"], 19),
+        (["gamma-scan", "--d", "3", "--e", "2", "--grid", "2", "--trials", "2", "--seed", "5"], None),
+        (["gamma-scan", "--forms", "FORMS", "--grid", "2"], 19),
+        (["family", "--check", "aug2", "--d", "5", "--e", "2", "--seed", "1"], None),
+        (["family", "--check", "aug2", "--forms", "FORMS"], 1),
     ],
-    ids=["seeded", "forms-file", "gamma-scan-seeded", "gamma-scan-forms-file"],
+    ids=["seeded", "forms-file", "gamma-scan-seeded", "gamma-scan-forms-file", "aug2-seeded", "aug2-forms-file"],
 )
-def test_verify_hr_jobs_parity(tmp_path, base):
-    # With a forms file every task receives the checked Forms, pickled.
-    ff = write_forms_file(tmp_path / "forms.json", 19, 4, 2)
-    base = [str(ff) if a == "FORMS" else a for a in base]
+def test_verify_hr_jobs_parity(tmp_path, base, forms_seed):
+    # With a forms file (two forms at d = 4) every task receives the checked
+    # Forms, pickled.  The family workers check Hermitian positivity in
+    # AugmentedSpace, so their reports must agree too.
+    if forms_seed is not None:
+        ff = write_forms_file(tmp_path / "forms.json", forms_seed, 4, 2)
+        base = [str(ff) if a == "FORMS" else a for a in base]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_main(base + ["--out", str(a)]) == 0
     assert run_main(base + ["--jobs", "2", "--out", str(b)]) == 0
     assert strip_timing(load(a)) == strip_timing(load(b))
     for rep in (load(a), load(b)):
-        tasks = rep["summary"]["total"] if base[0] == "verify-hr" else rep["summary"]["trials"]
+        tasks = rep["summary"]["trials" if base[0] == "gamma-scan" else "total"]
         assert len(rep["timing"]["per_task_seconds"]) == tasks
 
 
@@ -167,14 +172,26 @@ def test_family_part_above_e_warns_as_verify_hr_does(tmp_path):
     ]
 
 
-def test_verify_hr_forms_file(tmp_path):
-    ff = write_forms_file(tmp_path / "forms.json", 11, 3, 2)
+@pytest.mark.parametrize(
+    "seed, d, partitions",
+    [
+        (11, 3, {(1,)}),
+        # At the supported maximum: the forms file's parser, its positivity
+        # check (the pivots of one fraction-free Gauss-Jordan elimination per
+        # form) and the 64 x 64 half-triangle pairing.
+        (1, 8, {(2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)}),
+    ],
+    ids=["d3", "d8"],
+)
+def test_verify_hr_forms_file(tmp_path, seed, d, partitions):
+    ff = write_forms_file(tmp_path / "forms.json", seed, d, 2)
     out = tmp_path / "r.json"
     code = run_main(["verify-hr", "--forms", str(ff), "--out", str(out)])
     assert code == 0
     rep = load(out)
-    assert all(r["signature"] == [1, 8, 0] for r in rep["results"])
-    assert {tuple(r["lambda"]) for r in rep["results"]} == {(1,)}
+    assert rep["summary"]["failed"] == 0
+    assert all(r["signature"] == [1, d * d - 1, 0] for r in rep["results"])
+    assert {tuple(r["lambda"]) for r in rep["results"]} == partitions
 
 
 def test_forms_file_rejects_non_positive(tmp_path):
@@ -816,6 +833,57 @@ def test_family_builtin_with_unread_flags_exits_2(tmp_path, capsys, builtin, fla
     assert run_main(["family", "--builtin", builtin, *flags, "--out", str(out)]) == 2
     assert not out.exists()
     assert f"--builtin {builtin} takes no {named}" in capsys.readouterr().err
+
+
+# -- d = 6..8, where the large matrices take the rounded route -------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-hr", "--d", "8", "--e", "2", "--lambda", "1,1,1,1,1,1", "--seed", "1"],
+        # All seven partitions of 6 with parts at most 3 take the pencil route.
+        ["verify-hr", "--d", "8", "--e", "3", "--seed", "1"],
+        # At d = 6 the 37 x 37 matrices take both routes: the sparse R_{2,t}
+        # and R_{2,0} on W go to the kernel, the dense R_{3..5,t} to the
+        # rounded congruence; aug2 and B sign the i = d family off zeta, on
+        # 36 rows and 38-row borders.  Each chain's t = 0 certificate covers
+        # the samples at t = +-1/100 that its integer bound admits; the
+        # others reuse the t = 0 proposal.
+        ["family", "--check", "B", "--d", "6", "--e", "2", "--seed", "1"],
+        ["family", "--check", "recursion", "--d", "6", "--e", "2", "--i", "2..5", "--seed", "1"],
+        ["family", "--check", "aug2", "--d", "6", "--e", "2", "--seed", "1"],
+    ],
+    ids=["verify-hr-d8-e2", "verify-hr-d8-e3", "family-B-d6", "family-recursion-d6", "family-aug2-d6"],
+)
+def test_large_campaigns_pass(tmp_path, args):
+    out = tmp_path / "r.json"
+    assert run_main(args + ["--out", str(out)]) == 0
+    assert load(out)["summary"]["failed"] == 0
+
+
+def test_family_aug2_at_d_7_signs_every_matrix_on_the_rounded_route(tmp_path, routes):
+    # R_{d,t} annihilates zeta - t h, so each of the five singular 50 x 50
+    # R_{d,t} is signed as its nonsingular 49 x 49 block off zeta plus one
+    # zero, and each derivative defect on the 51 x 51 border of that block,
+    # both cut once from the int coefficient stack.  The t = 0 block and
+    # border certify on fresh proposals; the border's bound covers
+    # t = +-1/100, and every other sample reuses its chain's t = 0 proposal.
+    # R''_0 (50 x 50) takes one of its own.  The Hodge-index defect's inertia
+    # is read off that of R_{d,t}, and the signature of R_{d,0} on W off the
+    # t = 0 sample.  Nothing falls back to the kernel.
+    out = tmp_path / "r.json"
+    args = ["family", "--check", "aug2", "--d", "7", "--e", "2", "--lambda", "2,2,1", "--seed", "1"]
+    assert run_main(args + ["--out", str(out)]) == 0
+    assert load(out)["summary"]["failed"] == 0
+    assert routes.per_matrix() == [
+        (49, "fresh"), (51, "fresh"),
+        (49, "reused"), (51, "bound"),
+        (49, "reused"), (51, "bound"),
+        (49, "reused"), (51, "reused"),
+        (49, "reused"), (51, "reused"),
+        (50, "fresh"),
+    ]
 
 
 # -- gamma scan ---------------------------------------------------------------------
